@@ -22,22 +22,19 @@ identical relations with the right generators), so WY and WS multiply
 through the XY/XS rules with indices untouched.
 
 to_matrix is the semantic anchor: every element maps to the matrix of
-the operator it denotes on M-basis coordinates, built from generator
-matrices, and multiplication of coefficients must match multiplication
-of matrices bit for bit.
+the operator it denotes on M-basis coordinates, built from the
+derivative and shift power matrices, and multiplication of coefficients
+must match multiplication of matrices bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .diffops import (
-    derivative_power_matrix,
-    multiplication_matrix,
-    shift_power_matrix,
-)
-from .gf2lin import Gf2Matrix, mat_mul
+from .diffops import derivative_power_matrix, shift_power_matrix
+from .gf2lin import Gf2Matrix
 from .ring import (
     DimensionMismatch,
     _convert_bits,
@@ -45,9 +42,9 @@ from .ring import (
     check_dim,
     check_mask,
     indices_from_mask,
+    iter_bits,
     mask_from_indices,
     mask_str,
-    ring_monomial,
     submasks,
 )
 
@@ -119,32 +116,24 @@ def op_add(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     return OpCoeffs(f.n, f.basis, f.terms ^ g.terms)
 
 
-def _convert_left(terms: frozenset[Term], size: int, frm: str, to: str) -> frozenset[Term]:
-    by_right: dict[int, int] = {}
-    for a, b in terms:
-        by_right[b] = by_right.get(b, 0) ^ (1 << a)
-    out = set()
-    for b, bits in by_right.items():
-        bits = _convert_bits(bits, size, frm, to)
-        while bits:
-            low = bits & -bits
-            out.add((low.bit_length() - 1, b))
-            bits ^= low
-    return frozenset(out)
+def _pack_index(terms: Iterable[Term], axis: int) -> dict[int, int]:
+    """Per value of the other index, the packed vector of index `axis`
+    (0 left, 1 right) of the terms."""
+    groups: dict[int, int] = {}
+    for term in terms:
+        other = term[1 - axis]
+        groups[other] = groups.get(other, 0) ^ (1 << term[axis])
+    return groups
 
 
-def _convert_right(terms: frozenset[Term], size: int) -> frozenset[Term]:
-    # Y <-> S is a superset sum on the right index, both directions
-    by_left: dict[int, int] = {}
-    for a, b in terms:
-        by_left[a] = by_left.get(a, 0) ^ (1 << b)
+def _convert_index(
+    terms: frozenset[Term], axis: int, convert: Callable[[int], int]
+) -> frozenset[Term]:
+    """Apply convert to the packed vectors of index `axis` of the terms."""
     out = set()
-    for a, bits in by_left.items():
-        bits = _superset_sum_bits(bits, size)
-        while bits:
-            low = bits & -bits
-            out.add((a, low.bit_length() - 1))
-            bits ^= low
+    for other, bits in _pack_index(terms, axis).items():
+        for i in iter_bits(convert(bits)):
+            out.add((i, other) if axis == 0 else (other, i))
     return frozenset(out)
 
 
@@ -163,29 +152,32 @@ def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
     size = 1 << f.n
     terms = f.terms
     if f.basis[0] != target[0]:
-        terms = _convert_left(terms, size, f.basis[0], target[0])
+        terms = _convert_index(
+            terms, 0, lambda bits: _convert_bits(bits, size, f.basis[0], target[0])
+        )
     if f.basis[1] != target[1]:
-        terms = _convert_right(terms, size)
+        # Y <-> S is a superset sum on the right index, both directions
+        terms = _convert_index(terms, 1, lambda bits: _superset_sum_bits(bits, size))
     return OpCoeffs(f.n, target, terms)
 
 
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     """Matrix of the operator on M-basis coordinates.
 
-    Each term contributes the product of its left multiplication matrix
-    and its right derivative/shift power matrix; terms are XORed.
+    The terms sharing a right index b sum to g * D^b, where g is the ring
+    element of their left coefficients and D^b the derivative or shift
+    power matrix of b.  Multiplication by g is diagonal on M coordinates,
+    so row r of D^b is XORed into the result for every r in the support
+    of g written in M.
     """
     n = f.n
     size = 1 << n
+    power = shift_power_matrix if f.basis[1] == "S" else derivative_power_matrix
     rows = [0] * size
-    left_kind = f.basis[0]
-    right_is_shift = f.basis[1] == "S"
-    for a, b in f.terms:
-        m = multiplication_matrix(ring_monomial(left_kind, a, n))
-        right = shift_power_matrix(b, n) if right_is_shift else derivative_power_matrix(b, n)
-        m = mat_mul(m, right)
-        for r in range(size):
-            rows[r] ^= m.rows[r]
+    for b, left in _pack_index(f.terms, 0).items():
+        right = power(b, n).rows
+        for r in iter_bits(_convert_bits(left, size, f.basis[0], "M")):
+            rows[r] ^= right[r]
     return Gf2Matrix(tuple(rows))
 
 
@@ -206,67 +198,47 @@ def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:
     return count
 
 
-def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
-    acc: set[Term] = set()
+def _odd_terms(keys: Iterable[Term]) -> frozenset[Term]:
+    """The keys produced an odd number of times: their sum over GF(2)."""
+    return frozenset(key for key, count in Counter(keys).items() if count & 1)
+
+
+def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
     for a, b in f:
         for c, d in g:
             ac = a ^ c
             if ac & ~b:
                 continue
             for t in submasks(ac & ~d):
-                key = (a, d | t)
-                if key in acc:
-                    acc.discard(key)
-                else:
-                    acc.add(key)
-    return frozenset(acc)
+                yield a, d | t
 
 
-def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
-    acc: set[Term] = set()
+def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
     for a, b in f:
         for c, d in g:
             for k2 in submasks(b & c):
                 left = a | (c & ~k2)
                 for k1 in submasks(k2):
                     nb = b & ~k1
-                    if nb & d:
-                        continue
-                    key = (left, nb | d)
-                    if key in acc:
-                        acc.discard(key)
-                    else:
-                        acc.add(key)
-    return frozenset(acc)
+                    if not nb & d:
+                        yield left, nb | d
 
 
-def _mul_ms(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+def _mul_ms(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
     by_left: dict[int, list[int]] = {}
     for c, d in g:
         by_left.setdefault(c, []).append(d)
-    acc: set[Term] = set()
     for a, b in f:
         for d in by_left.get(a ^ b, ()):
-            key = (a, b ^ d)
-            if key in acc:
-                acc.discard(key)
-            else:
-                acc.add(key)
-    return frozenset(acc)
+            yield a, b ^ d
 
 
-def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
-    acc: set[Term] = set()
+def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
     for a, b in f:
         for c, d in g:
             bd = b ^ d
             for k in submasks(b & c):
-                key = (a | (c & ~k), bd)
-                if key in acc:
-                    acc.discard(key)
-                else:
-                    acc.add(key)
-    return frozenset(acc)
+                yield a | (c & ~k), bd
 
 
 def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
@@ -282,10 +254,10 @@ def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     g = convert_op_basis(g, basis)
     left, right = basis
     if right == "Y":
-        terms = _mul_my(f.terms, g.terms) if left == "M" else _mul_xy(f.terms, g.terms)
+        kernel = _mul_my if left == "M" else _mul_xy
     else:
-        terms = _mul_ms(f.terms, g.terms) if left == "M" else _mul_xs(f.terms, g.terms)
-    return OpCoeffs(f.n, basis, terms)
+        kernel = _mul_ms if left == "M" else _mul_xs
+    return OpCoeffs(f.n, basis, _odd_terms(kernel(f.terms, g.terms)))
 
 
 def op_power(f: OpCoeffs, k: int) -> OpCoeffs:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks
@@ -26,7 +27,7 @@ from .lang import (
     is_classical,
     parse_text,
 )
-from .ring import RING_BASES, convert_ring_basis, ring_text, ring_to_json
+from .ring import MAX_DIM, RING_BASES, convert_ring_basis, ring_text, ring_to_json
 
 
 def _read_expr(arg: str) -> str:
@@ -138,8 +139,12 @@ def cmd_dot(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    n_max = args.n or 3
+    n_max = args.n
     samples = args.samples
+    if not 1 <= n_max <= MAX_DIM:
+        raise ValueError(f"--n must be in [1, {MAX_DIM}], got {n_max}")
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     failures = 0
     total = 0
     for n in range(1, n_max + 1):
@@ -169,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="output basis: M/X/W for ring elements, MY/XY/WY/MS/XS/WS for operators",
             )
-        p.add_argument(
-            "--format", choices=("text", "json", "dot"), default="text", help="output format"
-        )
+        # coefficients in a basis have no graph form: only matrices print as DOT
+        formats = ("text", "json") if with_basis else ("text", "json", "dot")
+        p.add_argument("--format", choices=formats, default="text", help="output format")
 
     p = sub.add_parser("eval", help="evaluate an expression ('-' reads stdin)")
     p.add_argument("expr")
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("crosscheck", help="run the invariant battery")
-    p.add_argument("--n", type=int, default=None, help="largest dimension (default 3)")
+    p.add_argument("--n", type=int, default=3, help="largest dimension (default 3)")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_crosscheck)
@@ -227,9 +232,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except (LangError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -25,6 +25,7 @@ from .ring import (
     check_dim,
     check_mask,
     convert_ring_basis,
+    iter_bits,
     submasks,
 )
 
@@ -153,20 +154,12 @@ def apply_coeffs(op: "OpCoeffs", f: RingElem) -> RingElem:
             out ^= ((fin >> (a ^ b)) & 1) << a
     elif op.basis == "XY":
         for a, b in op.terms:
-            rest = fin
-            while rest:
-                low = rest & -rest
-                c = low.bit_length() - 1
-                rest ^= low
+            for c in iter_bits(fin):
                 if b & ~c == 0:
                     out ^= 1 << (a | (c & ~b))
     else:  # XS
         for a, b in op.terms:
-            rest = fin
-            while rest:
-                low = rest & -rest
-                c = low.bit_length() - 1
-                rest ^= low
+            for c in iter_bits(fin):
                 for e in submasks(b & c):
                     out ^= 1 << (a | (c & ~e))
     return RingElem(f.n, ring_basis, out)

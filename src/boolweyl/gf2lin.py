@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import DimensionMismatch, mask_str
+from .ring import DimensionMismatch, iter_bits, mask_str
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,8 @@ def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     out = []
     for arow in a.rows:
         acc = 0
-        rest = arow
-        while rest:
-            low = rest & -rest
-            acc ^= brows[low.bit_length() - 1]
-            rest ^= low
+        for k in iter_bits(arow):
+            acc ^= brows[k]
         out.append(acc)
     return Gf2Matrix(tuple(out))
 
@@ -103,17 +100,14 @@ def mat_pow(a: Gf2Matrix, k: int) -> Gf2Matrix:
 
 
 def transpose(a: Gf2Matrix) -> Gf2Matrix:
-    side = a.side
-    out = [0] * side
+    out = [0] * a.side
     for r, row in enumerate(a.rows):
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << r
-            row ^= low
+        for c in iter_bits(row):
+            out[c] |= 1 << r
     return Gf2Matrix(tuple(out))
 
 
-def gf2_rank(vectors, width: int | None = None) -> int:
+def gf2_rank(vectors) -> int:
     """Rank over GF(2) of packed int vectors (any iterable)."""
     pivots: dict[int, int] = {}
     for vec in vectors:
@@ -142,16 +136,9 @@ class ColumnSolver:
     """
 
     def __init__(self, t: Gf2Matrix) -> None:
-        side = t.side
-        self.side = side
-        cols = [0] * side
-        for r, row in enumerate(t.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << r
-                row ^= low
+        self.side = t.side
         self._pivots: dict[int, tuple[int, int]] = {}
-        for j, col in enumerate(cols):
+        for j, col in enumerate(transpose(t).rows):
             vec, combo = col, 1 << j
             while vec:
                 p = vec.bit_length() - 1
@@ -184,24 +171,14 @@ def colspace_contains(t: Gf2Matrix, s: Gf2Matrix) -> bool:
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:
     """A matrix r with t r = s, or None when no such r exists."""
     _require_same_side(t, s)
-    side = t.side
     solver = ColumnSolver(t)
-    scols = [0] * side
-    for r, row in enumerate(s.rows):
-        while row:
-            low = row & -row
-            scols[low.bit_length() - 1] |= 1 << r
-            row ^= low
-    rrows = [0] * side
-    for c, col in enumerate(scols):
+    rcols = []
+    for col in transpose(s).rows:
         x = solver.solve(col)
         if x is None:
             return None
-        while x:
-            low = x & -x
-            rrows[low.bit_length() - 1] |= 1 << c
-            x ^= low
-    return Gf2Matrix(tuple(rrows))
+        rcols.append(x)
+    return transpose(Gf2Matrix(tuple(rcols)))
 
 
 def matrix_to_text(a: Gf2Matrix) -> str:
@@ -236,10 +213,8 @@ def matrix_to_dot(a: Gf2Matrix) -> str:
     for v in range(side):
         lines.append(f'  n{v} [label="{mask_str(v)}"];')
     for r, row in enumerate(a.rows):
-        while row:
-            low = row & -row
-            lines.append(f"  n{low.bit_length() - 1} -> n{r};")
-            row ^= low
+        for c in iter_bits(row):
+            lines.append(f"  n{c} -> n{r};")
     lines.append("}")
     return "\n".join(lines)
 

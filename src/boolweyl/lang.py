@@ -50,14 +50,10 @@ from .bweyl import (
 from .gf2lin import Gf2Matrix, colspace_contains, solve_right
 from .ring import (
     RingElem,
+    _convert_bits,
     check_dim,
     convert_ring_basis,
     mask_from_indices,
-    ring_add,
-    ring_monomial,
-    ring_mul,
-    ring_one,
-    ring_zero,
 )
 
 
@@ -390,10 +386,21 @@ class VarContext:
 
 
 def _walk(e: Expr):
-    yield e
-    if isinstance(e, (Sum, Prod)):
-        for p in e.parts:
-            yield from _walk(p)
+    """Each node object of the tree once, in pre-order.
+
+    Iterative, and shared subtrees (the '|' and '->' sugar shares its
+    operands) are visited only at their first occurrence.
+    """
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, (Sum, Prod)):
+            stack.extend(reversed(node.parts))
 
 
 def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
@@ -435,36 +442,49 @@ def _mono_mask(mono: Mono, n: int) -> int:
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
-    """Truth-function valuation into the Boolean ring (X-basis result)."""
-    n = ctx.n
+    """Truth-function valuation into the Boolean ring (X-basis result).
 
-    def go(node: Expr) -> RingElem:
+    Values are truth tables (M coefficients): a sum is an XOR and a
+    product an AND.  Each node object is valued once per call, so the
+    shared operands of '|' and '->' cost nothing extra.
+    """
+    n = ctx.n
+    size = 1 << n
+    true = (1 << size) - 1
+    var_tables = [_convert_bits(1 << (1 << i), size, "X", "M") for i in range(n)]
+    memo: dict[int, int] = {}
+
+    def go(node: Expr) -> int:
+        key = id(node)
+        if key in memo:
+            return memo[key]
         if isinstance(node, Zero):
-            return ring_zero(n, "X")
-        if isinstance(node, One):
-            return ring_one(n, "X")
-        if isinstance(node, Var):
-            return ring_monomial("X", 1 << (ctx.position(node.name) - 1), n)
-        if isinstance(node, TildeVar):
+            value = 0
+        elif isinstance(node, One):
+            value = true
+        elif isinstance(node, Var):
+            value = var_tables[ctx.position(node.name) - 1]
+        elif isinstance(node, TildeVar):
             raise EvalError("operator expression in classical context")
-        if isinstance(node, Mono):
+        elif isinstance(node, Mono):
             kind = _CLASSICAL_MONO.get(node.kind)
             if kind is None:
                 raise EvalError("operator expression in classical context")
-            return ring_monomial(kind, _mono_mask(node, n), n)
-        if isinstance(node, Sum):
-            acc = ring_zero(n, "X")
+            value = _convert_bits(1 << _mono_mask(node, n), size, kind, "M")
+        elif isinstance(node, Sum):
+            value = 0
             for p in node.parts:
-                acc = ring_add(acc, go(p))
-            return acc
-        if isinstance(node, Prod):
-            acc = ring_one(n, "X")
+                value ^= go(p)
+        elif isinstance(node, Prod):
+            value = true
             for p in node.parts:
-                acc = ring_mul(acc, go(p))
-            return acc
-        raise TypeError(f"not an expression: {node!r}")
+                value &= go(p)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        memo[key] = value
+        return value
 
-    return convert_ring_basis(go(e), "X")
+    return convert_ring_basis(RingElem(n, "M", go(e)), "X")
 
 
 _QUANTUM_MONO_BASIS = {"m": "MY", "x": "XY", "w": "WY"}
@@ -473,37 +493,44 @@ _QUANTUM_MONO_BASIS = {"m": "MY", "x": "XY", "w": "WY"}
 def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
     """Operator valuation: variables multiply, tilde variables derive.
 
-    The result is expressed in the XY basis.
+    The result is expressed in the XY basis.  Each node object is valued
+    once per call.
     """
     n = ctx.n
+    memo: dict[int, OpCoeffs] = {}
 
     def go(node: Expr) -> OpCoeffs:
+        key = id(node)
+        if key in memo:
+            return memo[key]
         if isinstance(node, Zero):
-            return op_zero(n, "XY")
-        if isinstance(node, One):
-            return op_identity(n, "XY")
-        if isinstance(node, Var):
-            return op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
-        if isinstance(node, TildeVar):
-            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
-        if isinstance(node, Mono):
+            value = op_zero(n, "XY")
+        elif isinstance(node, One):
+            value = op_identity(n, "XY")
+        elif isinstance(node, Var):
+            value = op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
+        elif isinstance(node, TildeVar):
+            value = op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
+        elif isinstance(node, Mono):
             mask = _mono_mask(node, n)
             if node.kind == "y":
-                return op_monomial(n, "XY", 0, mask)
-            if node.kind == "s":
-                return op_monomial(n, "XS", 0, mask)
-            return op_monomial(n, _QUANTUM_MONO_BASIS[node.kind], mask, 0)
-        if isinstance(node, Sum):
-            acc = op_zero(n, "XY")
+                value = op_monomial(n, "XY", 0, mask)
+            elif node.kind == "s":
+                value = op_monomial(n, "XS", 0, mask)
+            else:
+                value = op_monomial(n, _QUANTUM_MONO_BASIS[node.kind], mask, 0)
+        elif isinstance(node, Sum):
+            value = op_zero(n, "XY")
             for p in node.parts:
-                acc = op_add(acc, go(p))
-            return acc
-        if isinstance(node, Prod):
-            acc = op_identity(n, "XY")
+                value = op_add(value, go(p))
+        elif isinstance(node, Prod):
+            value = op_identity(n, "XY")
             for p in node.parts:
-                acc = op_mul(acc, go(p))
-            return acc
-        raise TypeError(f"not an expression: {node!r}")
+                value = op_mul(value, go(p))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        memo[key] = value
+        return value
 
     return convert_op_basis(go(e), "XY")
 

@@ -19,8 +19,10 @@ subset/superset sums over GF(2), computed by butterfly passes:
 
     X-from-M and M-from-X:   out(b) = XOR over a subset of b of in(a)
     W-from-X and X-from-W:   out(a) = XOR over b superset of a of in(b)
-    W-from-M:                subset sum after reindexing a -> complement(a)
-    M-from-W:                reindex after subset sum
+    W-from-M and M-from-W:   through X, one subset sum and one superset sum
+
+The pointwise product is the AND of M coefficients, so ring_mul in any
+basis converts to M, ANDs and converts back.
 """
 
 from __future__ import annotations
@@ -62,16 +64,17 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     return mask
 
 
+def iter_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of a packed int, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based indices of a subset mask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in iter_bits(mask))
 
 
 def mask_str(mask: int) -> str:
@@ -121,17 +124,6 @@ def _superset_sum_bits(bits: int, size: int) -> int:
         bits ^= (bits >> step) & _block_mask(size, step)
         step <<= 1
     return bits
-
-
-def _complement_reindex_bits(bits: int, size: int) -> int:
-    """Reindex a packed vector by a -> complement(a)."""
-    out = 0
-    top = size - 1
-    while bits:
-        low = bits & -bits
-        out |= 1 << (top - low.bit_length() + 1)
-        bits ^= low
-    return out
 
 
 def _check_pow2_length(length: int) -> None:
@@ -194,13 +186,7 @@ class RingElem:
 
     def support(self) -> tuple[int, ...]:
         """Masks with coefficient 1, ascending."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(iter_bits(self.bits))
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -215,16 +201,18 @@ class RingElem:
         return ring_text(self)
 
 
+# The self-inverse butterfly between X and each other basis.
+_X_SUMS = {"M": _subset_sum_bits, "W": _superset_sum_bits}
+
+
 def _convert_bits(bits: int, size: int, frm: str, to: str) -> int:
     if frm == to:
         return bits
-    if {frm, to} == {"M", "X"}:
-        return _subset_sum_bits(bits, size)
-    if {frm, to} == {"X", "W"}:
-        return _superset_sum_bits(bits, size)
-    if frm == "M":  # M -> W
-        return _subset_sum_bits(_complement_reindex_bits(bits, size), size)
-    return _complement_reindex_bits(_subset_sum_bits(bits, size), size)  # W -> M
+    if frm != "X":
+        bits = _X_SUMS[frm](bits, size)
+    if to != "X":
+        bits = _X_SUMS[to](bits, size)
+    return bits
 
 
 def convert_ring_basis(f: RingElem, target: str) -> RingElem:
@@ -277,31 +265,25 @@ def ring_add(f: RingElem, g: RingElem) -> RingElem:
 def _cover_product_bits(fbits: int, gbits: int) -> int:
     # (fg)(c) = parity of pairs (a, b), a in supp f, b in supp g, a|b == c
     out = 0
-    fb = fbits
-    while fb:
-        alow = fb & -fb
-        a = alow.bit_length() - 1
-        gb = gbits
-        while gb:
-            blow = gb & -gb
-            out ^= 1 << (a | (blow.bit_length() - 1))
-            gb ^= blow
-        fb ^= alow
+    for a in iter_bits(fbits):
+        for b in iter_bits(gbits):
+            out ^= 1 << (a | b)
     return out
 
 
 def ring_mul(f: RingElem, g: RingElem) -> RingElem:
-    """Pointwise product, computed in the basis of the left operand.
+    """Pointwise product, expressed in the basis of the left operand.
 
-    In the M basis this is the AND of the coefficient vectors; in the X
-    and W bases it is the cover product: the output coefficient at c is
-    the parity of pairs (a, b) of supported masks with a union b = c.
+    It is computed as the AND of the M coefficient vectors, converted
+    back.  In the X and W bases the result equals the cover product: the
+    output coefficient at c is the parity of pairs (a, b) of supported
+    masks with a union b = c (the zeta/Moebius route to the covering
+    product of Bjoerklund, Husfeldt, Kaski and Koivisto).
     """
     _require_same_dim(f, g)
-    g = convert_ring_basis(g, f.basis)
-    if f.basis == "M":
-        return RingElem(f.n, "M", f.bits & g.bits)
-    return RingElem(f.n, f.basis, _cover_product_bits(f.bits, g.bits))
+    size = 1 << f.n
+    bits = _convert_bits(f.bits, size, f.basis, "M") & _convert_bits(g.bits, size, g.basis, "M")
+    return RingElem(f.n, f.basis, _convert_bits(bits, size, "M", f.basis))
 
 
 def ring_eval(f: RingElem, point: int) -> int:

@@ -23,9 +23,14 @@ from boolweyl.bweyl import (
     structural_coeff_c,
     to_matrix,
 )
-from boolweyl.diffops import derivative_matrix
-from boolweyl.gf2lin import identity, mat_mul, zero_matrix
-from boolweyl.ring import submasks
+from boolweyl.diffops import (
+    derivative_matrix,
+    derivative_power_matrix,
+    multiplication_matrix,
+    shift_power_matrix,
+)
+from boolweyl.gf2lin import identity, mat_add, mat_mul, zero_matrix
+from boolweyl.ring import ring_monomial, submasks
 
 
 def oracle_equal(f: OpCoeffs, g: OpCoeffs) -> bool:
@@ -65,6 +70,26 @@ def test_convert_round_trips_all_bases():
 
 
 # --- to_matrix ------------------------------------------------------------------
+
+
+def per_term_matrix(f: OpCoeffs):
+    """Sum over terms of (left multiplication matrix) * (right power matrix)."""
+    power = shift_power_matrix if f.basis[1] == "S" else derivative_power_matrix
+    out = zero_matrix(1 << f.n)
+    for a, b in f.terms:
+        term = mat_mul(multiplication_matrix(ring_monomial(f.basis[0], a, f.n)), power(b, f.n))
+        out = mat_add(out, term)
+    return out
+
+
+def test_to_matrix_matches_per_term_route():
+    rng = random.Random(37)
+    for n in range(1, 6):
+        for _ in range(12 if n < 5 else 4):
+            f = checks.random_op(rng, n)
+            for basis in OP_BASES:
+                g = convert_op_basis(f, basis)
+                assert to_matrix(g) == per_term_matrix(g)
 
 
 def test_to_matrix_basics():

@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from boolweyl.cli import main
 
@@ -143,3 +148,54 @@ def test_unknown_basis_exit_2(capsys):
     code, _, err = run(capsys, "convert", "a", "--basis", "QQ")
     assert code == 2
     assert "error" in err
+
+
+def test_deep_nesting_exit_2(capsys):
+    for text in ("(" * 3000 + "a" + ")" * 3000, "!" * 5000 + "a"):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 2
+        assert out == ""
+        assert err == "error: expression nested too deeply\n"
+
+
+def test_nested_negations_within_the_stack(capsys):
+    code, out, _ = run(capsys, "eval", "!" * 900 + "a")
+    assert code == 0
+    assert out == "x{1}\n"
+
+
+@pytest.mark.parametrize("command", (["eval", "a b"], ["mul", "a", "b"]))
+def test_coefficient_commands_reject_dot_format(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", (["--n", "0"], ["--n", "17"], ["--samples", "0"], ["--samples", "-5"])
+)
+def test_crosscheck_rejects_out_of_range_flags(capsys, flags):
+    code, out, err = run(capsys, "crosscheck", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_crosscheck_into_closed_pipe():
+    # like `crosscheck --n 3 | head -1`: the reader leaves after one line
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "boolweyl.cli", "crosscheck", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"PASS n=1 ")
+    assert b"Traceback" not in err

@@ -1,6 +1,7 @@
 """Language: lexer, parser, valuations, equivalence, entailment, normal form."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +196,23 @@ def test_eval_quantum_mono_literals():
     ctx2 = VarContext(("a",))
     op2 = eval_quantum(parse_text("s{1}"), ctx2)
     assert op2.terms == frozenset({(0, 1), (0, 0)})  # s = y + 1 in XY
+
+
+def test_or_chain_costs_linear_time():
+    # '|' shares its left operand, so the tree of a k-disjunct chain has
+    # 2^k paths; every walk and valuation must visit each node once
+    names = "abcdefgh"
+    e = parse_text(" | ".join(names[i % 8] for i in range(40)))
+    start = time.perf_counter()
+    assert is_classical(e)
+    ctx = infer_context([e])
+    f = eval_classical(e, ctx)
+    op = eval_quantum(e, ctx)
+    assert time.perf_counter() - start < 1.0
+    assert ctx.names == tuple(names)
+    # the OR of all eight variables is false only at the empty point
+    assert convert_ring_basis(f, "M").bits == (1 << 256) - 2
+    assert op.terms == frozenset((a, 0) for a in f.support())
 
 
 def test_is_classical():

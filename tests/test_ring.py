@@ -167,6 +167,51 @@ def test_ring_mul_unit_and_commutative_associative():
         assert m_bits(ring_mul(ring_mul(f, g), h)) == m_bits(ring_mul(f, ring_mul(g, h)))
 
 
+def test_ring_mul_matches_literal_cover_product():
+    # X and W products go through M; the paper's cover product is the oracle
+    rng = random.Random(29)
+    for n in range(1, 9):
+        for _ in range(6):
+            f = RingElem(n, rng.choice("XW"), rng.getrandbits(1 << n))
+            g = RingElem(n, rng.choice(ring.RING_BASES), rng.getrandbits(1 << n))
+            want = ring._cover_product_bits(f.bits, convert_ring_basis(g, f.basis).bits)
+            assert ring_mul(f, g) == RingElem(n, f.basis, want)
+
+
+def list_subset_sum(vec):
+    # butterfly on a list of 0/1 entries, apart from the packed-int one
+    vec = list(vec)
+    step = 1
+    while step < len(vec):
+        for b in range(len(vec)):
+            if b & step:
+                vec[b] ^= vec[b ^ step]
+        step <<= 1
+    return vec
+
+
+def complement_reindex(vec):
+    return vec[::-1]  # index a goes to complement(a) = size - 1 - a
+
+
+def test_m_w_conversion_matches_complement_reindex():
+    # W-from-M is a subset sum after reindexing a -> complement(a), and
+    # M-from-W the reindex after the subset sum
+    rng = random.Random(31)
+    for n in range(1, 13):
+        for _ in range(3):
+            vec = [rng.getrandbits(1) for _ in range(1 << n)]
+            f = ring_from_support(n, "M", (a for a, v in enumerate(vec) if v))
+            w = convert_ring_basis(f, "W")
+            assert w.support() == tuple(
+                a for a, v in enumerate(list_subset_sum(complement_reindex(vec))) if v
+            )
+            g = ring_from_support(n, "W", (a for a, v in enumerate(vec) if v))
+            assert convert_ring_basis(g, "M").support() == tuple(
+                a for a, v in enumerate(complement_reindex(list_subset_sum(vec))) if v
+            )
+
+
 def test_ring_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         ring_mul(ring_one(2), ring_one(3))
