@@ -22,9 +22,10 @@ identical relations with the right generators), so WY and WS multiply
 through the XY/XS rules with indices untouched.
 
 to_matrix is the semantic anchor: every element maps to the matrix of
-the operator it denotes on M-basis coordinates, built from the
-derivative and shift power matrices, and multiplication of coefficients
-must match multiplication of matrices bit for bit.
+the operator it denotes on M-basis coordinates, its rows written from
+closed forms, and multiplication of coefficients must match
+multiplication of matrices bit for bit.  The products of generator
+matrices in diffops are the oracle these rows are checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .diffops import derivative_power_matrix, shift_power_matrix
 from .gf2lin import Gf2Matrix
 from .ring import (
     DimensionMismatch,
@@ -164,20 +164,22 @@ def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     """Matrix of the operator on M-basis coordinates.
 
-    The terms sharing a right index b sum to g * D^b, where g is the ring
-    element of their left coefficients and D^b the derivative or shift
-    power matrix of b.  Multiplication by g is diagonal on M coordinates,
-    so row r of D^b is XORed into the result for every r in the support
-    of g written in M.
+    The terms sharing a right index b sum to g * P^b, where g is the ring
+    element of their left coefficients and P^b the shift or derivative
+    power of b.  Multiplication by g is diagonal on M coordinates, so row
+    r of P^b is XORed into the result for every r in the support of g
+    written in M.  Those rows have closed forms: row r of s^b is the
+    point r + b, and row r of d^b the points (r - b) | t for every t
+    subset of b, i.e. the submasks of b shifted by r - b.
     """
-    n = f.n
-    size = 1 << n
-    power = shift_power_matrix if f.basis[1] == "S" else derivative_power_matrix
+    size = 1 << f.n
+    shift = f.basis[1] == "S"
     rows = [0] * size
     for b, left in _pack_index(f.terms, 0).items():
-        right = power(b, n).rows
+        if not shift:
+            below = _superset_sum_bits(1 << b, size)  # bit t set iff t is a subset of b
         for r in iter_bits(_convert_bits(left, size, f.basis[0], "M")):
-            rows[r] ^= right[r]
+            rows[r] ^= 1 << (r ^ b) if shift else below << (r & ~b)
     return Gf2Matrix(tuple(rows))
 
 

@@ -457,6 +457,11 @@ def check_family_sum_distributes(n: int, samples: int, rng: random.Random) -> Ch
 # --- language --------------------------------------------------------------------
 
 
+def _same_matrix(p: lang.Expr, q: lang.Expr, ctx: lang.VarContext) -> bool:
+    """Matrix equality of the operator valuations: lang.equivalent's oracle."""
+    return bweyl.to_matrix(lang.eval_quantum(p, ctx)) == bweyl.to_matrix(lang.eval_quantum(q, ctx))
+
+
 def check_rewrite_soundness(samples: int, rng: random.Random) -> CheckResult:
     names = ("a", "b")
     ctx = lang.VarContext(names)
@@ -466,7 +471,7 @@ def check_rewrite_soundness(samples: int, rng: random.Random) -> CheckResult:
         q = random_expr(rng, names, 2)
         r = random_expr(rng, names, 2)
         lhs, rhs = lang.rewrite_rule_instance(rule, p, q, r, "a", "b")
-        if not lang.equivalent(lhs, rhs, ctx):
+        if not _same_matrix(lhs, rhs, ctx):
             return CheckResult("rewrite-soundness", False, f"rule {rule}")
     return CheckResult("rewrite-soundness", True, f"{samples} instantiations")
 
@@ -487,7 +492,7 @@ def check_normalize(samples: int, rng: random.Random) -> CheckResult:
     for _ in range(samples):
         expr = random_expr(rng, names, 2)
         norm = lang.normalize(expr, ctx)
-        if not lang.equivalent(expr, norm, ctx):
+        if not _same_matrix(expr, norm, ctx):
             return CheckResult("normalize", False, f"value changed: {lang.format_expr(expr)}")
         if lang.normalize(norm, ctx) != norm:
             return CheckResult("normalize", False, f"not idempotent: {lang.format_expr(expr)}")

@@ -11,6 +11,10 @@ four spanning families (m^a d^b, x^a d^b, m^a s^b, x^a s^b); the x-left
 matrices act on X-basis coordinates.  apply_coeffs evaluates an operator
 given by sparse coefficients on a ring element through the closed-form
 coordinate sums, without building the matrix.
+
+This module is the oracle the battery and the tests check bweyl
+against: its power matrices are literal products of generator
+matrices, while bweyl.to_matrix writes its rows from closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .gf2lin import Gf2Matrix, mat_mul
+from .gf2lin import Gf2Matrix, identity, mat_mul
 from .ring import (
     DimensionMismatch,
     RingElem,
@@ -39,7 +43,6 @@ def _check_index(i: int, n: int) -> None:
         raise ValueError(f"generator index {i} out of range for n={n}")
 
 
-@lru_cache(maxsize=None)
 def derivative_matrix(i: int, n: int) -> Gf2Matrix:
     """Matrix of the Boolean derivative d_i on M-basis coordinates."""
     _check_index(i, n)
@@ -47,7 +50,6 @@ def derivative_matrix(i: int, n: int) -> Gf2Matrix:
     return Gf2Matrix(tuple((1 << a) | (1 << (a ^ e)) for a in range(1 << n)))
 
 
-@lru_cache(maxsize=None)
 def shift_matrix(i: int, n: int) -> Gf2Matrix:
     """Matrix of the shift s_i: the transposition a <-> a + e_i."""
     _check_index(i, n)
@@ -61,29 +63,27 @@ def multiplication_matrix(f: RingElem) -> Gf2Matrix:
     return Gf2Matrix(tuple(((bits >> a) & 1) << a for a in range(1 << f.n)))
 
 
+def _generator_power(generator, b: int, n: int) -> Gf2Matrix:
+    check_dim(n)
+    check_mask(b, n)
+    m = identity(1 << n)
+    for i in iter_bits(b):
+        m = mat_mul(m, generator(i + 1, n))
+    return m
+
+
+# The power matrices keep their caches only because the span tracer in
+# perfbench/tracing.py reports their cache_info() as hit ratios.
 @lru_cache(maxsize=None)
 def derivative_power_matrix(b: int, n: int) -> Gf2Matrix:
     """Product of d_i over i in b, on M-basis coordinates."""
-    check_dim(n)
-    check_mask(b, n)
-    m: Gf2Matrix | None = None
-    for i in range(1, n + 1):
-        if (b >> (i - 1)) & 1:
-            d = derivative_matrix(i, n)
-            m = d if m is None else mat_mul(m, d)
-    if m is None:
-        from .gf2lin import identity
-
-        return identity(1 << n)
-    return m
+    return _generator_power(derivative_matrix, b, n)
 
 
 @lru_cache(maxsize=None)
 def shift_power_matrix(b: int, n: int) -> Gf2Matrix:
     """Product of s_i over i in b: the translation a -> a + b."""
-    check_dim(n)
-    check_mask(b, n)
-    return Gf2Matrix(tuple(1 << (a ^ b) for a in range(1 << n)))
+    return _generator_power(shift_matrix, b, n)
 
 
 def rep_matrix(left: str, right: str, a: int, b: int, n: int) -> Gf2Matrix:

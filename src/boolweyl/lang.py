@@ -19,17 +19,20 @@ sugar and expand at parse time ('!' binds tightest, then products, '+',
 
     !p      ->  p + 1
     p & q   ->  p q
-    p | q   ->  p + q + p q
-    p -> q  ->  1 + p + p q
+    p | q   ->  !(!p & !q)  =  (p + 1)(q + 1) + 1
+    p -> q  ->  !(p & !q)   =  p (q + 1) + 1
+
+so each operand appears once in the tree, and p | q and p -> q have the
+values of p + q + p q and 1 + p + p q, with the product order kept.
 
 Valuations: a classical expression (no tilde variables, no y/s
 literals) denotes a ring element; any expression denotes an operator,
 with plain variables going to multiplication operators and tilde
-variables to Boolean derivatives.  Equivalence and entailment are
-decided on the operator matrices: equivalence is matrix equality,
-classical entailment is pointwise order of truth functions, quantum
-entailment of p by q is solvability of p-hat = q-hat * r over GF(2),
-i.e. column-space containment.
+variables to Boolean derivatives.  Equivalence compares canonical XY
+coefficients (the monomials x^a y^b are a basis of the operators), so
+it builds no matrix.  Classical entailment is pointwise order of truth
+functions; quantum entailment of p by q is solvability of
+p-hat = q-hat * r over GF(2), i.e. column-space containment.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .bweyl import (
     op_zero,
     to_matrix,
 )
-from .gf2lin import Gf2Matrix, colspace_contains, solve_right
+from .gf2lin import Gf2Matrix, solve_right
 from .ring import (
     RingElem,
     _convert_bits,
@@ -133,6 +136,11 @@ def make_prod(parts: Sequence[Expr]) -> Expr:
     if len(parts) == 1:
         return parts[0]
     return Prod(tuple(parts))
+
+
+def _not(e: Expr) -> Expr:
+    """The '!' sugar: !e = e + 1."""
+    return Sum((e, One()))
 
 
 # --- lexer --------------------------------------------------------------------
@@ -264,7 +272,7 @@ class _Parser:
         if self.peek().kind == "ARROW":
             self.next()
             right = self.parse_expr()  # right assoc
-            return make_sum([One(), left, make_prod([left, right])])
+            return _not(make_prod([left, _not(right)]))
         return left
 
     def parse_or(self) -> Expr:
@@ -272,7 +280,7 @@ class _Parser:
         while self.peek().kind == "PIPE":
             self.next()
             rhs = self.parse_sum()
-            acc = make_sum([acc, rhs, make_prod([acc, rhs])])
+            acc = _not(make_prod([_not(acc), _not(rhs)]))
         return acc
 
     def parse_sum(self) -> Expr:
@@ -297,7 +305,7 @@ class _Parser:
     def parse_unary(self) -> Expr:
         if self.peek().kind == "BANG":
             self.next()
-            return make_sum([self.parse_unary(), One()])
+            return _not(self.parse_unary())
         return self.parse_factor()
 
     def parse_factor(self) -> Expr:
@@ -324,7 +332,10 @@ class _Parser:
 def parse(tokens: Sequence[Token]) -> Expr:
     """Parse a token stream into an expression tree."""
     parser = _Parser(tokens)
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise LangError("expression nested too deeply") from None
     tail = parser.peek()
     if tail.kind != "EOF":
         raise ParseError(f"unexpected token {tail.kind}", tail.pos)
@@ -386,18 +397,10 @@ class VarContext:
 
 
 def _walk(e: Expr):
-    """Each node object of the tree once, in pre-order.
-
-    Iterative, and shared subtrees (the '|' and '->' sugar shares its
-    operands) are visited only at their first occurrence.
-    """
-    seen: set[int] = set()
+    """Each node of the tree, in pre-order; iterative."""
     stack = [e]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
         yield node
         if isinstance(node, (Sum, Prod)):
             stack.extend(reversed(node.parts))
@@ -445,44 +448,38 @@ def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
     """Truth-function valuation into the Boolean ring (X-basis result).
 
     Values are truth tables (M coefficients): a sum is an XOR and a
-    product an AND.  Each node object is valued once per call, so the
-    shared operands of '|' and '->' cost nothing extra.
+    product an AND.
     """
     n = ctx.n
     size = 1 << n
     true = (1 << size) - 1
     var_tables = [_convert_bits(1 << (1 << i), size, "X", "M") for i in range(n)]
-    memo: dict[int, int] = {}
 
     def go(node: Expr) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
         if isinstance(node, Zero):
-            value = 0
-        elif isinstance(node, One):
-            value = true
-        elif isinstance(node, Var):
-            value = var_tables[ctx.position(node.name) - 1]
-        elif isinstance(node, TildeVar):
+            return 0
+        if isinstance(node, One):
+            return true
+        if isinstance(node, Var):
+            return var_tables[ctx.position(node.name) - 1]
+        if isinstance(node, TildeVar):
             raise EvalError("operator expression in classical context")
-        elif isinstance(node, Mono):
+        if isinstance(node, Mono):
             kind = _CLASSICAL_MONO.get(node.kind)
             if kind is None:
                 raise EvalError("operator expression in classical context")
-            value = _convert_bits(1 << _mono_mask(node, n), size, kind, "M")
-        elif isinstance(node, Sum):
+            return _convert_bits(1 << _mono_mask(node, n), size, kind, "M")
+        if isinstance(node, Sum):
             value = 0
             for p in node.parts:
                 value ^= go(p)
-        elif isinstance(node, Prod):
+            return value
+        if isinstance(node, Prod):
             value = true
             for p in node.parts:
                 value &= go(p)
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-        memo[key] = value
-        return value
+            return value
+        raise TypeError(f"not an expression: {node!r}")
 
     return convert_ring_basis(RingElem(n, "M", go(e)), "X")
 
@@ -493,44 +490,38 @@ _QUANTUM_MONO_BASIS = {"m": "MY", "x": "XY", "w": "WY"}
 def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
     """Operator valuation: variables multiply, tilde variables derive.
 
-    The result is expressed in the XY basis.  Each node object is valued
-    once per call.
+    The result is expressed in the XY basis, where it is canonical: two
+    expressions denote the same operator iff their values are equal.
     """
     n = ctx.n
-    memo: dict[int, OpCoeffs] = {}
 
     def go(node: Expr) -> OpCoeffs:
-        key = id(node)
-        if key in memo:
-            return memo[key]
         if isinstance(node, Zero):
-            value = op_zero(n, "XY")
-        elif isinstance(node, One):
-            value = op_identity(n, "XY")
-        elif isinstance(node, Var):
-            value = op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
-        elif isinstance(node, TildeVar):
-            value = op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
-        elif isinstance(node, Mono):
+            return op_zero(n, "XY")
+        if isinstance(node, One):
+            return op_identity(n, "XY")
+        if isinstance(node, Var):
+            return op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
+        if isinstance(node, TildeVar):
+            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
+        if isinstance(node, Mono):
             mask = _mono_mask(node, n)
             if node.kind == "y":
-                value = op_monomial(n, "XY", 0, mask)
-            elif node.kind == "s":
-                value = op_monomial(n, "XS", 0, mask)
-            else:
-                value = op_monomial(n, _QUANTUM_MONO_BASIS[node.kind], mask, 0)
-        elif isinstance(node, Sum):
+                return op_monomial(n, "XY", 0, mask)
+            if node.kind == "s":
+                return op_monomial(n, "XS", 0, mask)
+            return op_monomial(n, _QUANTUM_MONO_BASIS[node.kind], mask, 0)
+        if isinstance(node, Sum):
             value = op_zero(n, "XY")
             for p in node.parts:
                 value = op_add(value, go(p))
-        elif isinstance(node, Prod):
+            return value
+        if isinstance(node, Prod):
             value = op_identity(n, "XY")
             for p in node.parts:
                 value = op_mul(value, go(p))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-        memo[key] = value
-        return value
+            return value
+        raise TypeError(f"not an expression: {node!r}")
 
     return convert_op_basis(go(e), "XY")
 
@@ -549,8 +540,8 @@ def is_classical(e: Expr) -> bool:
 
 
 def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
-    """True iff both expressions denote the same operator."""
-    return to_matrix(eval_quantum(p, ctx)) == to_matrix(eval_quantum(q, ctx))
+    """True iff both expressions denote the same operator: equal XY terms."""
+    return eval_quantum(p, ctx) == eval_quantum(q, ctx)
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:
@@ -562,9 +553,7 @@ def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:
 
 def entails_quantum(p: Expr, q: Expr, ctx: VarContext) -> bool:
     """True iff p-hat = q-hat * r is solvable for some operator r."""
-    s = to_matrix(eval_quantum(p, ctx))
-    t = to_matrix(eval_quantum(q, ctx))
-    return colspace_contains(t, s)
+    return entailment_witness(p, q, ctx) is not None
 
 
 def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:

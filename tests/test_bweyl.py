@@ -90,6 +90,12 @@ def test_to_matrix_matches_per_term_route():
             for basis in OP_BASES:
                 g = convert_op_basis(f, basis)
                 assert to_matrix(g) == per_term_matrix(g)
+    # larger n: operators drawn in each basis, since conversions multiply terms
+    for n in (6, 7):
+        for basis in OP_BASES:
+            for _ in range(2):
+                f = checks.random_op(rng, n, basis)
+                assert to_matrix(f) == per_term_matrix(f)
 
 
 def test_to_matrix_basics():

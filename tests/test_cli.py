@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from boolweyl.bweyl import to_matrix
 from boolweyl.cli import main
+from boolweyl.gf2lin import mat_mul, matrix_from_text
+from boolweyl.lang import eval_quantum, infer_context, parse_text
 
 
 def run(capsys, *argv):
@@ -91,6 +94,19 @@ def test_entail_witness(capsys):
     assert lines[0] == "yes"
     # the witness is the operator of p itself (q is the identity)
     assert lines[1:] == ["01", "01"]
+
+
+@pytest.mark.parametrize(("p", "q"), (("a ~b + a", "a"), ("~a a b", "~a"), ("a b", "a")))
+def test_entail_witness_solves_q_w_equals_p(capsys, p, q):
+    code, out, _ = run(capsys, "entail", p, q, "--witness")
+    assert code == 0
+    answer, grid = out.split("\n", 1)
+    assert answer == "yes"
+    witness = matrix_from_text(grid)
+    pe, qe = parse_text(p), parse_text(q)
+    ctx = infer_context([pe, qe])
+    want = to_matrix(eval_quantum(pe, ctx))
+    assert mat_mul(to_matrix(eval_quantum(qe, ctx)), witness) == want
 
 
 def test_equiv(capsys):
@@ -180,6 +196,15 @@ def test_crosscheck_rejects_out_of_range_flags(capsys, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_import_leaves_battery_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, boolweyl.cli; print('boolweyl.checks' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_crosscheck_into_closed_pipe():

@@ -11,6 +11,7 @@ from boolweyl.bweyl import op_text, to_matrix
 from boolweyl.diffops import multiplication_matrix
 from boolweyl.lang import (
     EvalError,
+    LangError,
     LexError,
     Mono,
     One,
@@ -98,8 +99,21 @@ def test_parse_errors():
         parse_text("~ 1")
 
 
+def test_parse_deep_nesting_raises_lang_error():
+    with pytest.raises(LangError, match="^expression nested too deeply$"):
+        parse_text("(" * 3000 + "a" + ")" * 3000)
+
+
 def test_parse_accepts_token_stream():
     assert parse(tokenize("a + b")) == Sum((Var("a"), Var("b")))
+
+
+def test_sugar_trees_hold_each_operand_once():
+    p, q = Var("p"), Prod((Var("a"), Var("b")))
+    assert parse_text("p | a b") == parse_text("!(!p & !(a b))")
+    assert parse_text("p | a b") == Sum((Prod((Sum((p, One())), Sum((q, One())))), One()))
+    assert parse_text("p -> a b") == parse_text("!(p & !(a b))")
+    assert parse_text("p -> a b") == Sum((Prod((p, Sum((q, One())))), One()))
 
 
 def test_connective_sugar():
@@ -199,8 +213,8 @@ def test_eval_quantum_mono_literals():
 
 
 def test_or_chain_costs_linear_time():
-    # '|' shares its left operand, so the tree of a k-disjunct chain has
-    # 2^k paths; every walk and valuation must visit each node once
+    # each operand appears once in the tree of a k-disjunct chain, so
+    # every walk and valuation is linear in k
     names = "abcdefgh"
     e = parse_text(" | ".join(names[i % 8] for i in range(40)))
     start = time.perf_counter()
@@ -208,7 +222,10 @@ def test_or_chain_costs_linear_time():
     ctx = infer_context([e])
     f = eval_classical(e, ctx)
     op = eval_quantum(e, ctx)
+    text = format_expr(e)
     assert time.perf_counter() - start < 1.0
+    assert len(text) < 1000
+    assert parse_text(text) == e
     assert ctx.names == tuple(names)
     # the OR of all eight variables is false only at the empty point
     assert convert_ring_basis(f, "M").bits == (1 << 256) - 2
@@ -230,6 +247,24 @@ def test_equivalence_examples():
     assert equivalent(parse_text("a(b+c)"), parse_text("a b+a c"), ctx)
     assert not equivalent(parse_text("~a a"), parse_text("a ~a"), VarContext(("a",)))
     assert equivalent(parse_text("a b"), parse_text("b a"), ctx)
+
+
+def test_equivalence_is_matrix_equality():
+    rng = random.Random(59)
+    names = ("a", "b")
+    ctx = VarContext(names)
+    seen = set()
+    for i in range(300):
+        p = checks.random_expr(rng, names, 2)
+        if i % 2:
+            q = checks.random_expr(rng, names, 2)
+        else:
+            rule = rng.choice(REWRITE_RULE_NAMES)
+            p, q = rewrite_rule_instance(rule, p, checks.random_expr(rng, names, 1), One(), "a", "b")
+        want = to_matrix(eval_quantum(p, ctx)) == to_matrix(eval_quantum(q, ctx))
+        assert equivalent(p, q, ctx) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_classical_embedding_commutes():
