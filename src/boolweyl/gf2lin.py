@@ -45,14 +45,6 @@ def zero_matrix(side: int) -> Gf2Matrix:
     return Gf2Matrix((0,) * side)
 
 
-def matrix_from_entries(side: int, entries) -> Gf2Matrix:
-    """Build from an iterable of (row, col) positions holding a 1."""
-    rows = [0] * side
-    for r, c in entries:
-        rows[r] ^= 1 << c
-    return Gf2Matrix(tuple(rows))
-
-
 def _require_same_side(a: Gf2Matrix, b: Gf2Matrix) -> None:
     if a.side != b.side:
         raise DimensionMismatch(f"matrix side mismatch: {a.side} vs {b.side}")
@@ -86,40 +78,23 @@ def mat_apply(a: Gf2Matrix, v: int) -> int:
     return out
 
 
-def mat_pow(a: Gf2Matrix, k: int) -> Gf2Matrix:
-    if k < 0:
-        raise ValueError("negative power")
-    acc = identity(a.side)
-    base = a
-    while k:
-        if k & 1:
-            acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return acc
-
-
-def transpose(a: Gf2Matrix) -> Gf2Matrix:
-    out = [0] * a.side
-    for r, row in enumerate(a.rows):
-        for c in iter_bits(row):
-            out[c] |= 1 << r
-    return Gf2Matrix(tuple(out))
+def _echelon(vectors) -> dict[int, int]:
+    """Echelon rows of packed int vectors, keyed by their highest set bit."""
+    pivots: dict[int, int] = {}
+    for vec in vectors:
+        while vec:
+            p = vec.bit_length() - 1
+            hit = pivots.get(p)
+            if hit is None:
+                pivots[p] = vec
+                break
+            vec ^= hit
+    return pivots
 
 
 def gf2_rank(vectors) -> int:
     """Rank over GF(2) of packed int vectors (any iterable)."""
-    pivots: dict[int, int] = {}
-    for vec in vectors:
-        cur = vec
-        while cur:
-            p = cur.bit_length() - 1
-            if p in pivots:
-                cur ^= pivots[p]
-            else:
-                pivots[p] = cur
-                break
-    return len(pivots)
+    return len(_echelon(vectors))
 
 
 def rank(a: Gf2Matrix) -> int:
@@ -128,36 +103,38 @@ def rank(a: Gf2Matrix) -> int:
 
 
 class ColumnSolver:
-    """Echelon form of a matrix's column space with combination tracking.
+    """One elimination of the augmented rows [t | s] for the system t r = s.
 
-    solve(target) returns a mask over column indices whose XOR of columns
-    equals the packed target vector, or None when the target is outside
-    the column space.  One elimination is shared by all solves.
+    Row i packs row i of t above bit `side` and row i of s below it, so a
+    combination y of the rows holds y t in its high half and y s in its
+    low half.  The system is solvable iff no echelon row leads in the low
+    half: such a row has y t = 0 but y s != 0.
     """
 
-    def __init__(self, t: Gf2Matrix) -> None:
-        self.side = t.side
-        self._pivots: dict[int, tuple[int, int]] = {}
-        for j, col in enumerate(transpose(t).rows):
-            vec, combo = col, 1 << j
-            while vec:
-                p = vec.bit_length() - 1
-                hit = self._pivots.get(p)
-                if hit is None:
-                    self._pivots[p] = (vec, combo)
-                    break
-                vec ^= hit[0]
-                combo ^= hit[1]
+    def __init__(self, t: Gf2Matrix, s: Gf2Matrix) -> None:
+        _require_same_side(t, s)
+        side = self.side = t.side
+        self._pivots = _echelon((tr << side) | sr for tr, sr in zip(t.rows, s.rows))
 
-    def solve(self, target: int) -> int | None:
-        combo = 0
-        while target:
-            hit = self._pivots.get(target.bit_length() - 1)
-            if hit is None:
+    def solve(self) -> Gf2Matrix | None:
+        """The r that is zero outside the pivot columns, or None.
+
+        Each echelon row (u, v) says u r = v.  From the lowest pivot up,
+        row c of r is v XORed with the rows of r at the lower bits of u.
+        """
+        side = self.side
+        low = (1 << side) - 1
+        r = [0] * side
+        for p in sorted(self._pivots):
+            if p < side:
                 return None
-            target ^= hit[0]
-            combo ^= hit[1]
-        return combo
+            row = self._pivots[p]
+            c = p - side
+            acc = row & low
+            for q in iter_bits((row >> side) ^ (1 << c)):
+                acc ^= r[q]
+            r[c] = acc
+        return Gf2Matrix(tuple(r))
 
 
 def colspace_contains(t: Gf2Matrix, s: Gf2Matrix) -> bool:
@@ -170,23 +147,13 @@ def colspace_contains(t: Gf2Matrix, s: Gf2Matrix) -> bool:
 
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:
     """A matrix r with t r = s, or None when no such r exists."""
-    _require_same_side(t, s)
-    solver = ColumnSolver(t)
-    rcols = []
-    for col in transpose(s).rows:
-        x = solver.solve(col)
-        if x is None:
-            return None
-        rcols.append(x)
-    return transpose(Gf2Matrix(tuple(rcols)))
+    return ColumnSolver(t, s).solve()
 
 
 def matrix_to_text(a: Gf2Matrix) -> str:
     """0/1 grid, one row per line, column 0 leftmost."""
-    side = a.side
-    return "\n".join(
-        "".join("1" if (row >> c) & 1 else "0" for c in range(side)) for row in a.rows
-    )
+    spec = f"0{a.side}b"
+    return "\n".join(format(row, spec)[::-1] for row in a.rows)
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:

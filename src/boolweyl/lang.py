@@ -425,6 +425,7 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
         if n < want:
             raise EvalError(f"explicit n={n} too small; expression needs n>={want}")
         want = n
+    check_dim(want)  # before padding, which is quadratic in the dimension
     while len(names) < want:
         filler = f"x{len(names) + 1}"
         while filler in names:

@@ -44,11 +44,6 @@ def check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
 
 
-def full_mask(n: int) -> int:
-    """Mask of the whole set [n]."""
-    return (1 << n) - 1
-
-
 def check_mask(a: int, n: int) -> None:
     if not 0 <= a < (1 << n):
         raise ValueError(f"mask {a} out of range for n={n}")

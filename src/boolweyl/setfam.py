@@ -91,11 +91,6 @@ def fam_add(a: Family, b: Family) -> Family:
     return Family(a.n, a.members ^ b.members)
 
 
-def famn_add(f: FamilyN, g: FamilyN) -> FamilyN:
-    _same_dim(f, g)
-    return FamilyN(f.n, f.members ^ g.members)
-
-
 # --- the four products, by literal enumeration -------------------------------
 
 

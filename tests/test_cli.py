@@ -1,12 +1,15 @@
 """Command line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolweyl.bweyl import to_matrix
 from boolweyl.cli import main
@@ -224,3 +227,68 @@ def test_crosscheck_into_closed_pipe():
     assert proc.wait(timeout=60) == 2
     assert first.startswith(b"PASS n=1 ")
     assert b"Traceback" not in err
+
+
+def test_huge_n_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "a", "-n", "50000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "dimension must be in [1, 16]" in err
+
+
+# Fuzzed text is either well formed (a random tree over a few atoms) or
+# a run of grammar pieces.  Set literals come only whole (indices at most
+# 4) or as a letter-led unterminated prefix, so no fuzzed text names a
+# dimension in 5..16: every call stays small.
+FUZZ_ATOMS = ("a", "b", "~a", "~b", "0", "1", "x{1,2}", "y{1}", "s{2}", "m{}", "w{2}")
+FUZZ_PIECES = FUZZ_ATOMS + (
+    "c", "ab", "~", "!", "+", ".", "&", "|", "->", "-", ">", "(", ")", " ", ",", "}",
+    "x{4}", "x{0}", "x{17}", "w{50000}", "m{a}", "x{1,",
+)
+FUZZ_FLAGS = (
+    [["-n", v] for v in ("1", "2", "3", "4", "0", "17", "-1", "50000", "x")]
+    + [["--basis", b] for b in ("M", "X", "W", "MY", "XY", "WY", "MS", "XS", "WS", "QQ", "")]
+    + [["--format", f] for f in ("text", "json", "dot", "xml")]
+    + [["--witness"]]
+)
+ARITY = {"eval": 1, "mul": 2, "convert": 1, "entail": 2, "equiv": 2, "matrix": 1, "dot": 1}
+fuzz_exprs = st.recursive(
+    st.sampled_from(FUZZ_ATOMS),
+    lambda inner: st.builds(
+        "({}{}{})".format, inner, st.sampled_from((" + ", " ", ".", " & ", " | ", " -> ")), inner
+    )
+    | inner.map("!{}".format),
+    max_leaves=6,
+) | st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(tuple(ARITY)),
+    exprs=st.lists(fuzz_exprs, min_size=1, max_size=3),
+    exact_arity=st.booleans(),
+    flags=st.lists(st.sampled_from(FUZZ_FLAGS), max_size=3),
+    stdin=fuzz_exprs,
+)
+def test_cli_fuzz_exit_codes(command, exprs, exact_arity, flags, stdin):
+    if exact_arity:
+        exprs = (exprs * 2)[: ARITY[command]]
+    argv = [command, *exprs, *(part for flag in flags for part in flag)]
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)  # an expression "-" reads it
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the vector
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in (0, 1, 2), argv
+    assert code != 1 or command in ("entail", "equiv"), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -16,7 +16,6 @@ from boolweyl.gf2lin import (
     matrix_to_text,
     rank,
     solve_right,
-    transpose,
     zero_matrix,
 )
 
@@ -166,13 +165,39 @@ def test_shape_mismatch():
         colspace_contains(identity(2), identity(4))
 
 
-def test_transpose():
-    rng = random.Random(10)
-    a = random_matrix(rng, 8)
-    assert transpose(transpose(a)) == a
-    for r in range(8):
-        for c in range(8):
-            assert transpose(a).entry(c, r) == a.entry(r, c)
+def thin_matrix(rng, side):
+    """A random product of a side x k and a k x side factor, k < side."""
+    k = rng.randrange(side)
+    left = Gf2Matrix(tuple(rng.getrandbits(k) for _ in range(side)))
+    return mat_mul(left, random_matrix(rng, side))
+
+
+def combination(rows, y):
+    acc = 0
+    for i, row in enumerate(rows):
+        if (y >> i) & 1:
+            acc ^= row
+    return acc
+
+
+def test_solve_right_matches_fredholm_alternative():
+    # t r = s is solvable iff no y has y t = 0 and y s != 0
+    rng = random.Random(11)
+    seen = set()
+    for side in (2, 4, 8):
+        for _ in range(60):
+            t = thin_matrix(rng, side)
+            s = mat_add(mat_mul(t, random_matrix(rng, side)), thin_matrix(rng, side))
+            blocked = any(
+                combination(t.rows, y) == 0 and combination(s.rows, y) != 0
+                for y in range(1 << side)
+            )
+            r = solve_right(t, s)
+            assert (r is None) == blocked
+            if r is not None:
+                assert mat_mul(t, r) == s
+            seen.add(blocked)
+    assert seen == {False, True}
 
 
 def test_text_round_trip():
@@ -180,6 +205,15 @@ def test_text_round_trip():
     text = matrix_to_text(a)
     assert text == "10\n11"
     assert matrix_from_text(text) == a
+    rng = random.Random(12)
+    for side in (1, 64):
+        for _ in range(5):
+            b = random_matrix(rng, side)
+            text = matrix_to_text(b)
+            assert matrix_from_text(text) == b
+            assert text == "\n".join(
+                "".join(str(b.entry(r, c)) for c in range(side)) for r in range(side)
+            )
 
 
 def test_dot_output():

@@ -169,6 +169,14 @@ def test_infer_context():
         infer_context([parse_text("x{3}")], n=2)
 
 
+def test_infer_context_rejects_huge_dimension_at_once():
+    e = parse_text("x{50000}")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"dimension must be in \[1, 16\]"):
+        infer_context([e])
+    assert time.perf_counter() - start < 1.0
+
+
 # --- valuations -----------------------------------------------------------------
 
 
