@@ -15,9 +15,17 @@ from . import bweyl, diffops, gf2lin, lang, ring, setfam
 
 @dataclass
 class CheckResult:
+    """ok: the check ran and held.  A skipped check ran nothing, so it is
+    not ok, and it is not a failure either."""
+
     name: str
     ok: bool
     detail: str = ""
+    skipped: bool = False
+
+    @property
+    def status(self) -> str:
+        return "SKIP" if self.skipped else "PASS" if self.ok else "FAIL"
 
 
 # --- samplers -----------------------------------------------------------------
@@ -238,7 +246,7 @@ def check_operator_span_rank(n: int) -> CheckResult:
     """The monomial operators x^a d^b span the full matrix algebra."""
     if n > 6:
         return CheckResult(
-            "operator-span-rank", True, f"skipped at n={n}: 4^n x 4^n elimination too large"
+            "operator-span-rank", False, f"4^n x 4^n elimination too large at n={n}", skipped=True
         )
     size = 1 << n
     vectors = [

@@ -7,12 +7,13 @@ entailment or equivalence "no", 2 for usage, parse or evaluation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .bweyl import convert_op_basis, op_text, op_to_json, to_matrix, OP_BASES
-from .gf2lin import matrix_to_dot, matrix_to_json, matrix_to_text
+from .gf2lin import matrix_dot_lines, matrix_text_lines, matrix_to_json
 from .lang import (
     LangError,
     entailment_witness,
@@ -43,6 +44,11 @@ def _print_op(op, fmt: str) -> None:
         print(json.dumps(op_to_json(op)))
     else:
         print(op_text(op))
+
+
+def _print_lines(lines) -> None:
+    # one write per line: a 2^n x 2^n matrix is never joined into one string
+    sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def cmd_eval(args) -> int:
@@ -101,7 +107,7 @@ def cmd_entail(args) -> int:
         yes = witness is not None
     print("yes" if yes else "no")
     if yes and args.witness:
-        print(matrix_to_text(witness))
+        _print_lines(matrix_text_lines(witness))
     return 0 if yes else 1
 
 
@@ -120,11 +126,11 @@ def cmd_matrix(args, fmt: str | None = None) -> int:
     m = to_matrix(eval_quantum(expr, ctx))
     fmt = fmt or args.format
     if fmt == "dot":
-        print(matrix_to_dot(m))
+        _print_lines(matrix_dot_lines(m))
     elif fmt == "json":
         print(json.dumps(matrix_to_json(m)))
     else:
-        print(matrix_to_text(m))
+        _print_lines(matrix_text_lines(m))
     return 0
 
 
@@ -141,18 +147,15 @@ def cmd_crosscheck(args) -> int:
         raise ValueError(f"--n must be in [1, {MAX_DIM}], got {n_max}")
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
-    failures = 0
-    total = 0
+    tally = dict.fromkeys(("PASS", "FAIL", "SKIP"), 0)
     for n in range(1, n_max + 1):
         for result in checks.run_battery(n=n, samples=samples, seed=args.seed):
-            total += 1
-            status = "PASS" if result.ok else "FAIL"
+            tally[result.status] += 1
             detail = f" ({result.detail})" if result.detail else ""
-            print(f"{status} n={n} {result.name}{detail}")
-            if not result.ok:
-                failures += 1
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
+            print(f"{result.status} n={n} {result.name}{detail}")
+    skipped = f", {tally['SKIP']} skipped" if tally["SKIP"] else ""
+    print(f"{tally['PASS']}/{sum(tally.values())} checks passed{skipped}")
+    return 0 if tally["FAIL"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

@@ -10,6 +10,7 @@ AND + popcount-parity per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .ring import DimensionMismatch, iter_bits, mask_str
 
@@ -150,10 +151,15 @@ def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:
     return ColumnSolver(t, s).solve()
 
 
+def matrix_text_lines(a: Gf2Matrix) -> Iterator[str]:
+    """The lines of matrix_to_text, one per row, produced lazily."""
+    spec = f"0{a.side}b"
+    return (format(row, spec)[::-1] for row in a.rows)
+
+
 def matrix_to_text(a: Gf2Matrix) -> str:
     """0/1 grid, one row per line, column 0 leftmost."""
-    spec = f"0{a.side}b"
-    return "\n".join(format(row, spec)[::-1] for row in a.rows)
+    return "\n".join(matrix_text_lines(a))
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
@@ -170,21 +176,24 @@ def matrix_from_text(text: str) -> Gf2Matrix:
     return Gf2Matrix(tuple(rows))
 
 
+def matrix_dot_lines(a: Gf2Matrix) -> Iterator[str]:
+    """The lines of matrix_to_dot, one node or edge each, produced lazily."""
+    yield "digraph gf2matrix {"
+    for v in range(a.side):
+        yield f'  n{v} [label="{mask_str(v)}"];'
+    for r, row in enumerate(a.rows):
+        for c in iter_bits(row):
+            yield f"  n{c} -> n{r};"
+    yield "}"
+
+
 def matrix_to_dot(a: Gf2Matrix) -> str:
     """Directed-graph view: an edge from b to a iff the entry (a, b) is 1.
 
     Nodes are all subset masks, labelled as set literals like "{1,3}".
     """
-    side = a.side
-    lines = ["digraph gf2matrix {"]
-    for v in range(side):
-        lines.append(f'  n{v} [label="{mask_str(v)}"];')
-    for r, row in enumerate(a.rows):
-        for c in iter_bits(row):
-            lines.append(f"  n{c} -> n{r};")
-    lines.append("}")
-    return "\n".join(lines)
+    return "\n".join(matrix_dot_lines(a))
 
 
 def matrix_to_json(a: Gf2Matrix) -> dict:
-    return {"side": a.side, "rows": matrix_to_text(a).split("\n")}
+    return {"side": a.side, "rows": list(matrix_text_lines(a))}

@@ -412,12 +412,12 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
     The dimension grows to cover the largest monomial-literal index;
     padding positions get fresh names x<i>.
     """
-    names: list[str] = []
+    names: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
     max_index = 0
     for e in exprs:
         for node in _walk(e):
-            if isinstance(node, (Var, TildeVar)) and node.name not in names:
-                names.append(node.name)
+            if isinstance(node, (Var, TildeVar)):
+                names.setdefault(node.name)
             elif isinstance(node, Mono) and node.indices:
                 max_index = max(max_index, node.indices[-1])
     want = max(len(names), max_index, 1)
@@ -425,12 +425,12 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
         if n < want:
             raise EvalError(f"explicit n={n} too small; expression needs n>={want}")
         want = n
-    check_dim(want)  # before padding, which is quadratic in the dimension
+    check_dim(want)  # before padding up to a possibly huge n
     while len(names) < want:
         filler = f"x{len(names) + 1}"
         while filler in names:
             filler += "_"
-        names.append(filler)
+        names.setdefault(filler)
     return VarContext(tuple(names))
 
 

@@ -72,9 +72,26 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in iter_bits(mask))
 
 
+def _label_table(first: int) -> tuple[str, ...]:
+    # entry i lists the 1-based labels first.. of the set bits of the byte i,
+    # each followed by a comma; built by doubling over the byte's bits
+    table = ("",)
+    for k in range(8):
+        label = f"{first + k},"
+        table += tuple(s + label for s in table)
+    return table
+
+
+# MAX_DIM = 16 is two bytes: labels 1-8 from the low byte, 9-16 from the high
+_LOW_LABELS = _label_table(1)
+_HIGH_LABELS = _label_table(9)
+
+
 def mask_str(mask: int) -> str:
     """Set literal like "{1,3}"; "{}" for the empty set."""
-    return "{%s}" % ",".join(str(i) for i in indices_from_mask(mask))
+    if not 0 <= mask < 1 << MAX_DIM:
+        raise ValueError(f"mask {mask} out of range for n={MAX_DIM}")
+    return "{" + (_LOW_LABELS[mask & 255] + _HIGH_LABELS[mask >> 8])[:-1] + "}"
 
 
 def odd_parity(a: int) -> int:

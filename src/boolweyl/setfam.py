@@ -32,6 +32,7 @@ from .ring import (
     check_mask,
     indices_from_mask,
     mask_from_indices,
+    mask_str,
     ring_from_support,
     submasks,
 )
@@ -314,10 +315,7 @@ def family_text(a_fam: Family) -> str:
 
 
 def familyn_text(f: FamilyN) -> str:
-    members = sorted(f.members)
-    return "{%s}" % ",".join(
-        "{%s}" % ",".join(str(i) for i in indices_from_mask(a)) for a in members
-    )
+    return "{%s}" % ",".join(mask_str(a) for a in sorted(f.members))
 
 
 def parse_family(text: str, n: int) -> Family:

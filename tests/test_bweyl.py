@@ -544,6 +544,29 @@ def test_text_form():
     assert op_text(op_monomial(2, "MS", 0b01, 0b10)) == "m{1}s{2}"
 
 
+def test_text_form_matches_per_bit_spelling():
+    from boolweyl.ring import indices_from_mask
+
+    def literal(a):
+        return "{%s}" % ",".join(map(str, indices_from_mask(a)))
+
+    def old_term_text(basis, a, b):
+        left, right = basis
+        text = left.lower() + literal(a) if a or left == "M" else ""
+        text += right.lower() + literal(b) if b else ""
+        return text or "1"
+
+    rng = random.Random(65)
+    for basis in OP_BASES:
+        for n in (1, 2, 5, 9, 13, 16):
+            full = (1 << n) - 1
+            terms = {(0, 0), (full, full), (0, full), (full, 0)}
+            terms |= {(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)}
+            f = op_coeffs(n, basis, terms)
+            want = " + ".join(old_term_text(basis, a, b) for a, b in f.sorted_terms())
+            assert op_text(f) == want
+
+
 def test_json_round_trip():
     f = op_coeffs(2, "WS", [(0b01, 0b11), (0, 0)])
     data = op_to_json(f)

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boolweyl import checks, cli
 from boolweyl.bweyl import to_matrix
 from boolweyl.cli import main
 from boolweyl.gf2lin import mat_mul, matrix_from_text
@@ -163,6 +164,31 @@ def test_crosscheck_deterministic(capsys):
     assert out1 == out2
 
 
+def test_operator_span_rank_skips_above_six():
+    skipped = checks.check_operator_span_rank(7)
+    assert (skipped.status, skipped.ok, skipped.skipped) == ("SKIP", False, True)
+    assert checks.check_operator_span_rank(2).status == "PASS"
+
+
+def test_crosscheck_tallies_skips_apart_from_passes(capsys, monkeypatch):
+    held = checks.CheckResult("held", True)
+    broke = checks.CheckResult("broke", False, "x=1")
+    skip = checks.CheckResult("big", False, "too large", skipped=True)
+    for results, want_code, tally in (
+        ([held], 0, "2/2 checks passed"),
+        ([held, skip], 0, "2/4 checks passed, 2 skipped"),
+        ([held, broke, skip], 1, "2/6 checks passed, 2 skipped"),
+    ):
+        monkeypatch.setattr(checks, "run_battery", lambda n, samples, seed: results)
+        code, out, _ = run(capsys, "crosscheck", "--n", "2")
+        lines = [f"{r.status} n={n} {r.name}" + (f" ({r.detail})" if r.detail else "")
+                 for n in (1, 2) for r in results]
+        assert code == want_code
+        assert out == "\n".join(lines + [tally]) + "\n"
+    assert "SKIP n=1 big (too large)\n" in out
+    assert "FAIL n=2 broke (x=1)\n" in out
+
+
 def test_unknown_basis_exit_2(capsys):
     code, _, err = run(capsys, "convert", "a", "--basis", "QQ")
     assert code == 2
@@ -227,6 +253,50 @@ def test_crosscheck_into_closed_pipe():
     assert proc.wait(timeout=60) == 2
     assert first.startswith(b"PASS n=1 ")
     assert b"Traceback" not in err
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+REPEATED_CALLS = (
+    ["eval", "a b + a"],
+    ["entail", "a"],  # usage error: a missing operand
+    ["eval", "a +"],  # parse error
+    ["entail", "~a a", "1", "--witness"],
+    ["eval", "a b", "--format", "json"],
+    ["mul", "a", "b", "--format", "dot"],  # invalid choice
+    ["matrix", "~a", "-n", "2", "--format", "json"],
+    ["dot", "m{1}y{1}", "-n", "2"],
+    ["entail", "1", "0"],
+    [],  # no subcommand
+    ["crosscheck", "--n", "0"],
+    ["convert", "~a", "--basis", "XS"],
+)
+
+
+def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    reused = [call(argv) for argv in REPEATED_CALLS * 2]
+    assert len(builds) == 1
+    fresh = []
+    for argv in REPEATED_CALLS * 2:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused[: len(REPEATED_CALLS)]] == [
+        0, 2, 2, 0, 0, 2, 0, 0, 1, 2, 2, 0,
+    ]
 
 
 def test_huge_n_exits_2_at_once(capsys):

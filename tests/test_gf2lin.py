@@ -12,7 +12,10 @@ from boolweyl.gf2lin import (
     mat_apply,
     mat_mul,
     matrix_from_text,
+    matrix_dot_lines,
+    matrix_text_lines,
     matrix_to_dot,
+    matrix_to_json,
     matrix_to_text,
     rank,
     solve_right,
@@ -223,3 +226,29 @@ def test_dot_output():
     assert 'n1 [label="{1}"];' in dot
     assert "n1 -> n0;" in dot
     assert dot.count("->") == 1
+
+
+def test_dot_and_json_match_per_bit_spelling():
+    from boolweyl.ring import indices_from_mask
+
+    def old_dot(a):
+        lines = ["digraph gf2matrix {"]
+        for v in range(a.side):
+            label = ",".join(map(str, indices_from_mask(v)))
+            lines.append(f'  n{v} [label="{{{label}}}"];')
+        for r, row in enumerate(a.rows):
+            if row:
+                lines += [f"  n{c} -> n{r};" for c in range(a.side) if a.entry(r, c)]
+        lines.append("}")
+        return "\n".join(lines)
+
+    rng = random.Random(67)
+    for side in (1, 2, 8, 64, 512):
+        a = random_matrix(rng, side)
+        assert matrix_to_dot(a) == old_dot(a)
+        assert "\n".join(matrix_dot_lines(a)) == matrix_to_dot(a)
+        assert matrix_to_json(a) == {"side": side, "rows": matrix_to_text(a).split("\n")}
+        assert list(matrix_text_lines(a)) == matrix_to_text(a).split("\n")
+    # the largest side: node labels reach the high byte of every mask
+    big = zero_matrix(1 << 16)
+    assert matrix_to_dot(big) == old_dot(big)

@@ -177,6 +177,20 @@ def test_infer_context_rejects_huge_dimension_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_infer_context_rejects_many_names_in_linear_time():
+    # a membership scan per name would make this quadratic: seconds, not ms
+    e = parse_text(" ".join(f"v{i}" for i in range(20_000)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"dimension must be in \[1, 16\]"):
+        infer_context([e])
+    assert time.perf_counter() - start < 0.5
+
+
+def test_infer_context_pads_around_taken_names():
+    assert infer_context([parse_text("x2 b x2")], n=4).names == ("x2", "b", "x3", "x4")
+    assert infer_context([parse_text("x3")], n=3).names == ("x3", "x2", "x3_")
+
+
 # --- valuations -----------------------------------------------------------------
 
 

@@ -277,6 +277,38 @@ def test_text_and_json_round_trip():
     assert ring_from_json(data) == f
 
 
+def _set_literal(a):
+    # spelled bit by bit, apart from the byte tables of mask_str
+    return "{%s}" % ",".join(map(str, ring.indices_from_mask(a)))
+
+
+def test_mask_str_matches_per_bit_spelling_for_every_mask():
+    for a in range(1 << ring.MAX_DIM):
+        assert ring.mask_str(a) == _set_literal(a)
+    for bad in (-1, 1 << ring.MAX_DIM):
+        with pytest.raises(ValueError, match="out of range"):
+            ring.mask_str(bad)
+
+
+def test_ring_text_matches_per_term_spelling():
+    def old_ring_text(f):
+        parts = [
+            "1" if a == 0 and f.basis in ("X", "W") else f.basis.lower() + _set_literal(a)
+            for a in f.support()
+        ]
+        return " + ".join(parts) if parts else "0"
+
+    rng = random.Random(64)
+    for basis in ring.RING_BASES:
+        for n in range(1, 11):
+            f = RingElem(n, basis, rng.getrandbits(1 << n))
+            assert ring_text(f) == old_ring_text(f)
+        for n in (12, 16):
+            masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
+            f = ring_from_support(n, basis, masks)
+            assert ring_text(f) == old_ring_text(f)
+
+
 def test_dimension_bounds():
     with pytest.raises(ValueError):
         RingElem(0, "M", 0)

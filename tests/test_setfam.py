@@ -19,6 +19,7 @@ from boolweyl.setfam import (
     family_from_json,
     family_text,
     family_to_op,
+    familyn_text,
     familyn_to_ring,
     hat_diagonal,
     op_to_family,
@@ -193,3 +194,17 @@ def test_dimension_validation():
         family(3, [(0b1000, 0)])
     with pytest.raises(ValueError):
         circ_prod(family(2, []), family(3, []))
+
+
+def test_familyn_text_matches_per_bit_spelling():
+    from boolweyl.ring import indices_from_mask
+
+    rng = random.Random(66)
+    assert familyn_text(FamilyN(2, frozenset())) == "{}"
+    assert familyn_text(FamilyN(2, frozenset({0, 3}))) == "{{},{1,2}}"
+    for n in (1, 3, 8, 9, 16):
+        members = frozenset({(1 << n) - 1} | {rng.getrandbits(n) for _ in range(30)})
+        want = "{%s}" % ",".join(
+            "{%s}" % ",".join(map(str, indices_from_mask(a))) for a in sorted(members)
+        )
+        assert familyn_text(FamilyN(n, members)) == want
