@@ -21,6 +21,28 @@ W-left coefficients obey the same rules as X-left ones (x and w satisfy
 identical relations with the right generators), so WY and WS multiply
 through the XY/XS rules with indices untouched.
 
+The kernels sum these toggles over GF(2) without listing them: each
+term pair XORs one packed int into an accumulator keyed by one index
+and packed over the other.  With below(s) the packed indicator of the
+submasks of s (bit t set iff t is a subset of s):
+
+    MY   if a + c is a subset of b: acc[a] ^= below((a+c) & ~d) << d
+    MS   if c == a + b: acc[a] ^= 1 << (b + d)
+    XS   if a & b & c == 0: acc[b + d] ^= below(b & c) << (a | (c & ~b))
+    XY   if b & d is a subset of c: for every r subset of b & c & ~a & ~d,
+         acc[(b & ~c) | d | r] ^= below(r) << (a | (c & ~b))
+
+MY and MS are keyed by the left index, XS and XY by the right.  In XS,
+the left index a | (c - k) ignores the bits of k inside a, so when
+a & b & c != 0 each left index is hit 2^|a & b & c| times and the pair
+cancels.  In XY, the right index (b - k1) | d fixes k1, which must
+contain b & d.  The left indices a | (c - k2) of the chains above k1
+ignore the bits of k2 inside a, so they cancel in pairs unless k1
+already holds a & b & c; then r = (b & c) - k1, and the k2 between k1
+and b & c give the left indices a | (c & ~b) | t for every t subset of r.
+The literal rules stay as oracles: structural_coeff_c here, and the
+battery's monomial-product-forms check for all four.
+
 to_matrix is the semantic anchor: every element maps to the matrix of
 the operator it denotes on M-basis coordinates, its rows written from
 closed forms, and multiplication of coefficients must match
@@ -30,9 +52,8 @@ matrices in diffops are the oracle these rows are checked against.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .gf2lin import Gf2Matrix
 from .ring import (
@@ -65,9 +86,11 @@ class OpCoeffs:
         check_dim(self.n)
         if self.basis not in OP_BASES:
             raise ValueError(f"unknown operator basis {self.basis!r}")
+        top = 1 << self.n
         for a, b in self.terms:
-            check_mask(a, self.n)
-            check_mask(b, self.n)
+            if not (0 <= a < top and 0 <= b < top):
+                check_mask(a, self.n)
+                check_mask(b, self.n)
 
     def sorted_terms(self) -> list[Term]:
         """Terms in the canonical order: ascending on (left, right)."""
@@ -126,15 +149,20 @@ def _pack_index(terms: Iterable[Term], axis: int) -> dict[int, int]:
     return groups
 
 
+def _unpack(groups: dict[int, int], axis: int) -> frozenset[Term]:
+    """The terms of packed vectors of index `axis` keyed by the other index:
+    the inverse of _pack_index."""
+    if axis == 0:
+        return frozenset((i, other) for other, bits in groups.items() for i in iter_bits(bits))
+    return frozenset((other, i) for other, bits in groups.items() for i in iter_bits(bits))
+
+
 def _convert_index(
     terms: frozenset[Term], axis: int, convert: Callable[[int], int]
 ) -> frozenset[Term]:
     """Apply convert to the packed vectors of index `axis` of the terms."""
-    out = set()
-    for other, bits in _pack_index(terms, axis).items():
-        for i in iter_bits(convert(bits)):
-            out.add((i, other) if axis == 0 else (other, i))
-    return frozenset(out)
+    groups = _pack_index(terms, axis)
+    return _unpack({other: convert(bits) for other, bits in groups.items()}, axis)
 
 
 def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
@@ -161,6 +189,17 @@ def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
     return OpCoeffs(f.n, target, terms)
 
 
+def _below(s: int) -> int:
+    """Packed indicator of the submasks of s: bit t is set iff t is a subset
+    of s.  Built by doubling over the bits of s."""
+    bits = 1
+    while s:
+        low = s & -s
+        bits |= bits << low
+        s ^= low
+    return bits
+
+
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     """Matrix of the operator on M-basis coordinates.
 
@@ -177,7 +216,7 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     rows = [0] * size
     for b, left in _pack_index(f.terms, 0).items():
         if not shift:
-            below = _superset_sum_bits(1 << b, size)  # bit t set iff t is a subset of b
+            below = _below(b)
         for r in iter_bits(_convert_bits(left, size, f.basis[0], "M")):
             rows[r] ^= 1 << (r ^ b) if shift else below << (r & ~b)
     return Gf2Matrix(tuple(rows))
@@ -200,47 +239,54 @@ def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:
     return count
 
 
-def _odd_terms(keys: Iterable[Term]) -> frozenset[Term]:
-    """The keys produced an odd number of times: their sum over GF(2)."""
-    return frozenset(key for key, count in Counter(keys).items() if count & 1)
-
-
-def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
+def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+    acc: dict[int, int] = {}
     for a, b in f:
+        row = 0
         for c, d in g:
             ac = a ^ c
-            if ac & ~b:
-                continue
-            for t in submasks(ac & ~d):
-                yield a, d | t
+            if not ac & ~b:
+                row ^= _below(ac & ~d) << d
+        acc[a] = acc.get(a, 0) ^ row
+    return _unpack(acc, 1)
 
 
-def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
+def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+    acc: dict[int, int] = {}
     for a, b in f:
         for c, d in g:
-            for k2 in submasks(b & c):
-                left = a | (c & ~k2)
-                for k1 in submasks(k2):
-                    nb = b & ~k1
-                    if not nb & d:
-                        yield left, nb | d
+            if b & d & ~c:
+                continue
+            base = (b & ~c) | d
+            shift = a | (c & ~b)
+            for r in submasks(b & c & ~a & ~d):
+                key = base | r
+                acc[key] = acc.get(key, 0) ^ (_below(r) << shift)
+    return _unpack(acc, 0)
 
 
-def _mul_ms(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
+def _mul_ms(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
     by_left: dict[int, list[int]] = {}
     for c, d in g:
         by_left.setdefault(c, []).append(d)
+    acc: dict[int, int] = {}
     for a, b in f:
+        row = 0
         for d in by_left.get(a ^ b, ()):
-            yield a, b ^ d
+            row ^= 1 << (b ^ d)
+        acc[a] = acc.get(a, 0) ^ row
+    return _unpack(acc, 1)
 
 
-def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> Iterator[Term]:
+def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+    acc: dict[int, int] = {}
     for a, b in f:
         for c, d in g:
-            bd = b ^ d
-            for k in submasks(b & c):
-                yield a | (c & ~k), bd
+            if a & b & c:
+                continue
+            key = b ^ d
+            acc[key] = acc.get(key, 0) ^ (_below(b & c) << (a | (c & ~b)))
+    return _unpack(acc, 0)
 
 
 def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
@@ -259,7 +305,7 @@ def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
         kernel = _mul_my if left == "M" else _mul_xy
     else:
         kernel = _mul_ms if left == "M" else _mul_xs
-    return OpCoeffs(f.n, basis, _odd_terms(kernel(f.terms, g.terms)))
+    return OpCoeffs(f.n, basis, kernel(f.terms, g.terms))
 
 
 def op_power(f: OpCoeffs, k: int) -> OpCoeffs:

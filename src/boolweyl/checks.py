@@ -386,7 +386,7 @@ def check_product_unit_associativity(n: int, samples: int, rng: random.Random) -
 
 
 def check_monomial_product_forms(n: int, samples: int, rng: random.Random) -> CheckResult:
-    """Single-monomial products against their closed forms."""
+    """Single-monomial products against the literal rules of MY, MS, XY and XS."""
     size = 1 << n
     if size <= 4:
         quads = [
@@ -420,6 +420,13 @@ def check_monomial_product_forms(n: int, samples: int, rng: random.Random) -> Ch
         )
         if got_x.terms != want_x:
             return CheckResult("monomial-product-forms", False, f"XY {a},{b},{c},{d}")
+        got_xs = bweyl.op_mul(bweyl.op_monomial(n, "XS", a, b), bweyl.op_monomial(n, "XS", c, d))
+        want_xs = set()
+        for k in range(size):
+            if k & ~(b & c) == 0:
+                want_xs ^= {(a | (c & ~k), b ^ d)}
+        if got_xs.terms != want_xs:
+            return CheckResult("monomial-product-forms", False, f"XS {a},{b},{c},{d}")
     return CheckResult("monomial-product-forms", True, f"{len(quads)} quadruples, n={n}")
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .bweyl import convert_op_basis, op_text, op_to_json, to_matrix, OP_BASES
-from .gf2lin import matrix_dot_lines, matrix_text_lines, matrix_to_json
+from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
 from .lang import (
     LangError,
     entailment_witness,
@@ -128,7 +128,9 @@ def cmd_matrix(args, fmt: str | None = None) -> int:
     if fmt == "dot":
         _print_lines(matrix_dot_lines(m))
     elif fmt == "json":
-        print(json.dumps(matrix_to_json(m)))
+        # the bytes of json.dumps(matrix_to_json(m)), one write per row
+        sys.stdout.writelines(matrix_json_chunks(m))
+        print()
     else:
         _print_lines(matrix_text_lines(m))
     return 0

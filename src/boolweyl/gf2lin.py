@@ -197,3 +197,14 @@ def matrix_to_dot(a: Gf2Matrix) -> str:
 
 def matrix_to_json(a: Gf2Matrix) -> dict:
     return {"side": a.side, "rows": list(matrix_text_lines(a))}
+
+
+def matrix_json_chunks(a: Gf2Matrix) -> Iterator[str]:
+    """json.dumps(matrix_to_json(a)) in pieces, one per row, produced
+    lazily.  Rows hold only 0 and 1, so nothing needs escaping."""
+    yield f'{{"side": {a.side}, "rows": ['
+    sep = '"'
+    for line in matrix_text_lines(a):
+        yield sep + line + '"'
+        sep = ', "'
+    yield "]}"

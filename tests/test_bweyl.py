@@ -1,13 +1,15 @@
 """Operator algebra: basis changes, structural products, normal ordering."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from boolweyl import checks
+from boolweyl import bweyl, checks
 from boolweyl.bweyl import (
     OP_BASES,
     OpCoeffs,
+    _below,
     convert_op_basis,
     normal_order,
     op_add,
@@ -389,6 +391,131 @@ def test_op_mul_mixed_bases_converts_to_left():
     prod = op_mul(f, g)
     assert prod.basis == "XY"
     assert to_matrix(prod) == mat_mul(to_matrix(f), to_matrix(g))
+
+
+# --- packed kernels against the chain enumeration -------------------------------
+#
+# The reference lists every toggle of the structural rules (every chain
+# k1 <= k2 in XY, every submask in MY and XS) and keeps the keys produced
+# an odd number of times; op_mul sums the same toggles as packed XORs.
+
+
+def _ref_my(f, g):
+    for a, b in f:
+        for c, d in g:
+            ac = a ^ c
+            if ac & ~b:
+                continue
+            for t in submasks(ac & ~d):
+                yield a, d | t
+
+
+def _ref_xy(f, g):
+    for a, b in f:
+        for c, d in g:
+            for k2 in submasks(b & c):
+                left = a | (c & ~k2)
+                for k1 in submasks(k2):
+                    nb = b & ~k1
+                    if not nb & d:
+                        yield left, nb | d
+
+
+def _ref_ms(f, g):
+    for a, b in f:
+        for c, d in g:
+            if c == a ^ b:
+                yield a, b ^ d
+
+
+def _ref_xs(f, g):
+    for a, b in f:
+        for c, d in g:
+            for k in submasks(b & c):
+                yield a | (c & ~k), b ^ d
+
+
+REFERENCE_KERNELS = {"MY": _ref_my, "XY": _ref_xy, "MS": _ref_ms, "XS": _ref_xs}
+
+
+def reference_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
+    g = convert_op_basis(g, f.basis)
+    # W-left multiplies through the X-left rules
+    kernel = REFERENCE_KERNELS[f.basis.replace("W", "X")]
+    counts = Counter(kernel(f.terms, g.terms))
+    return op_coeffs(f.n, f.basis, (key for key, count in counts.items() if count & 1))
+
+
+def test_below_is_the_submask_indicator():
+    for s in range(1 << 6):
+        assert _below(s) == sum(1 << t for t in range(1 << 6) if t & ~s == 0)
+
+
+@pytest.mark.parametrize("basis", OP_BASES)
+def test_op_mul_matches_chain_reference_on_random_pairs(basis):
+    rng = random.Random(f"kernels:{basis}")
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        f = checks.random_op(rng, n, basis)
+        g = checks.random_op(rng, n, rng.choice(OP_BASES))
+        assert op_mul(f, g) == reference_mul(f, g)
+
+
+@pytest.mark.parametrize("basis", OP_BASES)
+def test_op_mul_matches_chain_reference_on_all_monomial_pairs(basis):
+    for n in (1, 2, 3):
+        size = 1 << n
+        for a in range(size):
+            for b in range(size):
+                f = op_monomial(n, basis, a, b)
+                for c in range(size):
+                    for d in range(size):
+                        g = op_monomial(n, basis, c, d)
+                        assert op_mul(f, g) == reference_mul(f, g)
+
+
+def test_op_mul_dense_pairs_match_matrix_product():
+    n = 7
+    size = 1 << n
+    rng = random.Random(77)
+    for basis in OP_BASES:
+        f, g = (
+            op_coeffs(n, basis, {(rng.randrange(size), rng.randrange(size)) for _ in range(400)})
+            for _ in range(2)
+        )
+        assert len(f.terms) > 350 and len(g.terms) > 350
+        assert to_matrix(op_mul(f, g)) == mat_mul(to_matrix(f), to_matrix(g))
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_op_coeffs_range_error_message(bad):
+    for term in ((bad, 0), (0, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=rf"^mask {bad} out of range for n=3$"):
+            OpCoeffs(3, "XY", frozenset({term, (1, 2)}))
+
+
+def test_monomial_product_forms_catches_xs_kernel_mutants(monkeypatch):
+    def no_cancellation(f, g):  # the a & b & c test dropped
+        acc = {}
+        for a, b in f:
+            for c, d in g:
+                acc[b ^ d] = acc.get(b ^ d, 0) ^ (_below(b & c) << (a | (c & ~b)))
+        return bweyl._unpack(acc, 0)
+
+    def wrong_shift(f, g):  # the left index shifted by a | c
+        acc = {}
+        for a, b in f:
+            for c, d in g:
+                if not a & b & c:
+                    acc[b ^ d] = acc.get(b ^ d, 0) ^ (_below(b & c) << (a | c))
+        return bweyl._unpack(acc, 0)
+
+    for n in (2, 3):
+        assert checks.check_monomial_product_forms(n, 25, random.Random(0)).status == "PASS"
+    for mutant in (no_cancellation, wrong_shift):
+        monkeypatch.setattr(bweyl, "_mul_xs", mutant)
+        result = checks.check_monomial_product_forms(2, 25, random.Random(0))
+        assert result.status == "FAIL" and result.detail.startswith("XS ")
 
 
 # --- homomorphism and algebra laws ----------------------------------------------

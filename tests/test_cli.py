@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from boolweyl import checks, cli
 from boolweyl.bweyl import to_matrix
 from boolweyl.cli import main
-from boolweyl.gf2lin import mat_mul, matrix_from_text
+from boolweyl.gf2lin import mat_mul, matrix_from_text, matrix_to_json
 from boolweyl.lang import eval_quantum, infer_context, parse_text
 
 
@@ -132,6 +132,15 @@ def test_matrix_text(capsys):
 def test_matrix_json(capsys):
     code, out, _ = run(capsys, "matrix", "1", "-n", "1", "--format", "json")
     assert json.loads(out) == {"side": 2, "rows": ["10", "01"]}
+
+
+def test_matrix_json_streamed_bytes(capsys):
+    # written row by row, yet the same bytes as one json.dumps of the document
+    for expr, n in (("1", 1), ("a ~b", 3), ("m{1,2}y{2,3} + x{1}s{3}", 5)):
+        code, out, _ = run(capsys, "matrix", expr, "-n", str(n), "--format", "json")
+        assert code == 0
+        m = to_matrix(eval_quantum(parse_text(expr), infer_context([parse_text(expr)], n)))
+        assert out == json.dumps(matrix_to_json(m)) + "\n"
 
 
 def test_dot_output(capsys):

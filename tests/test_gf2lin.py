@@ -1,5 +1,6 @@
 """GF(2) matrices: products, rank, column-space containment, exports."""
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from boolweyl.gf2lin import (
     mat_mul,
     matrix_from_text,
     matrix_dot_lines,
+    matrix_json_chunks,
     matrix_text_lines,
     matrix_to_dot,
     matrix_to_json,
@@ -252,3 +254,10 @@ def test_dot_and_json_match_per_bit_spelling():
     # the largest side: node labels reach the high byte of every mask
     big = zero_matrix(1 << 16)
     assert matrix_to_dot(big) == old_dot(big)
+
+
+def test_matrix_json_chunks_are_the_json_dumps_bytes():
+    rng = random.Random(71)
+    for side in (1, 2, 4, 8, 16, 32, 64):
+        for a in (random_matrix(rng, side), zero_matrix(side), identity(side)):
+            assert "".join(matrix_json_chunks(a)) == json.dumps(matrix_to_json(a))
