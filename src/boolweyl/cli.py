@@ -54,15 +54,18 @@ def _print_lines(lines) -> None:
 def cmd_eval(args) -> int:
     expr = parse_text(_read_expr(args.expr))
     ctx = infer_context([expr], args.n)
-    if is_classical(expr) and args.basis in (None,) + RING_BASES:
-        f = eval_classical(expr, ctx)
-        _print_ring(convert_ring_basis(f, args.basis or "X"), args.format)
-        return 0
-    basis = args.basis or "XY"
-    if basis not in OP_BASES:
-        raise LangError(f"basis {basis!r} does not name an operator basis")
-    op = convert_op_basis(eval_quantum(expr, ctx), basis)
-    _print_op(op, args.format)
+    classical = is_classical(expr)
+    basis = args.basis
+    if basis is None:
+        basis = "X" if classical else "XY"
+    if basis in RING_BASES:
+        if not classical:
+            raise LangError("operator expression cannot convert to a ring basis")
+        _print_ring(convert_ring_basis(eval_classical(expr, ctx), basis), args.format)
+    elif basis in OP_BASES:
+        _print_op(convert_op_basis(eval_quantum(expr, ctx), basis), args.format)
+    else:
+        raise LangError(f"unknown basis {basis!r}")
     return 0
 
 
@@ -70,28 +73,13 @@ def cmd_mul(args) -> int:
     lhs = parse_text(_read_expr(args.lhs))
     rhs = parse_text(_read_expr(args.rhs))
     ctx = infer_context([lhs, rhs], args.n)
-    basis = args.basis or "XY"
+    basis = args.basis if args.basis is not None else "XY"
     if basis not in OP_BASES:
         raise LangError(f"basis {basis!r} does not name an operator basis")
     f = convert_op_basis(eval_quantum(lhs, ctx), basis)
     g = convert_op_basis(eval_quantum(rhs, ctx), basis)
     _print_op(f * g, args.format)
     return 0
-
-
-def cmd_convert(args) -> int:
-    expr = parse_text(_read_expr(args.expr))
-    ctx = infer_context([expr], args.n)
-    target = args.basis
-    if target in RING_BASES:
-        if not is_classical(expr):
-            raise LangError("operator expression cannot convert to a ring basis")
-        _print_ring(convert_ring_basis(eval_classical(expr, ctx), target), args.format)
-        return 0
-    if target in OP_BASES:
-        _print_op(convert_op_basis(eval_quantum(expr, ctx), target), args.format)
-        return 0
-    raise LangError(f"unknown basis {target!r}")
 
 
 def cmd_entail(args) -> int:
@@ -120,24 +108,19 @@ def cmd_equiv(args) -> int:
     return 0 if yes else 1
 
 
-def cmd_matrix(args, fmt: str | None = None) -> int:
+def cmd_matrix(args) -> int:
     expr = parse_text(_read_expr(args.expr))
     ctx = infer_context([expr], args.n)
     m = to_matrix(eval_quantum(expr, ctx))
-    fmt = fmt or args.format
-    if fmt == "dot":
+    if args.format == "dot":
         _print_lines(matrix_dot_lines(m))
-    elif fmt == "json":
+    elif args.format == "json":
         # the bytes of json.dumps(matrix_to_json(m)), one write per row
         sys.stdout.writelines(matrix_json_chunks(m))
         print()
     else:
         _print_lines(matrix_text_lines(m))
     return 0
-
-
-def cmd_dot(args) -> int:
-    return cmd_matrix(args, fmt="dot")
 
 
 def cmd_crosscheck(args) -> int:
@@ -167,58 +150,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_basis=True):
+    def command(name, func, summary, *operands, **defaults):
+        p = sub.add_parser(name, help=summary)
+        for operand in operands:
+            p.add_argument(operand)
         p.add_argument("-n", type=int, default=None, help="dimension (default: inferred)")
-        if with_basis:
-            p.add_argument(
-                "--basis",
-                default=None,
-                help="output basis: M/X/W for ring elements, MY/XY/WY/MS/XS/WS for operators",
-            )
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    def coefficients(p, basis_required=False):
         # coefficients in a basis have no graph form: only matrices print as DOT
-        formats = ("text", "json") if with_basis else ("text", "json", "dot")
-        p.add_argument("--format", choices=formats, default="text", help="output format")
+        p.add_argument(
+            "--basis",
+            required=basis_required,
+            help="output basis: M/X/W for ring elements, MY/XY/WY/MS/XS/WS for operators",
+        )
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
-    p = sub.add_parser("eval", help="evaluate an expression ('-' reads stdin)")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_eval)
+    coefficients(command("eval", cmd_eval, "evaluate an expression ('-' reads stdin)", "expr"))
+    coefficients(command("mul", cmd_mul, "multiply two operator expressions", "lhs", "rhs"))
+    # the same operation as eval, with the basis spelled out
+    coefficients(
+        command("convert", cmd_eval, "rewrite an expression in another basis", "expr"),
+        basis_required=True,
+    )
 
-    p = sub.add_parser("mul", help="multiply two operator expressions")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    common(p)
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("convert", help="rewrite an expression in another basis")
-    p.add_argument("expr")
-    p.add_argument("--basis", required=True, help="target basis")
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("entail", help="decide entailment p |- q")
-    p.add_argument("p")
-    p.add_argument("q")
-    common(p, with_basis=False)
+    p = command("entail", cmd_entail, "decide entailment p |- q", "p", "q")
     p.add_argument("--witness", action="store_true", help="print a witness matrix on yes")
-    p.set_defaults(func=cmd_entail)
-
-    p = sub.add_parser("equiv", help="decide equivalence of two expressions")
-    p.add_argument("p")
-    p.add_argument("q")
-    common(p, with_basis=False)
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("matrix", help="matrix of an operator expression")
-    p.add_argument("expr")
-    common(p, with_basis=False)
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("dot", help="graph of an operator matrix in DOT form")
-    p.add_argument("expr")
-    common(p, with_basis=False)
-    p.set_defaults(func=cmd_dot)
+    command("equiv", cmd_equiv, "decide equivalence of two expressions", "p", "q")
+    p = command("matrix", cmd_matrix, "matrix of an operator expression", "expr")
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text", help="output format")
+    command("dot", cmd_matrix, "graph of an operator matrix in DOT form", "expr", format="dot")
 
     p = sub.add_parser("crosscheck", help="run the invariant battery")
     p.add_argument("--n", type=int, default=3, help="largest dimension (default 3)")
@@ -241,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
-    except (LangError, ValueError) as exc:
+    except ValueError as exc:  # LangError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -216,7 +216,7 @@ def tokenize(src: str) -> list[Token]:
                 if body:
                     for item in body.split(","):
                         item = item.strip()
-                        if not item.isdigit():
+                        if not item.isdecimal():
                             raise LexError(f"bad set element {item!r}", i + 1)
                         value = int(item)
                         if value < 1:
@@ -541,7 +541,13 @@ def is_classical(e: Expr) -> bool:
 
 
 def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
-    """True iff both expressions denote the same operator: equal XY terms."""
+    """True iff both expressions denote the same operator: equal XY terms.
+
+    Propositions denote multiplication operators, and f -> (g -> f g) is
+    injective, so two of them are compared on their truth functions.
+    """
+    if is_classical(p) and is_classical(q):
+        return eval_classical(p, ctx) == eval_classical(q, ctx)
     return eval_quantum(p, ctx) == eval_quantum(q, ctx)
 
 

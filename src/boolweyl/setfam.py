@@ -319,9 +319,13 @@ def familyn_text(f: FamilyN) -> str:
 
 
 def parse_family(text: str, n: int) -> Family:
-    """Parse a family literal with ~i marking tilde elements."""
+    """Parse a family literal with ~i marking tilde elements.
+
+    Each element is an optional ~ and decimal digits; whitespace may
+    surround elements, commas and braces.
+    """
     check_dim(n)
-    s = text.replace(" ", "")
+    s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError("family literal must be wrapped in braces")
     body = s[1:-1]
@@ -343,7 +347,7 @@ def parse_family(text: str, n: int) -> Family:
                 chunks.append(current)
                 continue
         elif depth == 0:
-            if ch != ",":
+            if ch != "," and not ch.isspace():
                 raise ValueError(f"unexpected character {ch!r} between members")
             continue
         current += ch
@@ -351,12 +355,18 @@ def parse_family(text: str, n: int) -> Family:
         raise ValueError("unbalanced braces in family literal")
     for chunk in chunks:
         plain = tilde = 0
-        if chunk:
+        if chunk.strip():
             for item in chunk.split(","):
-                if item.startswith("~"):
-                    tilde |= mask_from_indices([int(item[1:])], n)
+                item = item.strip()
+                tilded = item.startswith("~")
+                digits = item[tilded:]
+                if not digits.isdecimal():
+                    raise ValueError(f"bad family element {item!r}")
+                bit = mask_from_indices([int(digits)], n)
+                if tilded:
+                    tilde |= bit
                 else:
-                    plain |= mask_from_indices([int(item)], n)
+                    plain |= bit
         members.add((plain, tilde))
     return Family(n, frozenset(members))
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolweyl import checks, cli
-from boolweyl.bweyl import to_matrix
+from boolweyl.bweyl import OP_BASES, to_matrix
 from boolweyl.cli import main
 from boolweyl.gf2lin import mat_mul, matrix_from_text, matrix_to_json
 from boolweyl.lang import eval_quantum, infer_context, parse_text
+from boolweyl.ring import RING_BASES
 
 
 def run(capsys, *argv):
@@ -226,6 +227,40 @@ def test_coefficient_commands_reject_dot_format(capsys, command):
     assert "invalid choice: 'dot'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ("text", "json", "dot"))
+@pytest.mark.parametrize("command", (["entail", "a", "b"], ["equiv", "a", "b"], ["dot", "a"]))
+def test_answer_and_graph_commands_take_no_format(capsys, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", fmt])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    (
+        (["eval", "~a", "--basis", "M"], "operator expression cannot convert to a ring basis"),
+        (["eval", "a", "--basis", "QQ"], "unknown basis 'QQ'"),
+        (["eval", "a", "--basis", ""], "unknown basis ''"),
+        (["mul", "a", "b", "--basis", ""], "basis '' does not name an operator basis"),
+        (["mul", "a", "b", "--basis", "M"], "basis 'M' does not name an operator basis"),
+    ),
+)
+def test_basis_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_equiv_of_propositions_in_bounded_time(capsys):
+    # propositions are compared on truth functions, not on XY operator terms
+    e = "(a|b|c|d|e|f|g|h)(i|j|k|l|m|n|o|p)(a|c|e|g|i|k|m|o)"
+    for q, want in ((e, (0, "yes\n")), (e.replace("(a|c|", "(b|c|"), (1, "no\n"))):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "equiv", e, q)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == want
+
+
 @pytest.mark.parametrize(
     "flags", (["--n", "0"], ["--n", "17"], ["--samples", "0"], ["--samples", "-5"])
 )
@@ -306,6 +341,19 @@ def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
     assert [code for code, _, _ in reused[: len(REPEATED_CALLS)]] == [
         0, 2, 2, 0, 0, 2, 0, 0, 1, 2, 2, 0,
     ]
+
+
+@pytest.mark.parametrize("basis", RING_BASES + OP_BASES + ("QQ", ""))
+def test_convert_is_eval_with_a_basis(basis):
+    for expr in ("a b + a", "~a a", "x{1,2} + m{3}", "a | ~b", "a +"):
+        for flags in ([], ["--format", "json"], ["-n", "3"], ["-n", "1"]):
+            tail = [expr, "--basis", basis, *flags]
+            assert call(["convert", *tail]) == call(["eval", *tail])
+
+
+def test_dot_is_matrix_in_dot_format():
+    for expr, flags in (("m{1,2}y{2,3}", ["-n", "3"]), ("a ~b", []), ("~a a + 1", ["-n", "2"]), ("a +", [])):
+        assert call(["dot", expr, *flags]) == call(["matrix", expr, *flags, "--format", "dot"])
 
 
 def test_huge_n_exits_2_at_once(capsys):

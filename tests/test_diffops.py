@@ -210,7 +210,7 @@ def test_apply_coeffs_identity_and_ms_example():
 
 @pytest.mark.parametrize("basis", ["MY", "XY", "MS", "XS"])
 def test_apply_coeffs_matches_matrix_oracle(basis):
-    rng = random.Random(hash(basis) & 0xFFFF)
+    rng = random.Random(f"apply-coeffs:{basis}")
     for n in (1, 2, 3):
         for _ in range(30):
             op = checks.random_op(rng, n, basis)

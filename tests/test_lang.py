@@ -62,6 +62,9 @@ def test_tokenize_error_offset():
         tokenize("2")
     with pytest.raises(LexError):
         tokenize("a {1}")  # brace only valid straight after a monomial letter
+    with pytest.raises(LexError, match="bad set element '²'") as err:
+        tokenize("x{²}")  # a digit, yet not a decimal one
+    assert err.value.offset == 2
 
 
 def test_tokenize_mono_literals():
@@ -395,7 +398,7 @@ def test_normalize_idempotent_and_value_preserving():
 
 @pytest.mark.parametrize("rule", REWRITE_RULE_NAMES)
 def test_rewrite_rules_preserve_valuation(rule):
-    rng = random.Random(hash(rule) & 0xFFFF)
+    rng = random.Random(f"rewrite:{rule}")
     ctx = VarContext(("a", "b"))
     for _ in range(40):
         p = checks.random_expr(rng, ctx.names, 2)

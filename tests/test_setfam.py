@@ -45,6 +45,11 @@ def test_literal_round_trip():
         parse_family("{1,2}", 3)  # members must be braced
     with pytest.raises(ValueError):
         parse_family("{{4}}", 3)
+    # an element is an optional ~ and decimal digits, spaces only around it
+    assert fam3("{ {1, 2, ~3} , {1} }") == fam3("{{1,2,~3},{1}}")
+    for text in ("{{1 2}}", "{{1_0}}", "{{+1}}"):
+        with pytest.raises(ValueError, match="bad family element"):
+            parse_family(text, 16)
 
 
 def test_json_round_trip():
@@ -122,7 +127,7 @@ def test_hat_star_action():
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 def test_products_match_operator_route(kind):
     prod, act = PRODUCTS[kind]
-    rng = random.Random(hash(kind) & 0xFFFF)
+    rng = random.Random(f"products:{kind}")
     # exhaustive over singleton families at n = 1
     for p1 in range(2):
         for t1 in range(2):
@@ -146,7 +151,7 @@ def test_products_match_operator_route(kind):
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 def test_actions_match_operator_route(kind):
     prod, act = PRODUCTS[kind]
-    rng = random.Random(hash(kind) & 0xFFF)
+    rng = random.Random(f"actions:{kind}")
     for n in (1, 2, 3):
         for _ in range(25):
             a = checks.random_family(rng, n)
@@ -161,7 +166,7 @@ def test_actions_match_operator_route(kind):
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))
 def test_sum_distributes_over_products(kind):
     prod, _ = PRODUCTS[kind]
-    rng = random.Random(hash(kind) & 0xFF)
+    rng = random.Random(f"sum-distributes:{kind}")
     for n in (1, 2):
         for _ in range(20):
             a = checks.random_family(rng, n)
