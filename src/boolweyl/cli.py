@@ -28,8 +28,10 @@ from .lang import (
 from .ring import MAX_DIM, RING_BASES, convert_ring_basis, ring_text, ring_to_json
 
 
-def _read_expr(arg: str) -> str:
-    return sys.stdin.read() if arg == "-" else arg
+def _parse_operands(*args: str):
+    """The parsed operands; stdin is read once, and every '-' is its text."""
+    stdin = sys.stdin.read() if "-" in args else ""
+    return [parse_text(stdin if arg == "-" else arg) for arg in args]
 
 
 def _print_ring(f, fmt: str) -> None:
@@ -52,7 +54,7 @@ def _print_lines(lines) -> None:
 
 
 def cmd_eval(args) -> int:
-    expr = parse_text(_read_expr(args.expr))
+    [expr] = _parse_operands(args.expr)
     ctx = infer_context([expr], args.n)
     classical = is_classical(expr)
     basis = args.basis
@@ -70,8 +72,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    lhs = parse_text(_read_expr(args.lhs))
-    rhs = parse_text(_read_expr(args.rhs))
+    lhs, rhs = _parse_operands(args.lhs, args.rhs)
     ctx = infer_context([lhs, rhs], args.n)
     basis = args.basis if args.basis is not None else "XY"
     if basis not in OP_BASES:
@@ -83,8 +84,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_entail(args) -> int:
-    p = parse_text(_read_expr(args.p))
-    q = parse_text(_read_expr(args.q))
+    p, q = _parse_operands(args.p, args.q)
     ctx = infer_context([p, q], args.n)
     # one elimination at most: the quantum answer is the witness search
     if is_classical(p) and is_classical(q):
@@ -100,8 +100,7 @@ def cmd_entail(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    p = parse_text(_read_expr(args.p))
-    q = parse_text(_read_expr(args.q))
+    p, q = _parse_operands(args.p, args.q)
     ctx = infer_context([p, q], args.n)
     yes = equivalent(p, q, ctx)
     print("yes" if yes else "no")
@@ -109,7 +108,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    expr = parse_text(_read_expr(args.expr))
+    [expr] = _parse_operands(args.expr)
     ctx = infer_context([expr], args.n)
     m = to_matrix(eval_quantum(expr, ctx))
     if args.format == "dot":

@@ -166,13 +166,10 @@ def matrix_from_text(text: str) -> Gf2Matrix:
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
-        row = 0
-        for c, ch in enumerate(line):
-            if ch == "1":
-                row |= 1 << c
-            elif ch != "0":
-                raise ValueError(f"bad matrix character {ch!r}")
-        rows.append(row)
+        bad = line.lstrip("01")
+        if bad:
+            raise ValueError(f"bad matrix character {bad[0]!r}")
+        rows.append(int(line[::-1] or "0", 2))  # column 0 is the leftmost
     return Gf2Matrix(tuple(rows))
 
 

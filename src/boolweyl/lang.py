@@ -28,9 +28,11 @@ values of p + q + p q and 1 + p + p q, with the product order kept.
 Valuations: a classical expression (no tilde variables, no y/s
 literals) denotes a ring element; any expression denotes an operator,
 with plain variables going to multiplication operators and tilde
-variables to Boolean derivatives.  Equivalence compares canonical XY
-coefficients (the monomials x^a y^b are a basis of the operators), so
-it builds no matrix.  Classical entailment is pointwise order of truth
+variables to Boolean derivatives.  One walk computes both: a truth
+table while a subexpression is classical, its XY operator once an
+operator leaf appears.  Equivalence compares truth tables, or canonical
+XY coefficients (the monomials x^a y^b are a basis of the operators),
+so it builds no matrix.  Classical entailment is pointwise order of truth
 functions; quantum entailment of p by q is solvability of
 p-hat = q-hat * r over GF(2), i.e. column-space containment.
 """
@@ -44,18 +46,18 @@ from .bweyl import (
     OpCoeffs,
     convert_op_basis,
     op_add,
-    op_identity,
     op_monomial,
     op_mul,
-    op_zero,
     to_matrix,
 )
 from .gf2lin import Gf2Matrix, solve_right
 from .ring import (
     RingElem,
+    _block_mask,
     _convert_bits,
     check_dim,
     convert_ring_basis,
+    iter_bits,
     mask_from_indices,
 )
 
@@ -436,8 +438,6 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
 
 # --- valuations ---------------------------------------------------------------
 
-_CLASSICAL_MONO = {"m": "M", "x": "X", "w": "W"}
-
 
 def _mono_mask(mono: Mono, n: int) -> int:
     if mono.indices and mono.indices[-1] > n:
@@ -445,47 +445,71 @@ def _mono_mask(mono: Mono, n: int) -> int:
     return mask_from_indices(mono.indices, n)
 
 
-def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
-    """Truth-function valuation into the Boolean ring (X-basis result).
+def _lift(value: int | OpCoeffs, n: int) -> OpCoeffs:
+    """The XY operator of a valuation: a truth table is multiplication by
+    it, the terms (a, 0) for each a in its X support."""
+    if isinstance(value, OpCoeffs):
+        return value
+    x = _convert_bits(value, 1 << n, "M", "X")
+    return OpCoeffs(n, "XY", frozenset((a, 0) for a in iter_bits(x)))
 
-    Values are truth tables (M coefficients): a sum is an XOR and a
-    product an AND.
+
+def _valuation(e: Expr, ctx: VarContext) -> int | OpCoeffs:
+    """The one valuation walk.
+
+    While a subtree is a proposition its value is its truth table (M
+    coefficients, a packed int): a sum is an XOR and a product an AND.
+    Once an operator leaf appears (a tilde variable or a y/s literal)
+    the value is the XY operator, and a truth table meets it as the
+    multiplication operator _lift gives; two propositions never meet as
+    operators.
     """
     n = ctx.n
     size = 1 << n
     true = (1 << size) - 1
-    var_tables = [_convert_bits(1 << (1 << i), size, "X", "M") for i in range(n)]
 
-    def go(node: Expr) -> int:
+    def go(node: Expr) -> int | OpCoeffs:
         if isinstance(node, Zero):
             return 0
         if isinstance(node, One):
             return true
         if isinstance(node, Var):
-            return var_tables[ctx.position(node.name) - 1]
+            # the points at which the variable's bit is set
+            return true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
         if isinstance(node, TildeVar):
-            raise EvalError("operator expression in classical context")
+            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
         if isinstance(node, Mono):
-            kind = _CLASSICAL_MONO.get(node.kind)
-            if kind is None:
-                raise EvalError("operator expression in classical context")
-            return _convert_bits(1 << _mono_mask(node, n), size, kind, "M")
-        if isinstance(node, Sum):
-            value = 0
-            for p in node.parts:
-                value ^= go(p)
-            return value
-        if isinstance(node, Prod):
-            value = true
-            for p in node.parts:
-                value &= go(p)
+            mask = _mono_mask(node, n)
+            if node.kind == "y":
+                return op_monomial(n, "XY", 0, mask)
+            if node.kind == "s":
+                return convert_op_basis(op_monomial(n, "XS", 0, mask), "XY")
+            return _convert_bits(1 << mask, size, node.kind.upper(), "M")
+        if isinstance(node, (Sum, Prod)):
+            if isinstance(node, Sum):
+                unit, tables, operators = 0, int.__xor__, op_add
+            else:
+                unit, tables, operators = true, int.__and__, op_mul
+            value = unit
+            for part in node.parts:
+                v = go(part)
+                if isinstance(value, int) and isinstance(v, int):
+                    value = tables(value, v)
+                elif value == unit:  # v is an operator, and unit a neutral table
+                    value = v
+                else:
+                    value = operators(_lift(value, n), _lift(v, n))
             return value
         raise TypeError(f"not an expression: {node!r}")
 
-    return convert_ring_basis(RingElem(n, "M", go(e)), "X")
+    return go(e)
 
 
-_QUANTUM_MONO_BASIS = {"m": "MY", "x": "XY", "w": "WY"}
+def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
+    """Truth-function valuation into the Boolean ring (X-basis result)."""
+    if not is_classical(e):
+        raise EvalError("operator expression in classical context")
+    return convert_ring_basis(RingElem(ctx.n, "M", _valuation(e, ctx)), "X")
 
 
 def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
@@ -494,37 +518,7 @@ def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
     The result is expressed in the XY basis, where it is canonical: two
     expressions denote the same operator iff their values are equal.
     """
-    n = ctx.n
-
-    def go(node: Expr) -> OpCoeffs:
-        if isinstance(node, Zero):
-            return op_zero(n, "XY")
-        if isinstance(node, One):
-            return op_identity(n, "XY")
-        if isinstance(node, Var):
-            return op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
-        if isinstance(node, TildeVar):
-            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
-        if isinstance(node, Mono):
-            mask = _mono_mask(node, n)
-            if node.kind == "y":
-                return op_monomial(n, "XY", 0, mask)
-            if node.kind == "s":
-                return op_monomial(n, "XS", 0, mask)
-            return op_monomial(n, _QUANTUM_MONO_BASIS[node.kind], mask, 0)
-        if isinstance(node, Sum):
-            value = op_zero(n, "XY")
-            for p in node.parts:
-                value = op_add(value, go(p))
-            return value
-        if isinstance(node, Prod):
-            value = op_identity(n, "XY")
-            for p in node.parts:
-                value = op_mul(value, go(p))
-            return value
-        raise TypeError(f"not an expression: {node!r}")
-
-    return convert_op_basis(go(e), "XY")
+    return _lift(_valuation(e, ctx), ctx.n)
 
 
 def is_classical(e: Expr) -> bool:
@@ -544,17 +538,19 @@ def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
     """True iff both expressions denote the same operator: equal XY terms.
 
     Propositions denote multiplication operators, and f -> (g -> f g) is
-    injective, so two of them are compared on their truth functions.
+    injective, so two of them are compared on their truth tables.
     """
-    if is_classical(p) and is_classical(q):
-        return eval_classical(p, ctx) == eval_classical(q, ctx)
-    return eval_quantum(p, ctx) == eval_quantum(q, ctx)
+    pv, qv = _valuation(p, ctx), _valuation(q, ctx)
+    if isinstance(pv, int) and isinstance(qv, int):
+        return pv == qv
+    return _lift(pv, ctx.n) == _lift(qv, ctx.n)
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:
     """True iff the truth function of p is pointwise below that of q."""
-    pv = convert_ring_basis(eval_classical(p, ctx), "M").bits
-    qv = convert_ring_basis(eval_classical(q, ctx), "M").bits
+    pv, qv = _valuation(p, ctx), _valuation(q, ctx)
+    if not (isinstance(pv, int) and isinstance(qv, int)):
+        raise EvalError("operator expression in classical context")
     return pv & ~qv == 0
 
 
@@ -586,13 +582,8 @@ def normalize(e: Expr, ctx: VarContext) -> Expr:
         return Zero()
     parts: list[Expr] = []
     for a, b in terms:
-        factors: list[Expr] = []
-        for i in range(1, ctx.n + 1):
-            if (a >> (i - 1)) & 1:
-                factors.append(Var(ctx.names[i - 1]))
-        for i in range(1, ctx.n + 1):
-            if (b >> (i - 1)) & 1:
-                factors.append(TildeVar(ctx.names[i - 1]))
+        factors: list[Expr] = [Var(ctx.names[i]) for i in iter_bits(a)]
+        factors += [TildeVar(ctx.names[i]) for i in iter_bits(b)]
         parts.append(make_prod(factors))
     return make_sum(parts)
 

@@ -56,6 +56,21 @@ def test_eval_stdin(capsys, monkeypatch):
     assert out.strip() == "m{1}"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    (
+        (["equiv", "-", "-"], (0, "yes\n")),
+        (["entail", "-", "-"], (0, "yes\n")),
+        (["mul", "-", "-"], (0, "x{1,2}\n")),
+        (["mul", "-", "~a"], (0, "x{1,2}y{1}\n")),
+    ),
+)
+def test_stdin_is_read_once_for_every_dash(capsys, monkeypatch, argv, want):
+    monkeypatch.setattr("sys.stdin", io.StringIO("a b"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (*want, "")
+
+
 def test_mul(capsys):
     code, out, _ = run(capsys, "mul", "x{1,2}y{1,2}", "x{1}y{1}")
     assert code == 0
@@ -258,6 +273,27 @@ def test_equiv_of_propositions_in_bounded_time(capsys):
         start = time.perf_counter()
         code, out, _ = run(capsys, "equiv", e, q)
         assert time.perf_counter() - start < 2.0
+        assert (code, out) == want
+
+
+E16 = "(a|b|c|d|e|f|g|h)(i|j|k|l|n|o|p|q)(a|c|e|g|i|k|n|p)"
+
+
+def test_propositions_inside_operators_in_bounded_time(capsys):
+    # a proposition enters the operator algebra as one truth table: no
+    # operator product is taken between its parts
+    code, terms, _ = run(capsys, "eval", E16)
+    assert code == 0
+    terms = terms.split()[::2]
+    calls = (
+        (["eval", E16, "--basis", "XY"], (0, " + ".join(terms) + "\n")),
+        (["eval", f"({E16}) ~a"], (0, " + ".join(t + "y{1}" for t in terms) + "\n")),
+        (["equiv", f"({E16}) ~a", f"~a ({E16})"], (1, "no\n")),
+    )
+    for argv, want in calls:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0, argv
         assert (code, out) == want
 
 

@@ -221,6 +221,13 @@ def test_text_round_trip():
             )
 
 
+def test_text_rejects_other_characters():
+    assert matrix_from_text(" 1000 \n\n0001\n0100") == Gf2Matrix((0b0001, 0, 0b1000, 0b0010))
+    for text, bad in (("10\n1x", "x"), ("1 0", " "), ("1_0", "_"), ("12", "2")):
+        with pytest.raises(ValueError, match=f"^bad matrix character {bad!r}$"):
+            matrix_from_text(text)
+
+
 def test_dot_output():
     a = Gf2Matrix((0b10, 0b00))  # single entry (0, 1): edge from {1} to {}
     dot = matrix_to_dot(a)

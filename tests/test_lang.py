@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boolweyl import checks
-from boolweyl.bweyl import op_text, to_matrix
+from boolweyl.bweyl import (
+    convert_op_basis,
+    op_add,
+    op_identity,
+    op_monomial,
+    op_mul,
+    op_text,
+    op_zero,
+    to_matrix,
+)
 from boolweyl.diffops import multiplication_matrix
 from boolweyl.lang import (
     EvalError,
@@ -38,7 +47,7 @@ from boolweyl.lang import (
     REWRITE_RULE_NAMES,
     tokenize,
 )
-from boolweyl.ring import convert_ring_basis, ring_eval
+from boolweyl.ring import convert_ring_basis, mask_from_indices, ring_eval
 
 
 # --- lexer ----------------------------------------------------------------------
@@ -255,6 +264,66 @@ def test_or_chain_costs_linear_time():
     # the OR of all eight variables is false only at the empty point
     assert convert_ring_basis(f, "M").bits == (1 << 256) - 2
     assert op.terms == frozenset((a, 0) for a in f.support())
+
+
+def reference_eval_quantum(e, ctx):
+    """The operator valuation taken literally: an operator at every node,
+    and op_add and op_mul at every sum and product, propositions included."""
+    n = ctx.n
+
+    def go(node):
+        if isinstance(node, Zero):
+            return op_zero(n, "XY")
+        if isinstance(node, One):
+            return op_identity(n, "XY")
+        if isinstance(node, Var):
+            return op_monomial(n, "XY", 1 << (ctx.position(node.name) - 1), 0)
+        if isinstance(node, TildeVar):
+            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
+        if isinstance(node, Mono):
+            mask = mask_from_indices(node.indices, n)
+            if node.kind in ("y", "s"):
+                return op_monomial(n, "X" + node.kind.upper(), 0, mask)
+            return op_monomial(n, node.kind.upper() + "Y", mask, 0)
+        value = op_zero(n, "XY") if isinstance(node, Sum) else op_identity(n, "XY")
+        for part in node.parts:
+            value = (op_add if isinstance(node, Sum) else op_mul)(value, go(part))
+        return value
+
+    return convert_op_basis(go(e), "XY")
+
+
+def random_text(rng, n, depth, quantum):
+    """Expression text over n variables: every literal kind (the operator
+    ones only when quantum) under every connective of the grammar."""
+    if depth == 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.35:
+            return "abcdef"[rng.randrange(n)]
+        if roll < 0.5 and quantum:
+            return "~" + "abcdef"[rng.randrange(n)]
+        if roll < 0.6:
+            return rng.choice("01")
+        kind = rng.choice("mxwys" if quantum else "mxw")
+        indices = rng.sample(range(1, n + 1), rng.randint(0, min(n, 3)))
+        return kind + "{" + ",".join(map(str, indices)) + "}"
+    lhs = random_text(rng, n, depth - 1, quantum)
+    op = rng.choice(("+", " ", ".", "&", "|", "->", "!"))
+    if op == "!":
+        return f"!({lhs})"
+    return f"({lhs}) {op} ({random_text(rng, n, depth - 1, quantum)})"
+
+
+def test_eval_quantum_matches_reference_walk():
+    rng = random.Random("eval-quantum-reference")
+    kinds = set()
+    for i in range(2400):
+        n = rng.randint(1, 6)
+        e = parse_text(random_text(rng, n, rng.randint(1, 4), quantum=i % 2 == 1))
+        ctx = infer_context([e], n)
+        assert eval_quantum(e, ctx) == reference_eval_quantum(e, ctx), format_expr(e)
+        kinds.add(is_classical(e))
+    assert kinds == {True, False}
 
 
 def test_is_classical():
