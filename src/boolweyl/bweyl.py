@@ -57,7 +57,6 @@ from typing import Callable, Iterable, Sequence
 
 from .gf2lin import Gf2Matrix
 from .ring import (
-    DimensionMismatch,
     _convert_bits,
     _superset_sum_bits,
     check_dim,
@@ -66,6 +65,7 @@ from .ring import (
     iter_bits,
     mask_from_indices,
     mask_str,
+    require_same_dim,
     submasks,
 )
 
@@ -133,8 +133,7 @@ def op_monomial(n: int, basis: str, a: int, b: int) -> OpCoeffs:
 
 def op_add(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     """Sum: symmetric difference of term sets, in the left operand's basis."""
-    if f.n != g.n:
-        raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
+    require_same_dim(f, g)
     g = convert_op_basis(g, f.basis)
     return OpCoeffs(f.n, f.basis, f.terms ^ g.terms)
 
@@ -296,8 +295,7 @@ def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     structural rule of that basis is applied; the result satisfies
     to_matrix(op_mul(f, g)) == mat_mul(to_matrix(f), to_matrix(g)).
     """
-    if f.n != g.n:
-        raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
+    require_same_dim(f, g)
     basis = f.basis
     g = convert_op_basis(g, basis)
     left, right = basis

@@ -12,20 +12,20 @@ import json
 import os
 import sys
 
-from .bweyl import convert_op_basis, op_text, op_to_json, to_matrix, OP_BASES
+from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
 from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
 from .lang import (
     LangError,
+    as_operator,
     entailment_witness,
-    entails_classical,
+    entails_quantum,
     equivalent,
-    eval_classical,
     eval_quantum,
     infer_context,
-    is_classical,
     parse_text,
+    valuation,
 )
-from .ring import MAX_DIM, RING_BASES, convert_ring_basis, ring_text, ring_to_json
+from .ring import MAX_DIM, RING_BASES, RingElem, convert_ring_basis, ring_to_json
 
 
 def _parse_operands(*args: str):
@@ -34,18 +34,12 @@ def _parse_operands(*args: str):
     return [parse_text(stdin if arg == "-" else arg) for arg in args]
 
 
-def _print_ring(f, fmt: str) -> None:
+def _print_value(value, fmt: str) -> None:
+    """A ring element or an operator, as its text (its str) or as JSON."""
     if fmt == "json":
-        print(json.dumps(ring_to_json(f)))
+        print(json.dumps(ring_to_json(value) if isinstance(value, RingElem) else op_to_json(value)))
     else:
-        print(ring_text(f))
-
-
-def _print_op(op, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(op_to_json(op)))
-    else:
-        print(op_text(op))
+        print(value)
 
 
 def _print_lines(lines) -> None:
@@ -55,17 +49,17 @@ def _print_lines(lines) -> None:
 
 def cmd_eval(args) -> int:
     [expr] = _parse_operands(args.expr)
-    ctx = infer_context([expr], args.n)
-    classical = is_classical(expr)
+    value = valuation(expr, infer_context([expr], args.n))
+    proposition = isinstance(value, RingElem)
     basis = args.basis
     if basis is None:
-        basis = "X" if classical else "XY"
+        basis = "X" if proposition else "XY"
     if basis in RING_BASES:
-        if not classical:
+        if not proposition:
             raise LangError("operator expression cannot convert to a ring basis")
-        _print_ring(convert_ring_basis(eval_classical(expr, ctx), basis), args.format)
+        _print_value(convert_ring_basis(value, basis), args.format)
     elif basis in OP_BASES:
-        _print_op(convert_op_basis(eval_quantum(expr, ctx), basis), args.format)
+        _print_value(convert_op_basis(as_operator(value), basis), args.format)
     else:
         raise LangError(f"unknown basis {basis!r}")
     return 0
@@ -79,22 +73,17 @@ def cmd_mul(args) -> int:
         raise LangError(f"basis {basis!r} does not name an operator basis")
     f = convert_op_basis(eval_quantum(lhs, ctx), basis)
     g = convert_op_basis(eval_quantum(rhs, ctx), basis)
-    _print_op(f * g, args.format)
+    _print_value(f * g, args.format)
     return 0
 
 
 def cmd_entail(args) -> int:
     p, q = _parse_operands(args.p, args.q)
     ctx = infer_context([p, q], args.n)
-    # one elimination at most: the quantum answer is the witness search
-    if is_classical(p) and is_classical(q):
-        yes = entails_classical(p, q, ctx)
-        witness = entailment_witness(p, q, ctx) if yes and args.witness else None
-    else:
-        witness = entailment_witness(p, q, ctx)
-        yes = witness is not None
+    witness = entailment_witness(p, q, ctx) if args.witness else None
+    yes = witness is not None if args.witness else entails_quantum(p, q, ctx)
     print("yes" if yes else "no")
-    if yes and args.witness:
+    if witness is not None:
         _print_lines(matrix_text_lines(witness))
     return 0 if yes else 1
 

@@ -24,12 +24,12 @@ from typing import TYPE_CHECKING
 
 from .gf2lin import Gf2Matrix, identity, mat_mul
 from .ring import (
-    DimensionMismatch,
     RingElem,
     check_dim,
     check_mask,
     convert_ring_basis,
     iter_bits,
+    require_same_dim,
     submasks,
 )
 
@@ -134,8 +134,7 @@ def apply_coeffs(op: "OpCoeffs", f: RingElem) -> RingElem:
 
     W-left coefficients have no direct formula here: convert them first.
     """
-    if op.n != f.n:
-        raise DimensionMismatch(f"dimension mismatch: {op.n} vs {f.n}")
+    require_same_dim(op, f)
     if op.basis not in ("MY", "XY", "MS", "XS"):
         raise ValueError(
             f"no coordinate formula for basis {op.basis!r}; convert to an M- or X-left basis first"

@@ -25,16 +25,16 @@ sugar and expand at parse time ('!' binds tightest, then products, '+',
 so each operand appears once in the tree, and p | q and p -> q have the
 values of p + q + p q and 1 + p + p q, with the product order kept.
 
-Valuations: a classical expression (no tilde variables, no y/s
-literals) denotes a ring element; any expression denotes an operator,
-with plain variables going to multiplication operators and tilde
-variables to Boolean derivatives.  One walk computes both: a truth
-table while a subexpression is classical, its XY operator once an
-operator leaf appears.  Equivalence compares truth tables, or canonical
-XY coefficients (the monomials x^a y^b are a basis of the operators),
-so it builds no matrix.  Classical entailment is pointwise order of truth
-functions; quantum entailment of p by q is solvability of
-p-hat = q-hat * r over GF(2), i.e. column-space containment.
+Valuations: a proposition (no tilde variables, no y/s literals) denotes
+a ring element, any expression an operator (variables multiply, tilde
+variables derive).  The one walk, `valuation`, decides which: it gives
+a proposition's truth table, and any other expression's XY operator.
+Equivalence compares truth tables, or canonical XY coefficients, so it
+builds no matrix.  Quantum entailment of p by q is solvability of
+p-hat = q-hat * r over GF(2), column-space containment; a proposition's
+matrix is diagonal, so for two propositions it is the pointwise order
+of truth functions (classical entailment), decided on truth tables.
+Only a witness, or an operator on either side, takes an elimination.
 """
 
 from __future__ import annotations
@@ -446,23 +446,29 @@ def _mono_mask(mono: Mono, n: int) -> int:
 
 
 def _lift(value: int | OpCoeffs, n: int) -> OpCoeffs:
-    """The XY operator of a valuation: a truth table is multiplication by
-    it, the terms (a, 0) for each a in its X support."""
+    """The XY operator of a value in the walk: a truth table is multiplication
+    by it, the terms (a, 0) for each a in its X support."""
     if isinstance(value, OpCoeffs):
         return value
     x = _convert_bits(value, 1 << n, "M", "X")
     return OpCoeffs(n, "XY", frozenset((a, 0) for a in iter_bits(x)))
 
 
-def _valuation(e: Expr, ctx: VarContext) -> int | OpCoeffs:
-    """The one valuation walk.
+def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
+    """The XY operator of a valuation: a proposition multiplies by its truth function."""
+    if isinstance(value, RingElem):
+        return _lift(convert_ring_basis(value, "M").bits, value.n)
+    return value
 
-    While a subtree is a proposition its value is its truth table (M
-    coefficients, a packed int): a sum is an XOR and a product an AND.
-    Once an operator leaf appears (a tilde variable or a y/s literal)
-    the value is the XY operator, and a truth table meets it as the
-    multiplication operator _lift gives; two propositions never meet as
-    operators.
+
+def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
+    """The one valuation walk, and the one test of proposition or operator.
+
+    A proposition's value is its truth table, an M-basis ring element;
+    anything else's is its XY operator.  Inside the walk a table is a
+    packed int (a sum is an XOR, a product an AND), and meets an operator
+    leaf (a tilde variable or a y/s literal) as the multiplication
+    operator _lift gives; two tables never meet as operators.
     """
     n = ctx.n
     size = 1 << n
@@ -502,14 +508,16 @@ def _valuation(e: Expr, ctx: VarContext) -> int | OpCoeffs:
             return value
         raise TypeError(f"not an expression: {node!r}")
 
-    return go(e)
+    value = go(e)
+    return RingElem(n, "M", value) if isinstance(value, int) else value
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
     """Truth-function valuation into the Boolean ring (X-basis result)."""
-    if not is_classical(e):
+    value = valuation(e, ctx)
+    if isinstance(value, OpCoeffs):
         raise EvalError("operator expression in classical context")
-    return convert_ring_basis(RingElem(ctx.n, "M", _valuation(e, ctx)), "X")
+    return convert_ring_basis(value, "X")
 
 
 def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
@@ -518,7 +526,7 @@ def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
     The result is expressed in the XY basis, where it is canonical: two
     expressions denote the same operator iff their values are equal.
     """
-    return _lift(_valuation(e, ctx), ctx.n)
+    return as_operator(valuation(e, ctx))
 
 
 def is_classical(e: Expr) -> bool:
@@ -540,30 +548,39 @@ def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
     Propositions denote multiplication operators, and f -> (g -> f g) is
     injective, so two of them are compared on their truth tables.
     """
-    pv, qv = _valuation(p, ctx), _valuation(q, ctx)
-    if isinstance(pv, int) and isinstance(qv, int):
+    pv, qv = valuation(p, ctx), valuation(q, ctx)
+    if isinstance(pv, RingElem) and isinstance(qv, RingElem):
         return pv == qv
-    return _lift(pv, ctx.n) == _lift(qv, ctx.n)
+    return as_operator(pv) == as_operator(qv)
+
+
+def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
+    if isinstance(pv, RingElem) and isinstance(qv, RingElem):
+        return pv.bits & ~qv.bits == 0
+    return solve_right(to_matrix(as_operator(qv)), to_matrix(as_operator(pv))) is not None
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:
     """True iff the truth function of p is pointwise below that of q."""
-    pv, qv = _valuation(p, ctx), _valuation(q, ctx)
-    if not (isinstance(pv, int) and isinstance(qv, int)):
+    pv, qv = valuation(p, ctx), valuation(q, ctx)
+    if isinstance(pv, OpCoeffs) or isinstance(qv, OpCoeffs):
         raise EvalError("operator expression in classical context")
-    return pv & ~qv == 0
+    return _entails(pv, qv)
 
 
 def entails_quantum(p: Expr, q: Expr, ctx: VarContext) -> bool:
-    """True iff p-hat = q-hat * r is solvable for some operator r."""
-    return entailment_witness(p, q, ctx) is not None
+    """True iff p-hat = q-hat * r is solvable for some operator r.
+
+    Two propositions have diagonal matrices, so for them this is the
+    pointwise order of their truth tables, decided with no matrix.
+    """
+    return _entails(valuation(p, ctx), valuation(q, ctx))
 
 
 def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
     """A matrix r with q-hat * r = p-hat, or None when p is not entailed."""
     s = to_matrix(eval_quantum(p, ctx))
-    t = to_matrix(eval_quantum(q, ctx))
-    return solve_right(t, s)
+    return solve_right(to_matrix(eval_quantum(q, ctx)), s)
 
 
 # --- normalization ------------------------------------------------------------

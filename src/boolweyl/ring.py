@@ -262,14 +262,15 @@ def ring_from_support(n: int, basis: str, masks: Iterable[int]) -> RingElem:
     return RingElem(n, basis, bits)
 
 
-def _require_same_dim(f: RingElem, g: RingElem) -> None:
-    if f.n != g.n:
-        raise DimensionMismatch(f"dimension mismatch: {f.n} vs {g.n}")
+def require_same_dim(a, b) -> None:
+    """Reject two operands (anything with an .n) over different dimensions."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
 
 
 def ring_add(f: RingElem, g: RingElem) -> RingElem:
     """Sum (XOR of coefficient vectors), in the basis of the left operand."""
-    _require_same_dim(f, g)
+    require_same_dim(f, g)
     g = convert_ring_basis(g, f.basis)
     return RingElem(f.n, f.basis, f.bits ^ g.bits)
 
@@ -292,7 +293,7 @@ def ring_mul(f: RingElem, g: RingElem) -> RingElem:
     masks with a union b = c (the zeta/Moebius route to the covering
     product of Bjoerklund, Husfeldt, Kaski and Koivisto).
     """
-    _require_same_dim(f, g)
+    require_same_dim(f, g)
     size = 1 << f.n
     bits = _convert_bits(f.bits, size, f.basis, "M") & _convert_bits(g.bits, size, g.basis, "M")
     return RingElem(f.n, f.basis, _convert_bits(bits, size, "M", f.basis))

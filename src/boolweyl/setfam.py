@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .bweyl import OpCoeffs
 from .ring import (
-    DimensionMismatch,
     RingElem,
     check_dim,
     check_mask,
@@ -34,6 +33,7 @@ from .ring import (
     mask_from_indices,
     mask_str,
     ring_from_support,
+    require_same_dim,
     submasks,
 )
 
@@ -81,14 +81,9 @@ def family_n(n: int, members: Iterable[int]) -> FamilyN:
     return FamilyN(n, frozenset(members))
 
 
-def _same_dim(a, b) -> None:
-    if a.n != b.n:
-        raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
-
-
 def fam_add(a: Family, b: Family) -> Family:
     """Sum: symmetric difference of the member sets."""
-    _same_dim(a, b)
+    require_same_dim(a, b)
     return Family(a.n, a.members ^ b.members)
 
 
@@ -98,7 +93,7 @@ def fam_add(a: Family, b: Family) -> Family:
 def circ_prod(a_fam: Family, b_fam: Family) -> Family:
     """Membership of (a1, a2): odd count of pairs (b, c), c in B, with
     c2 subset of a2, (a1, b) in A, and a2 - c2 subset of a1 + c1 subset of b."""
-    _same_dim(a_fam, b_fam)
+    require_same_dim(a_fam, b_fam)
     n = a_fam.n
     size = 1 << n
     out = set()
@@ -122,7 +117,7 @@ def circ_prod(a_fam: Family, b_fam: Family) -> Family:
 def circ_act(a_fam: Family, f: FamilyN) -> FamilyN:
     """Membership of a: odd count of pairs b subset of c with
     (a, c) in A and a + b in F."""
-    _same_dim(a_fam, f)
+    require_same_dim(a_fam, f)
     n = a_fam.n
     out = set()
     for a in range(1 << n):
@@ -142,7 +137,7 @@ def bullet_prod(a_fam: Family, b_fam: Family) -> Family:
     """Membership of (a1, a2): odd count of (b in A, c in B, k1 <= k2) with
     k2 subset of b2 & c1, b1 | (c1 - k2) == a1, b2 - k1 == a2 - c2,
     and c2 subset of a2."""
-    _same_dim(a_fam, b_fam)
+    require_same_dim(a_fam, b_fam)
     n = a_fam.n
     size = 1 << n
     out = set()
@@ -170,7 +165,7 @@ def bullet_prod(a_fam: Family, b_fam: Family) -> Family:
 def bullet_act(a_fam: Family, f: FamilyN) -> FamilyN:
     """Membership of a: odd count of (b in A, c in F) with
     b2 subset of c and b1 | (c - b2) == a."""
-    _same_dim(a_fam, f)
+    require_same_dim(a_fam, f)
     n = a_fam.n
     out = set()
     for a in range(1 << n):
@@ -187,7 +182,7 @@ def bullet_act(a_fam: Family, f: FamilyN) -> FamilyN:
 def star_prod(a_fam: Family, b_fam: Family) -> Family:
     """Membership of (a1, a2): odd count of b with
     (a1, b) in A and (a1 + b, a2 + b) in B."""
-    _same_dim(a_fam, b_fam)
+    require_same_dim(a_fam, b_fam)
     n = a_fam.n
     size = 1 << n
     out = set()
@@ -204,7 +199,7 @@ def star_prod(a_fam: Family, b_fam: Family) -> Family:
 
 def star_act(a_fam: Family, f: FamilyN) -> FamilyN:
     """Membership of a: odd count of b with (a, b) in A and a + b in F."""
-    _same_dim(a_fam, f)
+    require_same_dim(a_fam, f)
     n = a_fam.n
     out = set()
     for a in range(1 << n):
@@ -220,7 +215,7 @@ def star_act(a_fam: Family, f: FamilyN) -> FamilyN:
 def ast_prod(a_fam: Family, b_fam: Family) -> Family:
     """Membership of (a1, a2): odd count of (b, c, d, e) with
     e subset of c & d, b | (d - e) == a1, (b, c) in A, (d, c + a2) in B."""
-    _same_dim(a_fam, b_fam)
+    require_same_dim(a_fam, b_fam)
     n = a_fam.n
     size = 1 << n
     out = set()
@@ -242,7 +237,7 @@ def ast_prod(a_fam: Family, b_fam: Family) -> Family:
 def ast_act(a_fam: Family, f: FamilyN) -> FamilyN:
     """Membership of a: odd count of (b, c, d, e), e in F, with
     c subset of d & e, b | (e - c) == a, and (b, d) in A."""
-    _same_dim(a_fam, f)
+    require_same_dim(a_fam, f)
     n = a_fam.n
     out = set()
     for a in range(1 << n):

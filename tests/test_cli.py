@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boolweyl import checks, cli
+from boolweyl import checks, cli, lang
 from boolweyl.bweyl import OP_BASES, to_matrix
 from boolweyl.cli import main
 from boolweyl.gf2lin import mat_mul, matrix_from_text, matrix_to_json
@@ -105,6 +105,8 @@ def test_entail_yes_no_exit_codes(capsys):
     assert code == 1 and out.strip() == "no"
     code, out, _ = run(capsys, "entail", "a", "a b")
     assert code == 1
+    # two propositions answered "no" with --witness: no witness is printed
+    assert run(capsys, "entail", "a", "a b", "--witness") == (1, "no\n", "")
 
 
 def test_entail_witness(capsys):
@@ -377,6 +379,110 @@ def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
     assert [code for code, _, _ in reused[: len(REPEATED_CALLS)]] == [
         0, 2, 2, 0, 0, 2, 0, 0, 1, 2, 2, 0,
     ]
+
+
+# A proposition "a | b" and an operator "a ~b + 1" through every route that
+# values an operand; the outputs are pinned from the code that still asked
+# lang.is_classical first.
+VALUED_CALLS = {
+    ("eval", "a | b"): (0, "x{1} + x{2} + x{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "M"): (0, "m{1} + m{2} + m{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "M", "--format", "json"):
+        (0, '{"n": 2, "basis": "M", "support": [[1], [2], [1, 2]]}\n', ""),
+    ("eval", "a | b", "--basis", "X"): (0, "x{1} + x{2} + x{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "X", "--format", "json"):
+        (0, '{"n": 2, "basis": "X", "support": [[1], [2], [1, 2]]}\n', ""),
+    ("eval", "a | b", "--basis", "W"): (0, "1 + w{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "W", "--format", "json"):
+        (0, '{"n": 2, "basis": "W", "support": [[], [1, 2]]}\n', ""),
+    ("eval", "a | b", "--basis", "MY"): (0, "m{1} + m{2} + m{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "MY", "--format", "json"):
+        (0, '{"n": 2, "basis": "MY", "terms": [[[1], []], [[2], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a | b", "--basis", "XY"): (0, "x{1} + x{2} + x{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "XY", "--format", "json"):
+        (0, '{"n": 2, "basis": "XY", "terms": [[[1], []], [[2], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a | b", "--basis", "WY"): (0, "1 + w{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "WY", "--format", "json"):
+        (0, '{"n": 2, "basis": "WY", "terms": [[[], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a | b", "--basis", "MS"): (0, "m{1} + m{2} + m{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "MS", "--format", "json"):
+        (0, '{"n": 2, "basis": "MS", "terms": [[[1], []], [[2], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a | b", "--basis", "XS"): (0, "x{1} + x{2} + x{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "XS", "--format", "json"):
+        (0, '{"n": 2, "basis": "XS", "terms": [[[1], []], [[2], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a | b", "--basis", "WS"): (0, "1 + w{1,2}\n", ""),
+    ("eval", "a | b", "--basis", "WS", "--format", "json"):
+        (0, '{"n": 2, "basis": "WS", "terms": [[[], []], [[1, 2], []]]}\n', ""),
+    ("eval", "a ~b + 1"): (0, "1 + x{1}y{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "M"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "M", "--format", "json"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "X"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "X", "--format", "json"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "W"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "W", "--format", "json"):
+        (2, "", "error: operator expression cannot convert to a ring basis\n"),
+    ("eval", "a ~b + 1", "--basis", "MY"):
+        (0, "m{} + m{1} + m{1}y{2} + m{2} + m{1,2} + m{1,2}y{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "MY", "--format", "json"):
+        (0, '{"n": 2, "basis": "MY", "terms": [[[], []], [[1], []], [[1], [2]], [[2], []], [[1, 2], []], [[1, 2], [2]]]}\n', ""),
+    ("eval", "a ~b + 1", "--basis", "XY"): (0, "1 + x{1}y{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "XY", "--format", "json"):
+        (0, '{"n": 2, "basis": "XY", "terms": [[[], []], [[1], [2]]]}\n', ""),
+    ("eval", "a ~b + 1", "--basis", "WY"): (0, "1 + y{2} + w{1}y{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "WY", "--format", "json"):
+        (0, '{"n": 2, "basis": "WY", "terms": [[[], []], [[], [2]], [[1], [2]]]}\n', ""),
+    ("eval", "a ~b + 1", "--basis", "MS"): (0, "m{} + m{1}s{2} + m{2} + m{1,2}s{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "MS", "--format", "json"):
+        (0, '{"n": 2, "basis": "MS", "terms": [[[], []], [[1], [2]], [[2], []], [[1, 2], [2]]]}\n', ""),
+    ("eval", "a ~b + 1", "--basis", "XS"): (0, "1 + x{1} + x{1}s{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "XS", "--format", "json"):
+        (0, '{"n": 2, "basis": "XS", "terms": [[[], []], [[1], []], [[1], [2]]]}\n', ""),
+    ("eval", "a ~b + 1", "--basis", "WS"): (0, "s{2} + w{1} + w{1}s{2}\n", ""),
+    ("eval", "a ~b + 1", "--basis", "WS", "--format", "json"):
+        (0, '{"n": 2, "basis": "WS", "terms": [[[], [2]], [[1], []], [[1], [2]]]}\n', ""),
+    ("convert", "a | b", "--basis", "W"): (0, "1 + w{1,2}\n", ""),
+    ("convert", "a ~b + 1", "--basis", "XS", "--format", "json"):
+        (0, '{"n": 2, "basis": "XS", "terms": [[[], []], [[1], []], [[1], [2]]]}\n', ""),
+    ("mul", "a | b", "a | b"): (0, "x{1} + x{2} + x{1,2}\n", ""),
+    ("mul", "a | b", "a ~b + 1", "--basis", "MS"): (0, "m{1}s{2} + m{2} + m{1,2}s{2}\n", ""),
+    ("mul", "a ~b + 1", "a | b", "--format", "json"):
+        (0, '{"n": 2, "basis": "XY", "terms": [[[1], []], [[1], [2]], [[2], []], [[1, 2], []]]}\n', ""),
+    ("entail", "a b", "a | b"): (0, "yes\n", ""),
+    ("entail", "a b", "a | b", "--witness"): (0, "yes\n0000\n0000\n0000\n0001\n", ""),
+    ("entail", "a | b", "a"): (1, "no\n", ""),
+    ("entail", "a | b", "a", "--witness"): (1, "no\n", ""),
+    ("entail", "(a ~b) a", "a ~b"): (0, "yes\n", ""),
+    ("entail", "(a ~b) a", "a ~b", "--witness"): (0, "yes\n0000\n0000\n0000\n0101\n", ""),
+    ("entail", "a", "a ~b + 1"): (0, "yes\n", ""),
+    ("entail", "a", "a ~b + 1", "--witness"): (0, "yes\n0000\n0001\n0000\n0100\n", ""),
+    ("entail", "~a", "a"): (1, "no\n", ""),
+    ("entail", "~a", "a", "--witness"): (1, "no\n", ""),
+    ("entail", "a", "a ~b"): (1, "no\n", ""),
+    ("entail", "a", "a ~b", "--witness"): (1, "no\n", ""),
+    ("equiv", "a | b", "b | a"): (0, "yes\n", ""),
+    ("equiv", "a | b", "a"): (1, "no\n", ""),
+    ("equiv", "a ~b + 1", "1 + a ~b"): (0, "yes\n", ""),
+    ("equiv", "a | b", "a + b + a b + ~a ~a"): (0, "yes\n", ""),
+    ("equiv", "a", "a ~b + 1"): (1, "no\n", ""),
+    ("matrix", "a | b"): (0, "0000\n0100\n0010\n0001\n", ""),
+    ("matrix", "a ~b + 1", "--format", "json"):
+        (0, '{"side": 4, "rows": ["1000", "0001", "0010", "0100"]}\n', ""),
+}
+
+
+def test_the_valuation_alone_tells_propositions_from_operators(monkeypatch):
+    def refuse(e):
+        raise AssertionError("is_classical called")
+
+    monkeypatch.setattr(lang, "is_classical", refuse)
+    assert not hasattr(cli, "is_classical")
+    for argv, want in VALUED_CALLS.items():
+        assert call(list(argv)) == want, argv
 
 
 @pytest.mark.parametrize("basis", RING_BASES + OP_BASES + ("QQ", ""))

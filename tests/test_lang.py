@@ -427,6 +427,25 @@ def test_quantum_extends_classical_entailment():
             assert entails_classical(p, q, ctx) == entails_quantum(p, q, ctx)
 
 
+def test_entails_quantum_matches_the_matrix_route():
+    # two propositions are decided on truth tables, anything else by
+    # elimination; the witness search eliminates for every pair
+    rng = random.Random(11)
+    seen = set()
+    for n in range(1, 6):
+        names = tuple("abcde"[:n])
+        ctx = VarContext(names)
+        for i in range(220):
+            q = checks.random_expr(rng, names, 2, quantum=i % 4 >= 2)
+            r = checks.random_expr(rng, names, 2, quantum=i % 2 == 1)
+            p = Prod((q, r)) if rng.getrandbits(1) else r  # q r is entailed by q
+            got = entails_quantum(p, q, ctx)
+            assert got == (entailment_witness(p, q, ctx) is not None), (p, q)
+            seen.add((is_classical(p), is_classical(q), got))
+    kinds = {(pc, qc) for pc in (True, False) for qc in (True, False)}
+    assert seen == {(pc, qc, got) for pc, qc in kinds for got in (True, False)}
+
+
 def test_entailment_preorder():
     rng = random.Random(6)
     ctx = VarContext(("a", "b"))

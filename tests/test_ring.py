@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boolweyl import ring
+from boolweyl.bweyl import op_add, op_mul, op_zero
+from boolweyl.diffops import apply_coeffs
 from boolweyl.ring import (
     RingElem,
     convert_ring_basis,
@@ -26,6 +28,7 @@ from boolweyl.ring import (
     subset_sum_transform,
     superset_sum_transform,
 )
+from boolweyl.setfam import circ_act, fam_add, family, family_n
 
 
 def brute_subset_sum(vec):
@@ -318,3 +321,21 @@ def test_dimension_bounds():
         RingElem(2, "Q", 0)
     with pytest.raises(ValueError):
         RingElem(1, "M", 0b100)
+
+
+def test_every_dimension_check_gives_one_message():
+    f1, f2 = ring_zero(1), ring_zero(2)
+    op1, op2 = op_zero(1), op_zero(2)
+    calls = (
+        lambda: ring_add(f1, f2),
+        lambda: ring_mul(f1, f2),
+        lambda: op_add(op1, op2),
+        lambda: op_mul(op1, op2),
+        lambda: apply_coeffs(op1, f2),
+        lambda: fam_add(family(1, ()), family(2, ())),
+        lambda: circ_act(family(1, ()), family_n(2, ())),
+    )
+    for call in calls:
+        with pytest.raises(ring.DimensionMismatch) as exc:
+            call()
+        assert str(exc.value) == "dimension mismatch: 1 vs 2"
