@@ -1,104 +1,3 @@
 """Exact algebra of Boolean functions and their differential operators over GF(2)."""
 
-from .bweyl import (
-    OP_BASES,
-    OpCoeffs,
-    convert_op_basis,
-    normal_order,
-    op_add,
-    op_coeffs,
-    op_from_json,
-    op_identity,
-    op_monomial,
-    op_mul,
-    op_power,
-    op_text,
-    op_to_json,
-    op_zero,
-    structural_coeff_c,
-    to_matrix,
-)
-from .diffops import (
-    apply_coeffs,
-    derivative_matrix,
-    derivative_power_matrix,
-    multiplication_matrix,
-    rep_matrix,
-    shift_matrix,
-    shift_power_matrix,
-)
-from .gf2lin import (
-    Gf2Matrix,
-    colspace_contains,
-    identity,
-    mat_add,
-    mat_apply,
-    mat_mul,
-    matrix_to_dot,
-    matrix_to_text,
-    rank,
-    solve_right,
-    zero_matrix,
-)
-from .lang import (
-    VarContext,
-    entailment_witness,
-    entails_classical,
-    entails_quantum,
-    equivalent,
-    eval_classical,
-    eval_quantum,
-    format_expr,
-    infer_context,
-    normalize,
-    parse,
-    parse_text,
-    tokenize,
-)
-from .ring import (
-    MAX_DIM,
-    RING_BASES,
-    RingElem,
-    convert_ring_basis,
-    k_cover_parity,
-    mask_from_indices,
-    indices_from_mask,
-    odd_parity,
-    ring_add,
-    ring_eval,
-    ring_from_json,
-    ring_from_support,
-    ring_monomial,
-    ring_mul,
-    ring_one,
-    ring_text,
-    ring_to_json,
-    ring_zero,
-    subset_sum_transform,
-    superset_sum_transform,
-)
-from .setfam import (
-    Family,
-    FamilyN,
-    ast_act,
-    ast_prod,
-    bullet_act,
-    bullet_prod,
-    circ_act,
-    circ_prod,
-    fam_add,
-    family,
-    family_n,
-    family_text,
-    family_to_op,
-    familyn_to_ring,
-    hat_diagonal,
-    op_to_family,
-    parse_family,
-    ring_to_familyn,
-    star_act,
-    star_prod,
-    tilde_antidiagonal,
-)
-
 __version__ = "0.1.0"

@@ -17,13 +17,15 @@ On top of the core grammar, the classical connectives are accepted as
 sugar and expand at parse time ('!' binds tightest, then products, '+',
 '|', '->' loosest):
 
-    !p      ->  p + 1
-    p & q   ->  p q
-    p | q   ->  !(!p & !q)  =  (p + 1)(q + 1) + 1
-    p -> q  ->  !(p & !q)   =  p (q + 1) + 1
+    !p               ->  p + 1
+    p & q            ->  p q
+    p1 | ... | pk    ->  !(!p1 & ... & !pk)  =  (p1 + 1)...(pk + 1) + 1
+    p1 -> ... -> pk  ->  !(p1 & ... & p(k-1) & !pk)
 
-so each operand appears once in the tree, and p | q and p -> q have the
-values of p + q + p q and 1 + p + p q, with the product order kept.
+Each chain expands in one loop, so each operand appears once in the
+tree and its depth does not grow with k.  The values are those of the
+two-operand rules, p | q = p + q + p q and p -> q = 1 + p + p q, nested
+to the left for '|' and to the right for '->', with the product order kept.
 
 Valuations: a proposition (no tilde variables, no y/s literals) denotes
 a ring element, any expression an operator (variables multiply, tilde
@@ -269,28 +271,26 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok.kind}", tok.pos)
         return self.next()
 
-    def parse_expr(self) -> Expr:
-        left = self.parse_or()
-        if self.peek().kind == "ARROW":
+    def chain(self, parse_operand, kind: str) -> list[Expr]:
+        """The operands of `p1 kind p2 kind ... pk`, collected in one loop."""
+        operands = [parse_operand()]
+        while self.peek().kind == kind:
             self.next()
-            right = self.parse_expr()  # right assoc
-            return _not(make_prod([left, _not(right)]))
-        return left
+            operands.append(parse_operand())
+        return operands
+
+    def parse_expr(self) -> Expr:
+        # p1 -> ... -> pk (right assoc) is !(p1 & ... & p(k-1) & !pk)
+        *premises, last = self.chain(self.parse_or, "ARROW")
+        return _not(make_prod(premises + [_not(last)])) if premises else last
 
     def parse_or(self) -> Expr:
-        acc = self.parse_sum()
-        while self.peek().kind == "PIPE":
-            self.next()
-            rhs = self.parse_sum()
-            acc = _not(make_prod([_not(acc), _not(rhs)]))
-        return acc
+        # p1 | ... | pk is !(!p1 & ... & !pk)
+        operands = self.chain(self.parse_sum, "PIPE")
+        return _not(make_prod([_not(p) for p in operands])) if len(operands) > 1 else operands[0]
 
     def parse_sum(self) -> Expr:
-        parts = [self.parse_term()]
-        while self.peek().kind == "PLUS":
-            self.next()
-            parts.append(self.parse_term())
-        return make_sum(parts)
+        return make_sum(self.chain(self.parse_term, "PLUS"))
 
     def parse_term(self) -> Expr:
         parts = [self.parse_unary()]
@@ -508,7 +508,10 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
             return value
         raise TypeError(f"not an expression: {node!r}")
 
-    value = go(e)
+    try:
+        value = go(e)
+    except RecursionError:
+        raise LangError("expression nested too deeply") from None
     return RingElem(n, "M", value) if isinstance(value, int) else value
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -310,12 +311,42 @@ def test_crosscheck_rejects_out_of_range_flags(capsys, flags):
 
 
 def test_import_leaves_battery_unloaded():
+    # the package re-exports nothing, so the CLI loads no oracle module
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = "import sys, boolweyl.cli; print('boolweyl.checks' in sys.modules)"
+    code = (
+        "import sys, boolweyl.cli; "
+        "print([m for m in ('boolweyl.checks', 'boolweyl.diffops', 'boolweyl.setfam') if m in sys.modules])"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def point_text(mask, n):
+    return "m{%s}" % ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
+
+
+def long_chains():
+    """(text, expected stdout of eval) for chains of 2,000 operands."""
+    names = [f"v{i % 16 + 1}" for i in range(2000)]
+    not_all = "1 + x{%s}\n" % ",".join(map(str, range(1, 17)))
+    yield " | ".join(["a"] * 2000), "x{1}\n"
+    yield " -> ".join(["a"] * 2000), "1\n"
+    yield " | ".join("!" + name for name in names), not_all
+    yield " -> ".join(names[:-1] + ["0"]), not_all
+    # a DNF of 2,000 distinct minterms over 16 variables is true at exactly those points
+    points = random.Random("dnf-chain").sample(range(1 << 16), 2000)
+    minterms = (" & ".join(("" if p >> i & 1 else "!") + f"v{i + 1}" for i in range(16)) for p in points)
+    yield " | ".join(minterms), " + ".join(point_text(p, 16) for p in sorted(points)) + "\n"
+
+
+def test_long_connective_chains_answer(capsys):
+    for text, expected in long_chains():
+        basis = ["--basis", "M"] if expected.startswith("m{") else []
+        code, out, err = run(capsys, "eval", text, *basis)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 def test_crosscheck_into_closed_pipe():

@@ -46,6 +46,7 @@ from boolweyl.lang import (
     rewrite_rule_instance,
     REWRITE_RULE_NAMES,
     tokenize,
+    valuation,
 )
 from boolweyl.ring import convert_ring_basis, mask_from_indices, ring_eval
 
@@ -324,6 +325,56 @@ def test_eval_quantum_matches_reference_walk():
         assert eval_quantum(e, ctx) == reference_eval_quantum(e, ctx), format_expr(e)
         kinds.add(is_classical(e))
     assert kinds == {True, False}
+
+
+def neg(e):
+    return Sum((e, One()))
+
+
+def depth(e):
+    return 1 + max(map(depth, e.parts)) if isinstance(e, (Sum, Prod)) else 1
+
+
+def test_chains_have_the_values_of_nested_two_operand_rules():
+    # the reference nests the two-operand rules the way a chain groups:
+    # '|' to the left, '->' to the right; the parsed chain is as deep as
+    # its deepest operand plus the six levels of the two expansions
+    rng = random.Random("connective-chains")
+    shapes = set()  # (number of '->' operands, longest '|' chain)
+    for i in range(600):
+        n = rng.randint(1, 4)
+        groups = [
+            [random_text(rng, n, rng.randint(0, 2), quantum=i % 2 == 1) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        text = " -> ".join(" | ".join(f"({p})" for p in group) for group in groups)
+        ors = []
+        for group in groups:
+            acc = parse_text(group[0])
+            for p in group[1:]:
+                acc = neg(Prod((neg(acc), neg(parse_text(p)))))
+            ors.append(acc)
+        reference = ors[-1]
+        for p in reversed(ors[:-1]):
+            reference = neg(Prod((p, neg(reference))))
+        e = parse_text(text)
+        ctx = infer_context([e, reference], n)
+        assert eval_quantum(e, ctx) == eval_quantum(reference, ctx), text
+        assert depth(e) <= max(depth(parse_text(p)) for group in groups for p in group) + 6, text
+        shapes.add((len(groups), max(map(len, groups))))
+    assert {g for g, _ in shapes} == {1, 2, 3, 4} and {k for _, k in shapes} == {1, 2, 3, 4, 5}
+    assert any(g == 1 < k for g, k in shapes) and any(k == 1 < g for g, k in shapes)
+
+
+def test_valuation_of_a_tree_deeper_than_the_stack_raises_lang_error():
+    e = Var("a")
+    for _ in range(5000):
+        e = neg(e)
+    ctx = VarContext(("a",))
+    decisions = (valuation, eval_quantum, lambda e, ctx: equivalent(e, e, ctx), lambda e, ctx: entails_quantum(e, e, ctx))
+    for decide in decisions:
+        with pytest.raises(LangError, match="^expression nested too deeply$"):
+            decide(e, ctx)
 
 
 def test_is_classical():
