@@ -23,9 +23,8 @@ class Gf2Matrix:
         side = len(self.rows)
         if side < 1 or side & (side - 1):
             raise ValueError(f"side must be a power of two, got {side}")
-        for r in self.rows:
-            if not 0 <= r < (1 << side):
-                raise ValueError("row out of range for matrix side")
+        if min(self.rows) < 0 or max(self.rows) >> side:
+            raise ValueError("row out of range for matrix side")
 
     @property
     def side(self) -> int:
@@ -109,7 +108,8 @@ class ColumnSolver:
     Row i packs row i of t above bit `side` and row i of s below it, so a
     combination y of the rows holds y t in its high half and y s in its
     low half.  The system is solvable iff no echelon row leads in the low
-    half: such a row has y t = 0 but y s != 0.
+    half: such a row has y t = 0 but y s != 0.  `solvable` stops at that
+    test; `solve` goes on to back-substitute a solution.
     """
 
     def __init__(self, t: Gf2Matrix, s: Gf2Matrix) -> None:
@@ -117,18 +117,22 @@ class ColumnSolver:
         side = self.side = t.side
         self._pivots = _echelon((tr << side) | sr for tr, sr in zip(t.rows, s.rows))
 
+    def solvable(self) -> bool:
+        """True iff t r = s has a solution: no pivot lies below `side`."""
+        return min(self._pivots, default=self.side) >= self.side
+
     def solve(self) -> Gf2Matrix | None:
         """The r that is zero outside the pivot columns, or None.
 
         Each echelon row (u, v) says u r = v.  From the lowest pivot up,
         row c of r is v XORed with the rows of r at the lower bits of u.
         """
+        if not self.solvable():
+            return None
         side = self.side
         low = (1 << side) - 1
         r = [0] * side
         for p in sorted(self._pivots):
-            if p < side:
-                return None
             row = self._pivots[p]
             c = p - side
             acc = row & low
@@ -141,9 +145,10 @@ class ColumnSolver:
 def colspace_contains(t: Gf2Matrix, s: Gf2Matrix) -> bool:
     """True iff every column of s lies in the column space of t.
 
-    Equivalently: there exists r with s = t r.
+    Equivalently: there exists r with s = t r.  Decided from the echelon
+    rows alone, with no back-substitution.
     """
-    return solve_right(t, s) is not None
+    return ColumnSolver(t, s).solvable()
 
 
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:

@@ -36,7 +36,8 @@ builds no matrix.  Quantum entailment of p by q is solvability of
 p-hat = q-hat * r over GF(2), column-space containment; a proposition's
 matrix is diagonal, so for two propositions it is the pointwise order
 of truth functions (classical entailment), decided on truth tables.
-Only a witness, or an operator on either side, takes an elimination.
+Only a witness, or an operator on either side, takes an elimination;
+without a witness it stops at the echelon rows, with no back-substitution.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .bweyl import (
     op_mul,
     to_matrix,
 )
-from .gf2lin import Gf2Matrix, solve_right
+from .gf2lin import Gf2Matrix, colspace_contains, solve_right
 from .ring import (
     RingElem,
     _block_mask,
@@ -560,7 +561,7 @@ def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
 def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
     if isinstance(pv, RingElem) and isinstance(qv, RingElem):
         return pv.bits & ~qv.bits == 0
-    return solve_right(to_matrix(as_operator(qv)), to_matrix(as_operator(pv))) is not None
+    return colspace_contains(to_matrix(as_operator(qv)), to_matrix(as_operator(pv)))
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 MAX_DIM = 16
 RING_BASES = ("M", "X", "W")
@@ -59,12 +60,35 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     return mask
 
 
-def iter_bits(bits: int) -> Iterator[int]:
-    """Positions of the set bits of a packed int, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+def _position_table(first: int) -> tuple[tuple[int, ...], ...]:
+    # entry i lists the positions first.. of the set bits of the byte i,
+    # ascending; built by doubling over the byte's bits
+    table: tuple[tuple[int, ...], ...] = ((),)
+    for k in range(8):
+        table += tuple(t + (first + k,) for t in table)
+    return table
+
+
+# a mask of MAX_DIM = 16 bits is two lookups: positions 0-7, then 8-15
+_LOW_BITS = _position_table(0)
+_HIGH_BITS = _position_table(8)
+
+
+def iter_bits(bits: int) -> Sequence[int]:
+    """Positions of the set bits of a packed int, ascending.
+
+    One table lookup per byte from the lowest set byte to the highest, so
+    the walk is linear in the width of the int.  A negative int raises
+    ValueError.
+    """
+    if 0 <= bits < 1 << 16:
+        return _LOW_BITS[bits & 255] + _HIGH_BITS[bits >> 8]
+    if bits < 0:
+        raise ValueError(f"negative bit vector {bits}")
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    body = data.lstrip(b"\0")
+    first = (len(data) - len(body)) << 3
+    return [base + p for base, byte in zip(count(first, 8), body) if byte for p in _LOW_BITS[byte]]
 
 
 def indices_from_mask(mask: int) -> tuple[int, ...]:
@@ -101,6 +125,8 @@ def odd_parity(a: int) -> int:
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, in decreasing order, ending with 0."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     sub = mask
     while True:
         yield sub

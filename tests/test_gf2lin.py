@@ -36,6 +36,15 @@ def test_matrix_validation():
         Gf2Matrix((4, 0))  # row out of range for side 2
 
 
+@pytest.mark.parametrize("bad", (-1, 1 << 8))
+def test_matrix_rejects_a_bad_row_in_any_position(bad):
+    for position in (0, 3, 7):
+        rows = [0b1010_0101] * 8
+        rows[position] = bad
+        with pytest.raises(ValueError, match="row out of range for matrix side"):
+            Gf2Matrix(tuple(rows))
+
+
 def test_identity_and_zero():
     eye = identity(4)
     z = zero_matrix(4)
@@ -138,6 +147,21 @@ def test_colspace_matches_brute_force_n1():
         t = random_matrix(rng, 2)
         s = random_matrix(rng, 2)
         assert colspace_contains(t, s) == brute_colspace_contains(t, s)
+
+
+def test_colspace_contains_agrees_with_solve_right():
+    rng = random.Random("colspace_contains")
+    outcomes = set()
+    for trial in range(1200):
+        side = 1 << rng.randrange(5)
+        t = zero_matrix(side) if trial % 10 == 0 else random_matrix(rng, side)
+        s = zero_matrix(side) if trial % 10 == 1 else random_matrix(rng, side)
+        if trial % 3 == 0:
+            s = mat_mul(t, random_matrix(rng, side))
+        contains = colspace_contains(t, s)
+        assert contains == (solve_right(t, s) is not None)
+        outcomes.add((side, contains))
+    assert outcomes == {(side, c) for side in (1, 2, 4, 8, 16) for c in (False, True)}
 
 
 def test_solve_right_produces_witness():

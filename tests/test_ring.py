@@ -280,9 +280,35 @@ def test_text_and_json_round_trip():
     assert ring_from_json(data) == f
 
 
+def reference_iter_bits(bits):
+    """The per-bit walk that ring.iter_bits replaced, kept as its reference:
+    each step isolates and clears the lowest set bit of the whole int."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def test_iter_bits_matches_reference():
+    rng = random.Random("iter_bits")
+    cases = [0, 255, 256, 65535, 65536, (1 << 65536) - 1, ((1 << 1000) - 1) << 3001]
+    for width in (8, 16, 17, 32, 100, 1 << 11, 1 << 16):
+        cases.append(rng.getrandbits(width))  # dense
+        cases.append(sum(1 << rng.randrange(width) for _ in range(5)))  # sparse
+        cases.append(1 << (width - 1))
+    for bits in cases:
+        assert list(ring.iter_bits(bits)) == list(reference_iter_bits(bits))
+
+
+def test_negative_masks_are_rejected():
+    for call in (ring.iter_bits, ring.indices_from_mask, lambda m: list(ring.submasks(m))):
+        with pytest.raises(ValueError, match="negative"):
+            call(-1)
+
+
 def _set_literal(a):
-    # spelled bit by bit, apart from the byte tables of mask_str
-    return "{%s}" % ",".join(map(str, ring.indices_from_mask(a)))
+    # spelled bit by bit, apart from the byte tables of mask_str and iter_bits
+    return "{%s}" % ",".join(str(i + 1) for i in reference_iter_bits(a))
 
 
 def test_mask_str_matches_per_bit_spelling_for_every_mask():
