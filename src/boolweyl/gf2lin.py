@@ -31,6 +31,9 @@ class Gf2Matrix:
         return len(self.rows)
 
     def entry(self, r: int, c: int) -> int:
+        side = self.side
+        if not (0 <= r < side and 0 <= c < side):
+            raise ValueError(f"entry ({r}, {c}) out of range for matrix side {side}")
         return (self.rows[r] >> c) & 1
 
     def __str__(self) -> str:
@@ -168,12 +171,17 @@ def matrix_to_text(a: Gf2Matrix) -> str:
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
+    """The matrix of a 0/1 grid; one row per line, a short line zero-padded."""
+    lines = text.strip().splitlines()
+    side = len(lines)
     rows = []
-    for line in text.strip().splitlines():
+    for line in lines:
         line = line.strip()
         bad = line.lstrip("01")
         if bad:
             raise ValueError(f"bad matrix character {bad[0]!r}")
+        if len(line) > side:
+            raise ValueError(f"line of length {len(line)} is longer than the matrix side {side}")
         rows.append(int(line[::-1] or "0", 2))  # column 0 is the leftmost
     return Gf2Matrix(tuple(rows))
 

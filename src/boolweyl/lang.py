@@ -9,9 +9,14 @@ juxtaposition and '.' both denote the product):
 
 '~a' is the tilde-marked (operator) copy of the variable a.  MONO is a
 coefficient-monomial literal such as x{1,2}, m{}, y{1} or s{2}: one of
-the letters m x w y s immediately followed by a braced list of 1-based
-indices.  Juxtaposed monomial literals multiply like any other factors,
-so operator dumps like "x{1,2}y{1} + y{2}" read back directly.
+the letters m x w y s immediately followed by a braced list of decimal,
+1-based indices, merged and sorted (x{2,1,2} is x{1,2}).  Juxtaposed
+monomial literals multiply like any other factors, so operator dumps
+like "x{1,2}y{1} + y{2}" read back directly.  Whitespace separates
+tokens; '-' appears only in '->'; an IDENT starts with any Unicode
+letter or '_' and continues with letters, digits or '_'.  Through the
+command line on Python 3.10-3.13, nesting up to 108 parentheses or 978
+'!' parses; deeper raises LangError("expression nested too deeply").
 
 On top of the core grammar, the classical connectives are accepted as
 sugar and expand at parse time ('!' binds tightest, then products, '+',
@@ -42,8 +47,9 @@ without a witness it stops at the echelon rows, with no back-substitution.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .bweyl import (
     OpCoeffs,
@@ -150,9 +156,16 @@ def _not(e: Expr) -> Expr:
 
 # --- lexer --------------------------------------------------------------------
 
-MONO_LETTERS = "mxwys"
 
-_SIMPLE_TOKENS = {
+class Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
+    value: tuple[str, tuple[int, ...]] | None = None
+
+
+_SYMBOL_KINDS = {
+    "->": "ARROW",
     "+": "PLUS",
     ".": "DOT",
     "&": "AMP",
@@ -165,82 +178,44 @@ _SIMPLE_TOKENS = {
     "1": "ONE",
 }
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
-    value: tuple[str, tuple[int, ...]] | None = None
+# After optional whitespace: a symbol, a monomial literal (its closing brace optional, so
+# that a missing one is reported), a word, or any other character.  \s is str.isspace and
+# \w str.isalnum or '_'; the input is right-stripped, so every match holds a token.
+_TOKEN = re.compile(r"\s*(?:(->|[+.&|!~()01])|([mxwys])\{([^}]*)(\}?)|(\w+)|(.))", re.S)
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _set_elements(body: str, offset: int) -> tuple[int, ...]:
+    """The sorted distinct elements of a set literal's body, which starts at offset."""
+    elements = set()
+    for item in body.split(",") if body else ():
+        item = item.strip()
+        if not item.isdecimal():
+            raise LexError(f"bad set element {item!r}", offset)
+        if int(item) < 1:
+            raise LexError("set elements are 1-based", offset)
+        elements.add(int(item))
+    return tuple(sorted(elements))
 
 
 def tokenize(src: str) -> list[Token]:
     """Token stream for the expression grammar; whitespace separates."""
     tokens: list[Token] = []
-    i = 0
-    length = len(src)
-    while i < length:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-":
-            if i + 1 < length and src[i + 1] == ">":
-                tokens.append(Token("ARROW", "->", i))
-                i += 2
-                continue
-            raise LexError("illegal character '-'", i)
-        if ch in _SIMPLE_TOKENS:
-            tokens.append(Token(_SIMPLE_TOKENS[ch], ch, i))
-            i += 1
-            continue
-        if _is_ident_start(ch):
-            start = i
-            while i < length and _is_ident_char(src[i]):
-                i += 1
-            ident = src[start:i]
-            if (
-                len(ident) == 1
-                and ident in MONO_LETTERS
-                and i < length
-                and src[i] == "{"
-            ):
-                close = src.find("}", i + 1)
-                if close < 0:
-                    raise LexError("unterminated set literal", i)
-                body = src[i + 1 : close]
-                indices: list[int] = []
-                if body:
-                    for item in body.split(","):
-                        item = item.strip()
-                        if not item.isdecimal():
-                            raise LexError(f"bad set element {item!r}", i + 1)
-                        value = int(item)
-                        if value < 1:
-                            raise LexError("set elements are 1-based", i + 1)
-                        indices.append(value)
-                tokens.append(
-                    Token(
-                        "MONO",
-                        src[start : close + 1],
-                        start,
-                        (ident, tuple(sorted(set(indices)))),
-                    )
-                )
-                i = close + 1
-                continue
-            tokens.append(Token("IDENT", ident, start))
-            continue
-        raise LexError(f"illegal character {ch!r}", i)
-    tokens.append(Token("EOF", "", length))
+    for m in _TOKEN.finditer(src.rstrip()):
+        symbol, letter, body, close, word, other = m.groups()
+        if symbol:
+            tokens.append(Token(_SYMBOL_KINDS[symbol], symbol, m.start(1)))
+        elif letter:
+            start = m.start(2)
+            if not close:
+                raise LexError("unterminated set literal", start + 1)
+            value = (letter, _set_elements(body, start + 2))
+            tokens.append(Token("MONO", src[start : m.end()], start, value))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(Token("IDENT", word, m.start(5)))
+        else:
+            pos = m.start(5 if word else 6)
+            raise LexError(f"illegal character {src[pos]!r}", pos)
+    tokens.append(Token("EOF", "", len(src)))
     return tokens
 
 

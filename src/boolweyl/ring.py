@@ -60,18 +60,18 @@ def mask_from_indices(indices: Iterable[int], n: int) -> int:
     return mask
 
 
-def _position_table(first: int) -> tuple[tuple[int, ...], ...]:
-    # entry i lists the positions first.. of the set bits of the byte i,
-    # ascending; built by doubling over the byte's bits
-    table: tuple[tuple[int, ...], ...] = ((),)
-    for k in range(8):
-        table += tuple(t + (first + k,) for t in table)
+def _byte_table(cells: Sequence) -> tuple:
+    # entry i joins the cells of the set bits of the byte i, lowest bit first;
+    # built by doubling over the byte's eight bits, from the empty cell up
+    table = (cells[0][:0],)
+    for cell in cells:
+        table += tuple(t + cell for t in table)
     return table
 
 
 # a mask of MAX_DIM = 16 bits is two lookups: positions 0-7, then 8-15
-_LOW_BITS = _position_table(0)
-_HIGH_BITS = _position_table(8)
+_LOW_BITS = _byte_table([(p,) for p in range(8)])
+_HIGH_BITS = _byte_table([(p,) for p in range(8, 16)])
 
 
 def iter_bits(bits: int) -> Sequence[int]:
@@ -96,19 +96,11 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in iter_bits(mask))
 
 
-def _label_table(first: int) -> tuple[str, ...]:
-    # entry i lists the 1-based labels first.. of the set bits of the byte i,
-    # each followed by a comma; built by doubling over the byte's bits
-    table = ("",)
-    for k in range(8):
-        label = f"{first + k},"
-        table += tuple(s + label for s in table)
-    return table
-
-
-# MAX_DIM = 16 is two bytes: labels 1-8 from the low byte, 9-16 from the high
-_LOW_LABELS = _label_table(1)
-_HIGH_LABELS = _label_table(9)
+# mask_str's labels, each followed by a comma: 1-8 from the low byte, 9-16
+# from the high; built from strings, as deriving them from the position
+# tables costs about 1 ms more per import
+_LOW_LABELS = _byte_table([f"{p}," for p in range(1, 9)])
+_HIGH_LABELS = _byte_table([f"{p}," for p in range(9, 17)])
 
 
 def mask_str(mask: int) -> str:

@@ -252,6 +252,21 @@ def test_text_rejects_other_characters():
             matrix_from_text(text)
 
 
+def test_text_refuses_lines_longer_than_the_side():
+    # whatever their bits: the zero grid was read as a 2x2 matrix before
+    for text in ("0000\n0000", "0001\n0000"):
+        with pytest.raises(ValueError, match="^line of length 4 is longer than the matrix side 2$"):
+            matrix_from_text(text)
+
+
+@pytest.mark.parametrize("r, c", [(-1, 1), (0, 7), (0, -1)])
+def test_entry_rejects_an_index_outside_the_side(r, c):
+    a = Gf2Matrix((0b01, 0b11))
+    assert [a.entry(i, j) for i in (0, 1) for j in (0, 1)] == [1, 0, 1, 1]
+    with pytest.raises(ValueError, match=rf"^entry \({r}, {c}\) out of range for matrix side 2$"):
+        a.entry(r, c)
+
+
 def test_dot_output():
     a = Gf2Matrix((0b10, 0b00))  # single entry (0, 1): edge from {1} to {}
     dot = matrix_to_dot(a)

@@ -45,6 +45,7 @@ from boolweyl.lang import (
     parse_text,
     rewrite_rule_instance,
     REWRITE_RULE_NAMES,
+    Token,
     tokenize,
     valuation,
 )
@@ -86,6 +87,138 @@ def test_tokenize_mono_literals():
         tokenize("x{1,")
     with pytest.raises(LexError):
         tokenize("x{a}")
+
+
+_REFERENCE_SYMBOLS = {
+    "+": "PLUS",
+    ".": "DOT",
+    "&": "AMP",
+    "|": "PIPE",
+    "!": "BANG",
+    "~": "TILDE",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "0": "ZERO",
+    "1": "ONE",
+}
+
+
+def reference_tokenize(src):
+    """The per-character lexer that `tokenize` replaced, kept as its reference."""
+    tokens = []
+    i = 0
+    length = len(src)
+    while i < length:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "-":
+            if i + 1 < length and src[i + 1] == ">":
+                tokens.append(Token("ARROW", "->", i))
+                i += 2
+                continue
+            raise LexError("illegal character '-'", i)
+        if ch in _REFERENCE_SYMBOLS:
+            tokens.append(Token(_REFERENCE_SYMBOLS[ch], ch, i))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < length and (src[i].isalnum() or src[i] == "_"):
+                i += 1
+            ident = src[start:i]
+            if len(ident) == 1 and ident in "mxwys" and i < length and src[i] == "{":
+                close = src.find("}", i + 1)
+                if close < 0:
+                    raise LexError("unterminated set literal", i)
+                body = src[i + 1 : close]
+                indices = []
+                if body:
+                    for item in body.split(","):
+                        item = item.strip()
+                        if not item.isdecimal():
+                            raise LexError(f"bad set element {item!r}", i + 1)
+                        value = int(item)
+                        if value < 1:
+                            raise LexError("set elements are 1-based", i + 1)
+                        indices.append(value)
+                value = (ident, tuple(sorted(set(indices))))
+                tokens.append(Token("MONO", src[start : close + 1], start, value))
+                i = close + 1
+                continue
+            tokens.append(Token("IDENT", ident, start))
+            continue
+        raise LexError(f"illegal character {ch!r}", i)
+    tokens.append(Token("EOF", "", length))
+    return tokens
+
+
+def lex_outcome(lexer, src):
+    """Each token's (kind, text, pos, value), or the error's class, message and offset."""
+    try:
+        return [(t.kind, t.text, t.pos, t.value) for t in lexer(src)]
+    except LexError as err:
+        return type(err), str(err), err.offset
+
+
+LEX_PINNED = [
+    "",
+    "   ",
+    "a(b+1)",
+    "~a a",
+    "0 . 1",
+    "a$b",
+    "2",
+    "a {1}",
+    "x{²}",
+    "x{1,2}y{}",
+    "x{1,",
+    "x{a}",
+    "x{0}",
+    "x{ 1 , 2 }",
+    "x{1,,2}",
+    "x{2,1,2}",
+    "x{１}",
+    "xy{1}",
+    "X{1}",
+    "a{1}",
+    "a ",
+    "a\t\n\u00a0",
+    "a->b -> c",
+    "a - > b",
+    "a-",
+    "_a1 é2 Ⅻ ½",
+    "01ab",
+    "m{}s{1} + m{1}",
+    "x{1,2}y{1,2} x{1}y{1}",
+    "(a|b)->!c & d.e",
+]
+
+LEX_ALPHABET = "abxmwys{},0123456789~!&|+.()->_$ \t\n²½１éⅫ\u00a0"
+
+
+def random_lexeme(rng):
+    """A likely token: a word, a symbol, a set literal, a space run, or any character."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return rng.choice("abxmwys_é") + "".join(rng.choices("abxy_19²é", k=rng.randrange(3)))
+    if pick == 1:
+        return rng.choice(["->", "+", ".", "&", "|", "!", "~", "(", ")", "0", "1"])
+    if pick == 2:
+        body = "".join(rng.choices("0123456789, ²１\u00a0", k=rng.randrange(6)))
+        return rng.choice("mxwysab") + "{" + body + rng.choice(["}", "}", "}", ""])
+    if pick == 3:
+        return "".join(rng.choices(" \t\n\u00a0", k=rng.randint(1, 2)))
+    return rng.choice(LEX_ALPHABET)
+
+
+def test_tokenize_agrees_with_reference_lexer():
+    rng = random.Random("tokenize-differential")
+    corpus = LEX_PINNED + ["".join(rng.choices(LEX_ALPHABET, k=rng.randint(1, 10))) for _ in range(50_000)]
+    corpus += ["".join(random_lexeme(rng) for _ in range(rng.randint(1, 8))) for _ in range(50_000)]
+    diffs = [s for s in corpus if lex_outcome(tokenize, s) != lex_outcome(reference_tokenize, s)]
+    assert diffs == [], diffs[:5]
 
 
 # --- parser ---------------------------------------------------------------------
