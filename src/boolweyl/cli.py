@@ -194,9 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # LangError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed the pipe (e.g. `| head`): drop the rest of the output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

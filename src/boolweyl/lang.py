@@ -14,9 +14,10 @@ the letters m x w y s immediately followed by a braced list of decimal,
 monomial literals multiply like any other factors, so operator dumps
 like "x{1,2}y{1} + y{2}" read back directly.  Whitespace separates
 tokens; '-' appears only in '->'; an IDENT starts with any Unicode
-letter or '_' and continues with letters, digits or '_'.  Through the
-command line on Python 3.10-3.13, nesting up to 108 parentheses or 978
-'!' parses; deeper raises LangError("expression nested too deeply").
+letter or '_' and continues with letters, digits or '_'.  Nesting has
+no limit: parsing and valuation keep their own stacks.  format_expr and
+tree == still recurse, so they are not for trees deeper than Python's
+recursion limit, such as the parse of a few thousand '!'.
 
 On top of the core grammar, the classical connectives are accepted as
 sugar and expand at parse time ('!' binds tightest, then products, '+',
@@ -191,9 +192,13 @@ def _set_elements(body: str, offset: int) -> tuple[int, ...]:
         item = item.strip()
         if not item.isdecimal():
             raise LexError(f"bad set element {item!r}", offset)
-        if int(item) < 1:
+        try:
+            element = int(item)
+        except ValueError:  # more digits than the interpreter converts
+            raise LexError("set element too long", offset) from None
+        if element < 1:
             raise LexError("set elements are 1-based", offset)
-        elements.add(int(item))
+        elements.add(element)
     return tuple(sorted(elements))
 
 
@@ -221,103 +226,88 @@ def tokenize(src: str) -> list[Token]:
 
 # --- parser -------------------------------------------------------------------
 
-_FACTOR_STARTS = frozenset(
-    {"ZERO", "ONE", "IDENT", "TILDE", "MONO", "LPAREN", "BANG"}
+_FACTOR_STARTS = frozenset({"ZERO", "ONE", "IDENT", "TILDE", "MONO", "LPAREN", "BANG"})
+# each infix operator and the level it joins: 0 '->', 1 '|', 2 '+', 3 the product
+_OPERATORS = {"ARROW": 0, "PIPE": 1, "PLUS": 2, "DOT": 3, "AMP": 3}
+# how each level's operands combine into one expression
+_COMBINE = (
+    # p1 -> ... -> pk (right assoc) is !(p1 & ... & p(k-1) & !pk)
+    lambda ps: _not(make_prod(ps[:-1] + [_not(ps[-1])])) if len(ps) > 1 else ps[0],
+    # p1 | ... | pk is !(!p1 & ... & !pk)
+    lambda ps: _not(make_prod([_not(p) for p in ps])) if len(ps) > 1 else ps[0],
+    make_sum,
+    make_prod,
 )
 
 
-class _Parser:
-    def __init__(self, tokens: Sequence[Token]) -> None:
-        self.tokens = list(tokens)
-        if not self.tokens or self.tokens[-1].kind != "EOF":
-            self.tokens.append(Token("EOF", "", self.tokens[-1].pos if self.tokens else 0))
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.kind}", tok.pos)
-        return self.next()
-
-    def chain(self, parse_operand, kind: str) -> list[Expr]:
-        """The operands of `p1 kind p2 kind ... pk`, collected in one loop."""
-        operands = [parse_operand()]
-        while self.peek().kind == kind:
-            self.next()
-            operands.append(parse_operand())
-        return operands
-
-    def parse_expr(self) -> Expr:
-        # p1 -> ... -> pk (right assoc) is !(p1 & ... & p(k-1) & !pk)
-        *premises, last = self.chain(self.parse_or, "ARROW")
-        return _not(make_prod(premises + [_not(last)])) if premises else last
-
-    def parse_or(self) -> Expr:
-        # p1 | ... | pk is !(!p1 & ... & !pk)
-        operands = self.chain(self.parse_sum, "PIPE")
-        return _not(make_prod([_not(p) for p in operands])) if len(operands) > 1 else operands[0]
-
-    def parse_sum(self) -> Expr:
-        return make_sum(self.chain(self.parse_term, "PLUS"))
-
-    def parse_term(self) -> Expr:
-        parts = [self.parse_unary()]
-        while True:
-            kind = self.peek().kind
-            if kind in ("DOT", "AMP"):
-                self.next()
-                parts.append(self.parse_unary())
-            elif kind in _FACTOR_STARTS:
-                parts.append(self.parse_unary())
-            else:
-                return make_prod(parts)
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "BANG":
-            self.next()
-            return _not(self.parse_unary())
-        return self.parse_factor()
-
-    def parse_factor(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "ZERO":
-            return Zero()
-        if tok.kind == "ONE":
-            return One()
-        if tok.kind == "IDENT":
-            return Var(tok.text)
-        if tok.kind == "TILDE":
-            name = self.expect("IDENT")
-            return TildeVar(name.text)
-        if tok.kind == "MONO":
-            assert tok.value is not None
-            return Mono(tok.value[0], tok.value[1])
-        if tok.kind == "LPAREN":
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
-        raise ParseError(f"unexpected token {tok.kind}", tok.pos)
+def _fold(levels: list[list[Expr]], level: int) -> list[Expr]:
+    """Close the open levels below `level`, the product first: the operands
+    of each combine into one operand of the next.  Returns those of `level`."""
+    for k in range(3, level, -1):
+        levels[k - 1].append(_COMBINE[k](levels[k]))
+        levels[k] = []
+    return levels[level]
 
 
 def parse(tokens: Sequence[Token]) -> Expr:
-    """Parse a token stream into an expression tree."""
-    parser = _Parser(tokens)
-    try:
-        expr = parser.parse_expr()
-    except RecursionError:
-        raise LangError("expression nested too deeply") from None
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(f"unexpected token {tail.kind}", tail.pos)
-    return expr
+    """Parse a token stream into an expression tree, in one loop.
+
+    Each open parenthesis has a frame: the number of '!' pending before
+    it, and the open operand lists of the four levels.  An operator folds
+    the levels below its own into it; ')' folds every level, and the value,
+    under the saved '!'s, is the next factor of the enclosing frame.  EOF
+    closes the root frame.
+    """
+    tokens = list(tokens)
+    if not tokens or tokens[-1].kind != "EOF":
+        end = tokens[-1].pos + len(tokens[-1].text) if tokens else 0
+        tokens.append(Token("EOF", "", end))
+    stream = iter(tokens)
+    frames: list[tuple[int, list[list[Expr]]]] = []  # the enclosing frames
+    bangs, levels = 0, [[], [], [], []]
+    operand = True  # an operand is due: at the start, after '(', '!' or an operator
+    while True:
+        tok = next(stream)
+        kind = tok.kind
+        if not operand and kind not in _FACTOR_STARTS:  # else a juxtaposed factor follows
+            if kind in _OPERATORS:
+                _fold(levels, _OPERATORS[kind])
+                operand = True
+                continue
+            if kind != ("RPAREN" if frames else "EOF"):
+                message = f"expected RPAREN, found {kind}" if frames else f"unexpected token {kind}"
+                raise ParseError(message, tok.pos)
+            expr = _COMBINE[0](_fold(levels, 0))
+            if not frames:
+                return expr
+            bangs, levels = frames.pop()
+        elif kind == "BANG":
+            bangs, operand = bangs + 1, True
+            continue
+        elif kind == "LPAREN":
+            frames.append((bangs, levels))
+            bangs, levels, operand = 0, [[], [], [], []], True
+            continue
+        elif kind == "ZERO":
+            expr = Zero()
+        elif kind == "ONE":
+            expr = One()
+        elif kind == "IDENT":
+            expr = Var(tok.text)
+        elif kind == "MONO":
+            assert tok.value is not None
+            expr = Mono(*tok.value)
+        elif kind == "TILDE":
+            name = next(stream)
+            if name.kind != "IDENT":
+                raise ParseError(f"expected IDENT, found {name.kind}", name.pos)
+            expr = TildeVar(name.text)
+        else:
+            raise ParseError(f"unexpected token {kind}", tok.pos)
+        for _ in range(bangs):
+            expr = _not(expr)
+        levels[3].append(expr)
+        bangs, operand = 0, False
 
 
 def parse_text(src: str) -> Expr:
@@ -450,45 +440,52 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
     size = 1 << n
     true = (1 << size) - 1
 
-    def go(node: Expr) -> int | OpCoeffs:
-        if isinstance(node, Zero):
-            return 0
-        if isinstance(node, One):
-            return true
-        if isinstance(node, Var):
+    # a fold: the unit, then how two tables and how two operators combine
+    sum_fold = (0, int.__xor__, op_add)
+    prod_fold = (true, int.__and__, op_mul)
+    end = object()  # what next() gives once a frame's parts are used up
+    # one frame per open Sum or Prod: its parts left, its value so far and its
+    # fold.  The innermost frame is held in the locals; the outermost is a sum
+    # whose one part is e, and the walk ends when it closes.
+    frames: list[tuple] = []
+    parts, value, (unit, tables, operators) = iter((e,)), 0, sum_fold
+    while True:
+        node = next(parts, end)
+        if node is end:  # the frame closes: its value is a part of the frame below
+            if not frames:
+                return RingElem(n, "M", value) if isinstance(value, int) else value
+            v = value
+            parts, value, unit, tables, operators = frames.pop()
+        elif isinstance(node, Zero):
+            v = 0
+        elif isinstance(node, One):
+            v = true
+        elif isinstance(node, Var):
             # the points at which the variable's bit is set
-            return true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
-        if isinstance(node, TildeVar):
-            return op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
-        if isinstance(node, Mono):
+            v = true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
+        elif isinstance(node, TildeVar):
+            v = op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
+        elif isinstance(node, Mono):
             mask = _mono_mask(node, n)
             if node.kind == "y":
-                return op_monomial(n, "XY", 0, mask)
-            if node.kind == "s":
-                return convert_op_basis(op_monomial(n, "XS", 0, mask), "XY")
-            return _convert_bits(1 << mask, size, node.kind.upper(), "M")
-        if isinstance(node, (Sum, Prod)):
-            if isinstance(node, Sum):
-                unit, tables, operators = 0, int.__xor__, op_add
+                v = op_monomial(n, "XY", 0, mask)
+            elif node.kind == "s":
+                v = convert_op_basis(op_monomial(n, "XS", 0, mask), "XY")
             else:
-                unit, tables, operators = true, int.__and__, op_mul
-            value = unit
-            for part in node.parts:
-                v = go(part)
-                if isinstance(value, int) and isinstance(v, int):
-                    value = tables(value, v)
-                elif value == unit:  # v is an operator, and unit a neutral table
-                    value = v
-                else:
-                    value = operators(_lift(value, n), _lift(v, n))
-            return value
-        raise TypeError(f"not an expression: {node!r}")
-
-    try:
-        value = go(e)
-    except RecursionError:
-        raise LangError("expression nested too deeply") from None
-    return RingElem(n, "M", value) if isinstance(value, int) else value
+                v = _convert_bits(1 << mask, size, node.kind.upper(), "M")
+        elif isinstance(node, (Sum, Prod)):
+            frames.append((parts, value, unit, tables, operators))
+            unit, tables, operators = sum_fold if isinstance(node, Sum) else prod_fold
+            parts, value = iter(node.parts), unit
+            continue
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        if isinstance(value, int) and isinstance(v, int):
+            value = tables(value, v)
+        elif value == unit:  # v is an operator, and unit a neutral table
+            value = v
+        else:
+            value = operators(_lift(value, n), _lift(v, n))
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:

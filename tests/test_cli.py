@@ -223,12 +223,32 @@ def test_unknown_basis_exit_2(capsys):
     assert "error" in err
 
 
-def test_deep_nesting_exit_2(capsys):
+def test_set_element_too_long_exit_2(capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    assert run(capsys, "eval", "x{" + digits + "}") == (2, "", "error: set element too long at offset 2\n")
+
+
+def test_deep_nesting_answers(capsys):
     for text in ("(" * 3000 + "a" + ")" * 3000, "!" * 5000 + "a"):
-        code, out, err = run(capsys, "eval", text)
-        assert code == 2
-        assert out == ""
-        assert err == "error: expression nested too deeply\n"
+        assert run(capsys, "eval", text) == (0, "x{1}\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ("(" * 100_000 + "a" + ")" * 100_000, "(a " * 100_000 + "a" + ")" * 100_000, "!" * 100_000 + "a"),
+    ids=("parentheses", "products", "negations"),
+)
+def test_no_recursion_on_the_command_line(text):
+    # parsing and valuation keep their own stacks: a limit of 100 frames is
+    # enough for an expression 100,000 levels deep
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys; sys.setrecursionlimit(100); from boolweyl.cli import main; "
+    code += "sys.exit(main(['eval', '-']))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=text, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x{1}\n", "")
 
 
 def test_nested_negations_within_the_stack(capsys):

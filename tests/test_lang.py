@@ -1,6 +1,7 @@
 """Language: lexer, parser, valuations, equivalence, entailment, normal form."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -20,7 +21,6 @@ from boolweyl.bweyl import (
 from boolweyl.diffops import multiplication_matrix
 from boolweyl.lang import (
     EvalError,
-    LangError,
     LexError,
     Mono,
     One,
@@ -40,6 +40,8 @@ from boolweyl.lang import (
     format_expr,
     infer_context,
     is_classical,
+    make_prod,
+    make_sum,
     normalize,
     parse,
     parse_text,
@@ -87,6 +89,14 @@ def test_tokenize_mono_literals():
         tokenize("x{1,")
     with pytest.raises(LexError):
         tokenize("x{a}")
+
+
+def test_tokenize_refuses_a_set_element_too_long_to_convert():
+    # int() refuses more digits than the interpreter's limit, 4,300 by default
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(LexError, match="^set element too long at offset 4$"):
+        tokenize("a x{1, " + digits + "}")
+    assert tokenize("x{50000}")[0].value == ("x", (50000,))
 
 
 _REFERENCE_SYMBOLS = {
@@ -245,13 +255,149 @@ def test_parse_errors():
         parse_text("~ 1")
 
 
-def test_parse_deep_nesting_raises_lang_error():
-    with pytest.raises(LangError, match="^expression nested too deeply$"):
-        parse_text("(" * 3000 + "a" + ")" * 3000)
+def test_parse_has_no_nesting_limit():
+    assert parse_text("(" * 3000 + "a" + ")" * 3000) == Var("a")
 
 
 def test_parse_accepts_token_stream():
     assert parse(tokenize("a + b")) == Sum((Var("a"), Var("b")))
+    # without its EOF, the stream ends just past its last token
+    assert parse(tokenize("a + b")[:-1]) == Sum((Var("a"), Var("b")))
+    with pytest.raises(ParseError, match="^expected RPAREN, found EOF at offset 2$"):
+        parse(tokenize("(a")[:-1])
+    with pytest.raises(ParseError, match="^unexpected token EOF at offset 0$"):
+        parse([])
+
+
+def neg(e):
+    return Sum((e, One()))
+
+
+_REFERENCE_FACTOR_STARTS = frozenset({"ZERO", "ONE", "IDENT", "TILDE", "MONO", "LPAREN", "BANG"})
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that `parse` replaced, kept as its reference."""
+
+    def __init__(self, tokens):
+        self.tokens = list(tokens)
+        if not self.tokens or self.tokens[-1].kind != "EOF":
+            self.tokens.append(Token("EOF", "", self.tokens[-1].pos if self.tokens else 0))
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind}, found {tok.kind}", tok.pos)
+        return self.next()
+
+    def chain(self, parse_operand, kind):
+        operands = [parse_operand()]
+        while self.peek().kind == kind:
+            self.next()
+            operands.append(parse_operand())
+        return operands
+
+    def parse_expr(self):
+        *premises, last = self.chain(self.parse_or, "ARROW")
+        return neg(make_prod(premises + [neg(last)])) if premises else last
+
+    def parse_or(self):
+        operands = self.chain(self.parse_sum, "PIPE")
+        return neg(make_prod([neg(p) for p in operands])) if len(operands) > 1 else operands[0]
+
+    def parse_sum(self):
+        return make_sum(self.chain(self.parse_term, "PLUS"))
+
+    def parse_term(self):
+        parts = [self.parse_unary()]
+        while True:
+            kind = self.peek().kind
+            if kind in ("DOT", "AMP"):
+                self.next()
+                parts.append(self.parse_unary())
+            elif kind in _REFERENCE_FACTOR_STARTS:
+                parts.append(self.parse_unary())
+            else:
+                return make_prod(parts)
+
+    def parse_unary(self):
+        if self.peek().kind == "BANG":
+            self.next()
+            return neg(self.parse_unary())
+        return self.parse_factor()
+
+    def parse_factor(self):
+        tok = self.next()
+        if tok.kind == "ZERO":
+            return Zero()
+        if tok.kind == "ONE":
+            return One()
+        if tok.kind == "IDENT":
+            return Var(tok.text)
+        if tok.kind == "TILDE":
+            return TildeVar(self.expect("IDENT").text)
+        if tok.kind == "MONO":
+            return Mono(tok.value[0], tok.value[1])
+        if tok.kind == "LPAREN":
+            inner = self.parse_expr()
+            self.expect("RPAREN")
+            return inner
+        raise ParseError(f"unexpected token {tok.kind}", tok.pos)
+
+
+def reference_parse(tokens):
+    parser = _ReferenceParser(tokens)
+    expr = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "EOF":
+        raise ParseError(f"unexpected token {tail.kind}", tail.pos)
+    return expr
+
+
+def parse_outcome(parser, tokens):
+    """The tree, or the error's class, message and offset."""
+    try:
+        return parser(tokens)
+    except ParseError as err:
+        return type(err), str(err), err.pos
+
+
+PARSE_PINNED = [
+    "", "a", "a ()", "a (b", "a !", "a ! )", "a !(b) c", "(a) ~", "~ (a)", "a ->", "a | | b", ")", "a ) b",
+]
+GRAMMAR_PIECES = [
+    "(", "(", ")", ")", "!", "~", "~a", "a", "b", "0", "1", "x{1}", "y{2}", "+", "|", "->", "&", ".",
+]
+
+
+def test_parse_agrees_with_reference_parser():
+    rng = random.Random("parse-differential")
+    streams = [tokenize(text) for text in PARSE_PINNED]
+    for i in range(4000):
+        tokens = tokenize(random_text(rng, rng.randint(1, 4), rng.randint(0, 5), quantum=i % 2 == 1))
+        streams.append(tokens)
+        # the same stream with one token dropped: most often unbalanced
+        drop = rng.randrange(len(tokens) - 1)
+        streams.append(tokens[:drop] + tokens[drop + 1 :])
+    for _ in range(6000):
+        streams.append(tokenize(" ".join(rng.choices(GRAMMAR_PIECES, k=rng.randint(1, 12)))))
+    kinds = ("tree", "unexpected token", "expected RPAREN", "expected IDENT")
+    seen = set()
+    for tokens in streams:
+        outcome = parse_outcome(parse, tokens)
+        assert outcome == parse_outcome(reference_parse, tokens), [t.text for t in tokens]
+        message = outcome[1] if isinstance(outcome, tuple) else "tree"
+        seen.update(kind for kind in kinds if message.startswith(kind))
+    assert seen == set(kinds)
 
 
 def test_sugar_trees_hold_each_operand_once():
@@ -460,10 +606,6 @@ def test_eval_quantum_matches_reference_walk():
     assert kinds == {True, False}
 
 
-def neg(e):
-    return Sum((e, One()))
-
-
 def depth(e):
     return 1 + max(map(depth, e.parts)) if isinstance(e, (Sum, Prod)) else 1
 
@@ -499,15 +641,27 @@ def test_chains_have_the_values_of_nested_two_operand_rules():
     assert any(g == 1 < k for g, k in shapes) and any(k == 1 < g for g, k in shapes)
 
 
-def test_valuation_of_a_tree_deeper_than_the_stack_raises_lang_error():
+def test_valuation_of_a_tree_deeper_than_the_stack():
     e = Var("a")
     for _ in range(5000):
         e = neg(e)
+    a, not_a = parse_text("a"), parse_text("a + 1")
     ctx = VarContext(("a",))
-    decisions = (valuation, eval_quantum, lambda e, ctx: equivalent(e, e, ctx), lambda e, ctx: entails_quantum(e, e, ctx))
-    for decide in decisions:
-        with pytest.raises(LangError, match="^expression nested too deeply$"):
-            decide(e, ctx)
+    assert valuation(e, ctx) == valuation(a, ctx)
+    assert valuation(neg(e), ctx) == valuation(not_a, ctx)
+    assert eval_quantum(e, ctx) == eval_quantum(a, ctx)
+    assert equivalent(e, a, ctx) and equivalent(neg(e), not_a, ctx) and not equivalent(e, not_a, ctx)
+    assert entails_quantum(e, a, ctx) and entails_quantum(a, e, ctx) and not entails_quantum(e, not_a, ctx)
+    # leaves are valued left to right: the first unknown variable is the one reported
+    with pytest.raises(EvalError, match="^unknown variable 'b'$"):
+        valuation(Prod((e, Sum((Var("b"), e)), Var("c"))), ctx)
+
+
+def test_valuation_of_empty_sums_and_products():
+    ctx = VarContext(("a",))
+    assert valuation(Sum(()), ctx) == valuation(Zero(), ctx)
+    assert valuation(Prod(()), ctx) == valuation(One(), ctx)
+    assert eval_quantum(Prod((TildeVar("a"), Sum(()))), ctx) == eval_quantum(Zero(), ctx)
 
 
 def test_is_classical():
