@@ -302,7 +302,7 @@ def _x_change_matrix(n: int) -> gf2lin.Gf2Matrix:
     return gf2lin.Gf2Matrix(tuple(rows))
 
 
-def check_rep_matrices(n: int, rng: random.Random | None = None) -> CheckResult:
+def check_rep_matrices(n: int, rng: random.Random) -> CheckResult:
     """Closed-form monomial matrices match the generator-product route.
 
     X-left closed forms act on X coordinates, so the generator route is
@@ -310,7 +310,7 @@ def check_rep_matrices(n: int, rng: random.Random | None = None) -> CheckResult:
     """
     size = 1 << n
     z = _x_change_matrix(n)
-    if size <= 4 or rng is None:
+    if size <= 4:
         index_pairs = [(a, b) for a in range(size) for b in range(size)]
     else:
         index_pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(32)]

@@ -16,8 +16,8 @@ like "x{1,2}y{1} + y{2}" read back directly.  Whitespace separates
 tokens; '-' appears only in '->'; an IDENT starts with any Unicode
 letter or '_' and continues with letters, digits or '_'.  Nesting has
 no limit: parsing and valuation keep their own stacks.  format_expr and
-tree == still recurse, so they are not for trees deeper than Python's
-recursion limit, such as the parse of a few thousand '!'.
+a tree's ==, hash and repr still recurse, so they are not for trees deeper
+than Python's recursion limit, such as the parse of a few thousand '!'.
 
 On top of the core grammar, the classical connectives are accepted as
 sugar and expand at parse time ('!' binds tightest, then products, '+',
@@ -315,7 +315,11 @@ def parse_text(src: str) -> Expr:
 
 
 def format_expr(e: Expr) -> str:
-    """Canonical text; parses back to an equal tree."""
+    """Canonical text.
+
+    A tree built by parse, make_sum and make_prod parses back to an equal
+    tree; the text of any tree parses to an expression of the same value.
+    """
     if isinstance(e, Zero):
         return "0"
     if isinstance(e, One):
@@ -330,12 +334,12 @@ def format_expr(e: Expr) -> str:
         return " + ".join(
             f"({format_expr(p)})" if isinstance(p, Sum) else format_expr(p)
             for p in e.parts
-        )
+        ) or "0"
     if isinstance(e, Prod):
         return " ".join(
             f"({format_expr(p)})" if isinstance(p, (Sum, Prod)) else format_expr(p)
             for p in e.parts
-        )
+        ) or "1"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -583,21 +587,32 @@ def normalize(e: Expr, ctx: VarContext) -> Expr:
 
 # --- rewrite rules (each preserves the operator valuation) ---------------------
 
-REWRITE_RULE_NAMES = (
-    "assoc-prod",
-    "assoc-sum",
-    "comm-sum",
-    "distrib",
-    "unit-sum",
-    "unit-prod",
-    "nilpotent-sum",
-    "idempotent-var",
-    "nilpotent-tilde",
-    "commute-vars",
-    "commute-tildes",
-    "commute-mixed",
-    "twisted-commutation",
-)
+_REWRITE_RULES = {
+    "assoc-prod": lambda p, q, r, a, b: (Prod((p, Prod((q, r)))), Prod((Prod((p, q)), r))),
+    "assoc-sum": lambda p, q, r, a, b: (Sum((Sum((p, q)), r)), Sum((p, Sum((q, r))))),
+    "comm-sum": lambda p, q, r, a, b: (Sum((p, q)), Sum((q, p))),
+    "distrib": lambda p, q, r, a, b: (
+        Prod((p, Sum((q, r)))), Sum((Prod((p, q)), Prod((p, r))))
+    ),
+    "unit-sum": lambda p, q, r, a, b: (Sum((Zero(), p)), p),
+    "unit-prod": lambda p, q, r, a, b: (Prod((One(), p)), p),
+    "nilpotent-sum": lambda p, q, r, a, b: (Sum((p, p)), Zero()),
+    "idempotent-var": lambda p, q, r, a, b: (Prod((Var(a), Var(a))), Var(a)),
+    "nilpotent-tilde": lambda p, q, r, a, b: (Prod((TildeVar(a), TildeVar(a))), Zero()),
+    "commute-vars": lambda p, q, r, a, b: (Prod((Var(b), Var(a))), Prod((Var(a), Var(b)))),
+    "commute-tildes": lambda p, q, r, a, b: (
+        Prod((TildeVar(b), TildeVar(a))), Prod((TildeVar(a), TildeVar(b)))
+    ),
+    # distinct names only: same-name pairs obey the twisted rule instead
+    "commute-mixed": lambda p, q, r, a, b: (
+        Prod((TildeVar(b), Var(a))), Prod((Var(a), TildeVar(b)))
+    ),
+    "twisted-commutation": lambda p, q, r, a, b: (
+        Prod((TildeVar(a), Var(a))), Sum((Prod((Var(a), TildeVar(a))), TildeVar(a), One()))
+    ),
+}
+
+REWRITE_RULE_NAMES = tuple(_REWRITE_RULES)
 
 
 def rewrite_rule_instance(name: str, p: Expr, q: Expr, r: Expr, a: str, b: str):
@@ -606,33 +621,7 @@ def rewrite_rule_instance(name: str, p: Expr, q: Expr, r: Expr, a: str, b: str):
     p, q, r are arbitrary subexpressions; a and b are distinct variable
     names used by the variable-level rules.
     """
-    if name == "assoc-prod":
-        return Prod((p, Prod((q, r)))), Prod((Prod((p, q)), r))
-    if name == "assoc-sum":
-        return Sum((Sum((p, q)), r)), Sum((p, Sum((q, r))))
-    if name == "comm-sum":
-        return Sum((p, q)), Sum((q, p))
-    if name == "distrib":
-        return Prod((p, Sum((q, r)))), Sum((Prod((p, q)), Prod((p, r))))
-    if name == "unit-sum":
-        return Sum((Zero(), p)), p
-    if name == "unit-prod":
-        return Prod((One(), p)), p
-    if name == "nilpotent-sum":
-        return Sum((p, p)), Zero()
-    if name == "idempotent-var":
-        return Prod((Var(a), Var(a))), Var(a)
-    if name == "nilpotent-tilde":
-        return Prod((TildeVar(a), TildeVar(a))), Zero()
-    if name == "commute-vars":
-        return Prod((Var(b), Var(a))), Prod((Var(a), Var(b)))
-    if name == "commute-tildes":
-        return Prod((TildeVar(b), TildeVar(a))), Prod((TildeVar(a), TildeVar(b)))
-    if name == "commute-mixed":
-        # distinct names only: same-name pairs obey the twisted rule instead
-        return Prod((TildeVar(b), Var(a))), Prod((Var(a), TildeVar(b)))
-    if name == "twisted-commutation":
-        lhs = Prod((TildeVar(a), Var(a)))
-        rhs = Sum((Prod((Var(a), TildeVar(a))), TildeVar(a), One()))
-        return lhs, rhs
-    raise ValueError(f"unknown rewrite rule {name!r}")
+    rule = _REWRITE_RULES.get(name)
+    if rule is None:
+        raise ValueError(f"unknown rewrite rule {name!r}")
+    return rule(p, q, r, a, b)

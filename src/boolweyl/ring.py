@@ -368,6 +368,5 @@ def ring_to_json(f: RingElem) -> dict:
 def ring_from_json(data: dict) -> RingElem:
     n = data["n"]
     check_dim(n)
-    return ring_from_support(
-        n, data["basis"], (mask_from_indices(ix, n) for ix in data["support"])
-    )
+    support = {mask_from_indices(ix, n) for ix in data["support"]}
+    return ring_from_support(n, data["basis"], support)

@@ -21,6 +21,7 @@ routes can be checked against each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -313,51 +314,36 @@ def familyn_text(f: FamilyN) -> str:
     return "{%s}" % ",".join(mask_str(a) for a in sorted(f.members))
 
 
+# a family literal: braced members joined by single commas, in braces; a member holds
+# no brace, and whitespace (\s is str.isspace) may surround braces, commas and elements
+_FAMILY = re.compile(r"\s*\{(\s*(?:\{[^{}]*\}\s*(?:,\s*\{[^{}]*\}\s*)*)?)\}\s*")
+_MEMBER = re.compile(r"\{([^{}]*)\}")
+
+
 def parse_family(text: str, n: int) -> Family:
     """Parse a family literal with ~i marking tilde elements.
 
-    Each element is an optional ~ and decimal digits; whitespace may
-    surround elements, commas and braces.
+    Each element is an optional ~ and decimal digits.
     """
     check_dim(n)
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ValueError("family literal must be wrapped in braces")
-    body = s[1:-1]
+    literal = _FAMILY.fullmatch(text)
+    if not literal:
+        raise ValueError(f"bad family literal {text!r}")
     members: set[PairedMask] = set()
-    depth = 0
-    current = ""
-    chunks = []
-    for ch in body:
-        if ch == "{":
-            depth += 1
-            if depth == 1:
-                current = ""
-                continue
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced braces in family literal")
-            if depth == 0:
-                chunks.append(current)
-                continue
-        elif depth == 0:
-            if ch != "," and not ch.isspace():
-                raise ValueError(f"unexpected character {ch!r} between members")
-            continue
-        current += ch
-    if depth != 0:
-        raise ValueError("unbalanced braces in family literal")
-    for chunk in chunks:
+    for body in _MEMBER.findall(literal[1]):
         plain = tilde = 0
-        if chunk.strip():
-            for item in chunk.split(","):
+        if body.strip():
+            for item in body.split(","):
                 item = item.strip()
                 tilded = item.startswith("~")
                 digits = item[tilded:]
                 if not digits.isdecimal():
                     raise ValueError(f"bad family element {item!r}")
-                bit = mask_from_indices([int(digits)], n)
+                try:
+                    index = int(digits)
+                except ValueError:  # more digits than the interpreter converts
+                    raise ValueError(f"bad family element {item!r}") from None
+                bit = mask_from_indices([index], n)
                 if tilded:
                     tilde |= bit
                 else:

@@ -1,6 +1,7 @@
 """Language: lexer, parser, valuations, equivalence, entailment, normal form."""
 
 import random
+import re
 import sys
 import time
 
@@ -438,6 +439,27 @@ def test_format_parse_round_trip(expr):
     assert parse_text(format_expr(expr)) == expr
 
 
+def test_format_of_empty_and_one_part_nodes_keeps_the_value():
+    a, b, ta = Var("a"), Var("b"), TildeVar("a")
+    trees = [
+        Sum(()),
+        Prod(()),
+        Prod((Sum(()), a)),
+        Sum((Prod(()), ta)),
+        Prod((Prod(()), Sum(()))),
+        Sum((Sum(()), Sum(()))),
+        Sum((a,)),
+        Prod((ta,)),
+        Prod((Sum((a, b)),)),
+        Sum((Prod((Sum((a, ta)),)), b)),
+        Prod((Prod((Sum((a, b)),)), Sum((ta,)), Prod(()))),
+    ]
+    ctx = VarContext(("a", "b"))
+    for e in trees:
+        assert valuation(parse_text(format_expr(e)), ctx) == valuation(e, ctx), e
+    assert [format_expr(e) for e in trees[:3]] == ["0", "1", "(0) a"]
+
+
 # --- contexts -------------------------------------------------------------------
 
 
@@ -820,6 +842,72 @@ def test_normalize_idempotent_and_value_preserving():
 
 
 # --- rewrite rules -----------------------------------------------------------------
+
+
+REFERENCE_REWRITE_RULE_NAMES = (
+    "assoc-prod",
+    "assoc-sum",
+    "comm-sum",
+    "distrib",
+    "unit-sum",
+    "unit-prod",
+    "nilpotent-sum",
+    "idempotent-var",
+    "nilpotent-tilde",
+    "commute-vars",
+    "commute-tildes",
+    "commute-mixed",
+    "twisted-commutation",
+)
+
+
+def reference_rewrite_rule_instance(name, p, q, r, a, b):
+    """The if-chain that the rule table replaced, kept as its reference."""
+    if name == "assoc-prod":
+        return Prod((p, Prod((q, r)))), Prod((Prod((p, q)), r))
+    if name == "assoc-sum":
+        return Sum((Sum((p, q)), r)), Sum((p, Sum((q, r))))
+    if name == "comm-sum":
+        return Sum((p, q)), Sum((q, p))
+    if name == "distrib":
+        return Prod((p, Sum((q, r)))), Sum((Prod((p, q)), Prod((p, r))))
+    if name == "unit-sum":
+        return Sum((Zero(), p)), p
+    if name == "unit-prod":
+        return Prod((One(), p)), p
+    if name == "nilpotent-sum":
+        return Sum((p, p)), Zero()
+    if name == "idempotent-var":
+        return Prod((Var(a), Var(a))), Var(a)
+    if name == "nilpotent-tilde":
+        return Prod((TildeVar(a), TildeVar(a))), Zero()
+    if name == "commute-vars":
+        return Prod((Var(b), Var(a))), Prod((Var(a), Var(b)))
+    if name == "commute-tildes":
+        return Prod((TildeVar(b), TildeVar(a))), Prod((TildeVar(a), TildeVar(b)))
+    if name == "commute-mixed":
+        return Prod((TildeVar(b), Var(a))), Prod((Var(a), TildeVar(b)))
+    if name == "twisted-commutation":
+        lhs = Prod((TildeVar(a), Var(a)))
+        rhs = Sum((Prod((Var(a), TildeVar(a))), TildeVar(a), One()))
+        return lhs, rhs
+    raise ValueError(f"unknown rewrite rule {name!r}")
+
+
+def test_rewrite_rules_agree_with_reference_chain():
+    # the battery draws rules by position, so the order is part of its output
+    assert REWRITE_RULE_NAMES == REFERENCE_REWRITE_RULE_NAMES
+    rng = random.Random("rewrite-differential")
+    for rule in REWRITE_RULE_NAMES:
+        for _ in range(50):
+            p, q, r = (checks.random_expr(rng, ("a", "b", "c"), 2) for _ in range(3))
+            a, b = rng.sample(["a", "b", "c"], 2)
+            got = rewrite_rule_instance(rule, p, q, r, a, b)
+            assert got == reference_rewrite_rule_instance(rule, p, q, r, a, b), rule
+    for name in ("", "nope", "Assoc-prod", "assoc-prod "):
+        for instance in (rewrite_rule_instance, reference_rewrite_rule_instance):
+            with pytest.raises(ValueError, match=f"^unknown rewrite rule {re.escape(repr(name))}$"):
+                instance(name, One(), One(), One(), "a", "b")
 
 
 @pytest.mark.parametrize("rule", REWRITE_RULE_NAMES)

@@ -278,6 +278,8 @@ def test_text_and_json_round_trip():
     data = ring_to_json(f)
     assert data == {"n": 2, "basis": "X", "support": [[1], [1, 2]]}
     assert ring_from_json(data) == f
+    # a subset listed twice is read once, as a repeated operator term or family member is
+    assert ring_from_json({"n": 2, "basis": "M", "support": [[1], [1]]}) == ring_monomial("M", 0b01, 2)
 
 
 def reference_iter_bits(bits):

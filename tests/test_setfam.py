@@ -1,12 +1,14 @@
 """Set families over the doubled ground set and their four products."""
 
 import random
+import re
 
 import pytest
 
 from boolweyl import checks
 from boolweyl.bweyl import op_mul
 from boolweyl.diffops import apply_coeffs
+from boolweyl.ring import check_dim, mask_from_indices
 from boolweyl.setfam import (
     PRODUCTS,
     Family,
@@ -50,6 +52,124 @@ def test_literal_round_trip():
     for text in ("{{1 2}}", "{{1_0}}", "{{+1}}"):
         with pytest.raises(ValueError, match="bad family element"):
             parse_family(text, 16)
+
+
+def reference_parse_family(text, n):
+    """The brace-depth scanner that `parse_family` replaced, kept as its reference."""
+    check_dim(n)
+    s = text.strip()
+    if not (s.startswith("{") and s.endswith("}")):
+        raise ValueError("family literal must be wrapped in braces")
+    body = s[1:-1]
+    members = set()
+    depth = 0
+    current = ""
+    chunks = []
+    for ch in body:
+        if ch == "{":
+            depth += 1
+            if depth == 1:
+                current = ""
+                continue
+        elif ch == "}":
+            depth -= 1
+            if depth < 0:
+                raise ValueError("unbalanced braces in family literal")
+            if depth == 0:
+                chunks.append(current)
+                continue
+        elif depth == 0:
+            if ch != "," and not ch.isspace():
+                raise ValueError(f"unexpected character {ch!r} between members")
+            continue
+        current += ch
+    if depth != 0:
+        raise ValueError("unbalanced braces in family literal")
+    for chunk in chunks:
+        plain = tilde = 0
+        if chunk.strip():
+            for item in chunk.split(","):
+                item = item.strip()
+                tilded = item.startswith("~")
+                digits = item[tilded:]
+                if not digits.isdecimal():
+                    raise ValueError(f"bad family element {item!r}")
+                bit = mask_from_indices([int(digits)], n)
+                if tilded:
+                    tilde |= bit
+                else:
+                    plain |= bit
+        members.add((plain, tilde))
+    return Family(n, frozenset(members))
+
+
+def family_outcome(parser, text):
+    """The members read, or None when the parser refuses the literal."""
+    try:
+        return parser(text, 9).members
+    except ValueError:
+        return None
+
+
+def separators_are_single_commas(text):
+    """Whether, at depth 0 of a literal's body, only single commas between
+    members and whitespace appear."""
+    s = text.strip()
+    skeleton, depth = "", 0
+    for ch in s[1:-1]:
+        if ch == "{":
+            depth += 1
+            skeleton += "M" if depth == 1 else ""
+        elif ch == "}":
+            depth -= 1
+        elif depth == 0 and not ch.isspace():
+            skeleton += ch
+    return skeleton == ",".join("M" * skeleton.count("M"))
+
+
+def random_family_literal(rng):
+    """A random family written out by family_text, with whitespace runs between its tokens."""
+    f = family(9, {(rng.getrandbits(9), rng.getrandbits(9)) for _ in range(rng.randrange(4))})
+    tokens = re.findall(r"~?\d+|.", family_text(f))
+    spaces = [rng.choice(["", "", " ", "\t", " \n ", "\u00a0"]) for _ in range(len(tokens) + 1)]
+    return f, "".join(space + token for space, token in zip(spaces, tokens + [""]))
+
+
+# loose pieces and whole members, so that many literals are read by one parser or both
+FAMILY_PIECES = ["{", "}", ",", ",", " ", "~", "0", "1", "{1}", "{}", "{ ~2, 3 }", "{1,~1}"]
+
+
+def test_parse_family_agrees_with_reference_parser():
+    rng = random.Random("parse_family-differential")
+    for _ in range(4000):
+        f, text = random_family_literal(rng)
+        assert parse_family(text, 9) == reference_parse_family(text, 9) == f, text
+    corpus = ["".join(rng.choices("{}~,0123456789 ", k=rng.randrange(12))) for _ in range(3000)]
+    corpus += ["{%s}" % "".join(rng.choices(FAMILY_PIECES, k=rng.randrange(8))) for _ in range(6000)]
+    both = only_reference = 0
+    for text in corpus:
+        got, want = family_outcome(parse_family, text), family_outcome(reference_parse_family, text)
+        if got is not None:
+            assert got == want, text
+            both += 1
+        elif want is not None:
+            assert not separators_are_single_commas(text), text
+            only_reference += 1
+    assert both > 1000 and only_reference > 500
+
+
+@pytest.mark.parametrize(
+    "text", ["{,}", "{{1},,{2}}", "{,{1}}", "{{1},}", "{{1}{2}}", " { , { 1 } } ", "{{1} {2}}"]
+)
+def test_parse_family_refuses_members_not_joined_by_single_commas(text):
+    reference_parse_family(text, 3)  # read before members had to be joined by single commas
+    with pytest.raises(ValueError, match="^bad family literal"):
+        parse_family(text, 3)
+
+
+def test_parse_family_refuses_an_element_too_long_to_convert():
+    with pytest.raises(ValueError, match="^bad family element"):
+        parse_family("{{" + "1" * 5000 + "}}", 16)
 
 
 def test_json_round_trip():
