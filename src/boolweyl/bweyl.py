@@ -48,15 +48,18 @@ the operator it denotes on M-basis coordinates, its rows written from
 closed forms, and multiplication of coefficients must match
 multiplication of matrices bit for bit.  The products of generator
 matrices in diffops are the oracle these rows are checked against.
+diagonal_blocks writes the same rows one diagonal block at a time;
+to_matrix is its one-block case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2lin import Gf2Matrix
 from .ring import (
+    _block_mask,
     _convert_bits,
     _superset_sum_bits,
     check_dim,
@@ -199,26 +202,108 @@ def _below(s: int) -> int:
     return bits
 
 
-def to_matrix(f: OpCoeffs) -> Gf2Matrix:
-    """Matrix of the operator on M-basis coordinates.
-
-    The terms sharing a right index b sum to g * P^b, where g is the ring
-    element of their left coefficients and P^b the shift or derivative
-    power of b.  Multiplication by g is diagonal on M coordinates, so row
-    r of P^b is XORed into the result for every r in the support of g
-    written in M.  Those rows have closed forms: row r of s^b is the
-    point r + b, and row r of d^b the points (r - b) | t for every t
-    subset of b, i.e. the submasks of b shifted by r - b.
-    """
+def _left_tables(f: OpCoeffs) -> list[tuple[int, int]]:
+    """(b, g) per right index b of f: g is the M-basis table of the ring
+    element of the left coefficients of f's terms with right index b, so
+    that f is the sum of g * P^b, P^b the shift or derivative power of b."""
     size = 1 << f.n
-    shift = f.basis[1] == "S"
-    rows = [0] * size
-    for b, left in _pack_index(f.terms, 0).items():
+    return [(b, _convert_bits(left, size, f.basis[0], "M")) for b, left in _pack_index(f.terms, 0).items()]
+
+
+def _block_matrix(groups: Iterable[tuple[int, int]], side: int, shift: bool) -> Gf2Matrix:
+    """The matrix of the sum over (b, g) in groups of g * P^b, g a table
+    over `side` points.
+
+    Multiplication by g is diagonal on M coordinates, so row r of P^b is
+    XORed into the result for every r in the support of g.  Those rows
+    have closed forms: row r of s^b is the point r + b, and row r of d^b
+    the points (r - b) | t for every t subset of b, i.e. the submasks of b
+    shifted by r - b.
+    """
+    rows = [0] * side
+    for b, left in groups:
         if not shift:
             below = _below(b)
-        for r in iter_bits(_convert_bits(left, size, f.basis[0], "M")):
+        for r in iter_bits(left):
             rows[r] ^= 1 << (r ^ b) if shift else below << (r & ~b)
     return Gf2Matrix(tuple(rows))
+
+
+def to_matrix(f: OpCoeffs) -> Gf2Matrix:
+    """Matrix of the operator on M-basis coordinates: the one diagonal block
+    of diagonal_blocks when the block coordinates are all of [n]."""
+    return _block_matrix(_left_tables(f), 1 << f.n, f.basis[1] == "S")
+
+
+def _swap_coords(bits: int, size: int, i: int, j: int) -> int:
+    """The table over `size` points with coordinates i < j exchanged: each
+    point with bit i set and bit j clear trades its bit with its mirror."""
+    delta = (1 << j) - (1 << i)
+    t = (bits ^ (bits >> delta)) & _block_mask(size, 1 << j) & ~_block_mask(size, 1 << i)
+    return bits ^ t ^ (t << delta)
+
+
+def diagonal_blocks(ops: Sequence[OpCoeffs]) -> Iterator[tuple[Gf2Matrix, ...]]:
+    """The distinct diagonal blocks of the matrices of ops, produced lazily.
+
+    Row r of P^b has its entries at the columns c with c & ~b == r & ~b.
+    So with B the union of the right indices of all terms of ops, widened
+    by the lowest coordinates outside it to at least min(n, 3), every
+    matrix is block diagonal: one block per coset z = r & ~B, of side
+    2^|B|.  A stable partition moves B's coordinates to the low bits and
+    keeps the order of rows and columns inside a block; block z is then
+    built from the bits [z 2^|B|, (z + 1) 2^|B|) of each left table (see
+    _left_tables), a whole number of bytes.  Blocks whose slices all
+    agree are equal, so each distinct tuple (block of ops[0], block of
+    ops[1], ...) is yielded once, in the order of its lowest z.
+    """
+    n = ops[0].n
+    for f in ops:
+        require_same_dim(ops[0], f)
+    size, full = 1 << n, (1 << n) - 1
+    groups = [_left_tables(f) for f in ops]
+    shifts = [f.basis[1] == "S" for f in ops]
+    low = 0
+    for gs in groups:
+        for b, _ in gs:
+            low |= b
+    while low.bit_count() < min(n, 3):
+        low |= ~low & (low + 1)  # its lowest clear bit
+    if low == full:
+        yield tuple(_block_matrix(gs, size, shift) for gs, shift in zip(groups, shifts))
+        return
+    order = list(iter_bits(low)) + list(iter_bits(full ^ low))
+    at = list(range(n))  # the coordinate at each bit position, as the swaps go
+    swaps = []
+    for p, c in enumerate(order):
+        q = at.index(c)
+        if q != p:
+            at[p], at[q] = c, at[p]
+            swaps.append((p, q))
+    rank = {c: p for p, c in enumerate(order)}
+    tables = []  # per operator: (b moved to the low bits, bytes of g moved)
+    for gs in groups:
+        moved = []
+        for b, left in gs:
+            for p, q in swaps:
+                left = _swap_coords(left, size, p, q)
+            moved.append((sum(1 << rank[c] for c in iter_bits(b)), left.to_bytes(size >> 3, "little")))
+        tables.append(moved)
+    side = 1 << low.bit_count()
+    width = side >> 3
+    seen = set()
+    for start in range(0, size >> 3, width):
+        stop = start + width
+        key = tuple(data[start:stop] for moved in tables for _, data in moved)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield tuple(
+            _block_matrix(
+                [(b, int.from_bytes(data[start:stop], "little")) for b, data in moved], side, shift
+            )
+            for moved, shift in zip(tables, shifts)
+        )
 
 
 def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:

@@ -534,11 +534,10 @@ def check_entailment(n: int, samples: int, rng: random.Random) -> CheckResult:
         r = random_expr(rng, names, 2)
         s = random_expr(rng, names, 2)
         t = random_expr(rng, names, 2)
-        if (
-            lang.entails_quantum(r, s, ctx)
-            and lang.entails_quantum(s, t, ctx)
-            and not lang.entails_quantum(r, t, ctx)
-        ):
+        entailed = lang.entails_quantum(r, s, ctx)
+        if entailed != (lang.entailment_witness(r, s, ctx) is not None):  # the matrix route
+            return CheckResult("entailment", False, "block and matrix routes disagree")
+        if entailed and lang.entails_quantum(s, t, ctx) and not lang.entails_quantum(r, t, ctx):
             return CheckResult("entailment", False, "not transitive")
     return CheckResult("entailment", True, f"{samples} samples, n={n}")
 

@@ -81,14 +81,20 @@ def mat_apply(a: Gf2Matrix, v: int) -> int:
     return out
 
 
-def _echelon(vectors) -> dict[int, int]:
-    """Echelon rows of packed int vectors, keyed by their highest set bit."""
+def _echelon(vectors, floor: int = 0) -> dict[int, int] | None:
+    """Echelon rows of packed int vectors, keyed by their highest set bit.
+
+    None as soon as a vector reduces to one whose highest set bit lies
+    below `floor`; with floor 0 that never happens.
+    """
     pivots: dict[int, int] = {}
     for vec in vectors:
         while vec:
             p = vec.bit_length() - 1
             hit = pivots.get(p)
             if hit is None:
+                if p < floor:
+                    return None
                 pivots[p] = vec
                 break
             vec ^= hit
@@ -111,18 +117,19 @@ class ColumnSolver:
     Row i packs row i of t above bit `side` and row i of s below it, so a
     combination y of the rows holds y t in its high half and y s in its
     low half.  The system is solvable iff no echelon row leads in the low
-    half: such a row has y t = 0 but y s != 0.  `solvable` stops at that
-    test; `solve` goes on to back-substitute a solution.
+    half: such a row has y t = 0 but y s != 0, so the elimination stops at
+    the first one.  `solvable` reads that outcome; `solve` goes on to
+    back-substitute a solution.
     """
 
     def __init__(self, t: Gf2Matrix, s: Gf2Matrix) -> None:
         _require_same_side(t, s)
         side = self.side = t.side
-        self._pivots = _echelon((tr << side) | sr for tr, sr in zip(t.rows, s.rows))
+        self._pivots = _echelon(((tr << side) | sr for tr, sr in zip(t.rows, s.rows)), side)
 
     def solvable(self) -> bool:
         """True iff t r = s has a solution: no pivot lies below `side`."""
-        return min(self._pivots, default=self.side) >= self.side
+        return self._pivots is not None
 
     def solve(self) -> Gf2Matrix | None:
         """The r that is zero outside the pivot columns, or None.
@@ -143,15 +150,6 @@ class ColumnSolver:
                 acc ^= r[q]
             r[c] = acc
         return Gf2Matrix(tuple(r))
-
-
-def colspace_contains(t: Gf2Matrix, s: Gf2Matrix) -> bool:
-    """True iff every column of s lies in the column space of t.
-
-    Equivalently: there exists r with s = t r.  Decided from the echelon
-    rows alone, with no back-substitution.
-    """
-    return ColumnSolver(t, s).solvable()
 
 
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:

@@ -42,25 +42,28 @@ builds no matrix.  Quantum entailment of p by q is solvability of
 p-hat = q-hat * r over GF(2), column-space containment; a proposition's
 matrix is diagonal, so for two propositions it is the pointwise order
 of truth functions (classical entailment), decided on truth tables.
-Only a witness, or an operator on either side, takes an elimination;
-without a witness it stops at the echelon rows, with no back-substitution.
+With an operator on either side it is decided on the distinct diagonal
+blocks that the coordinates touched by derivatives or shifts cut out,
+each elimination stopping at the first row that refutes containment.
+Only a witness builds the full matrices and back-substitutes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bweyl import (
     OpCoeffs,
     convert_op_basis,
+    diagonal_blocks,
     op_add,
     op_monomial,
     op_mul,
     to_matrix,
 )
-from .gf2lin import Gf2Matrix, colspace_contains, solve_right
+from .gf2lin import ColumnSolver, Gf2Matrix, solve_right
 from .ring import (
     RingElem,
     _block_mask,
@@ -185,17 +188,38 @@ _SYMBOL_KINDS = {
 _TOKEN = re.compile(r"\s*(?:(->|[+.&|!~()01])|([mxwys])\{([^}]*)(\}?)|(\w+)|(.))", re.S)
 
 
-def _set_elements(body: str, offset: int) -> tuple[int, ...]:
-    """The sorted distinct elements of a set literal's body, which starts at offset."""
-    elements = set()
+def read_elements(
+    body: str, bad: Callable[[str, bool], Exception], tilde: bool = False
+) -> Iterator[tuple[bool, int]]:
+    """The elements of a comma-separated list, in order: (marked, value) per
+    stripped item, where marked says that the item starts with '~', a mark
+    read only when `tilde` is set.  An empty body holds none.
+
+    An item whose unmarked rest is not decimal digits raises bad(item,
+    False); one with more digits than the interpreter converts raises
+    bad(item, True).  Set literals and family literals both read here.
+    """
     for item in body.split(",") if body else ():
         item = item.strip()
-        if not item.isdecimal():
-            raise LexError(f"bad set element {item!r}", offset)
+        marked = tilde and item.startswith("~")
+        digits = item[marked:]
+        if not digits.isdecimal():
+            raise bad(item, False)
         try:
-            element = int(item)
+            value = int(digits)
         except ValueError:  # more digits than the interpreter converts
-            raise LexError("set element too long", offset) from None
+            raise bad(item, True) from None
+        yield marked, value
+
+
+def _set_elements(body: str, offset: int) -> tuple[int, ...]:
+    """The sorted distinct elements of a set literal's body, which starts at offset."""
+
+    def bad(item: str, too_long: bool) -> LexError:
+        return LexError("set element too long" if too_long else f"bad set element {item!r}", offset)
+
+    elements = set()
+    for _, element in read_elements(body, bad):
         if element < 1:
             raise LexError("set elements are 1-based", offset)
         elements.add(element)
@@ -535,9 +559,22 @@ def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
 
 
 def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
+    """Column-space containment of p-hat in q-hat.
+
+    Two truth tables are compared pointwise.  Otherwise both matrices are
+    block diagonal on the cosets of the coordinates that the derivatives
+    or shifts touch (bweyl.diagonal_blocks), and containment holds iff it
+    holds in every block: each distinct pair of blocks is eliminated once,
+    a zero block of p-hat holds with no elimination, and the first block
+    that fails answers no.
+    """
     if isinstance(pv, RingElem) and isinstance(qv, RingElem):
         return pv.bits & ~qv.bits == 0
-    return colspace_contains(to_matrix(as_operator(qv)), to_matrix(as_operator(pv)))
+    return all(
+        ColumnSolver(q, p).solvable()
+        for p, q in diagonal_blocks((as_operator(pv), as_operator(qv)))
+        if any(p.rows)
+    )
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:

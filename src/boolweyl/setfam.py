@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bweyl import OpCoeffs
+from .lang import read_elements
 from .ring import (
     RingElem,
     check_dim,
@@ -320,6 +321,10 @@ _FAMILY = re.compile(r"\s*\{(\s*(?:\{[^{}]*\}\s*(?:,\s*\{[^{}]*\}\s*)*)?)\}\s*")
 _MEMBER = re.compile(r"\{([^{}]*)\}")
 
 
+def _bad_element(item: str, too_long: bool) -> ValueError:
+    return ValueError(f"bad family element {item!r}")
+
+
 def parse_family(text: str, n: int) -> Family:
     """Parse a family literal with ~i marking tilde elements.
 
@@ -333,16 +338,7 @@ def parse_family(text: str, n: int) -> Family:
     for body in _MEMBER.findall(literal[1]):
         plain = tilde = 0
         if body.strip():
-            for item in body.split(","):
-                item = item.strip()
-                tilded = item.startswith("~")
-                digits = item[tilded:]
-                if not digits.isdecimal():
-                    raise ValueError(f"bad family element {item!r}")
-                try:
-                    index = int(digits)
-                except ValueError:  # more digits than the interpreter converts
-                    raise ValueError(f"bad family element {item!r}") from None
+            for tilded, index in read_elements(body, _bad_element, tilde=True):
                 bit = mask_from_indices([index], n)
                 if tilded:
                     tilde |= bit

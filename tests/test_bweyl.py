@@ -31,7 +31,7 @@ from boolweyl.diffops import (
     multiplication_matrix,
     shift_power_matrix,
 )
-from boolweyl.gf2lin import identity, mat_add, mat_mul, zero_matrix
+from boolweyl.gf2lin import Gf2Matrix, identity, mat_add, mat_mul, zero_matrix
 from boolweyl.ring import ring_monomial, submasks
 
 
@@ -106,6 +106,70 @@ def test_to_matrix_basics():
     assert to_matrix(op_coeffs(1, "XY", [(0, 1)])) == derivative_matrix(1, 1)
     for basis in OP_BASES:
         assert to_matrix(op_identity(3, basis)) == identity(8)
+
+
+def reference_blocks(ops, low):
+    """The distinct tuples of diagonal blocks, cut from the full matrices: the
+    block of coset z holds the rows and columns of the points r with
+    r & ~low == z, in ascending order; first occurrences in the order of z."""
+    n = ops[0].n
+    full = [to_matrix(f) for f in ops]
+    blocks = {}
+    for z in range(1 << n):
+        if z & low:
+            continue
+        points = [r for r in range(1 << n) if r & ~low == z]
+        key = tuple(
+            Gf2Matrix(
+                tuple(
+                    sum(((m.rows[r] >> c) & 1) << j for j, c in enumerate(points)) for r in points
+                )
+            )
+            for m in full
+        )
+        blocks.setdefault(key)
+    return list(blocks)
+
+
+def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
+    rng = random.Random(23)
+    seen = Counter()
+    for trial in range(300):
+        n = 1 + trial % 7
+        touched = rng.getrandbits(n) & rng.getrandbits(n)
+        if trial % 5 == 0:
+            touched = rng.getrandbits(n)
+        ops = [
+            OpCoeffs(
+                n,
+                rng.choice(OP_BASES),
+                frozenset(
+                    (rng.getrandbits(n), rng.getrandbits(n) & touched)
+                    for _ in range(rng.randint(0, 5))
+                ),
+            )
+            for _ in range(1 + trial % 2)
+        ]
+        low = 0
+        for f in ops:
+            for _, b in f.terms:
+                low |= b
+        # widened by the lowest coordinates outside it to at least three
+        while low.bit_count() < min(n, 3):
+            low |= ~low & (low + 1)
+        got = list(bweyl.diagonal_blocks(ops))
+        assert got == reference_blocks(ops, low), ops
+        seen[len(got) > 1] += 1
+        seen["duplicates"] += len(got) < 1 << (n - low.bit_count())
+    assert min(seen[True], seen[False], seen["duplicates"]) >= 30, seen
+
+
+def test_to_matrix_is_the_one_block_of_all_coordinates():
+    f = op_coeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
+    assert list(bweyl.diagonal_blocks((f,))) == [(to_matrix(f),)]
+    # one right index, widened to three coordinates: two equal blocks of side 8
+    g = op_coeffs(4, "XY", [(0, 0b0100)])
+    assert list(bweyl.diagonal_blocks((g,))) == [(to_matrix(op_coeffs(3, "XY", [(0, 0b100)])),)]
 
 
 # --- structural coefficient -----------------------------------------------------

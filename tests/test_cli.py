@@ -110,6 +110,19 @@ def test_entail_yes_no_exit_codes(capsys):
     assert run(capsys, "entail", "a", "a b", "--witness") == (1, "no\n", "")
 
 
+def test_entail_at_n16_builds_no_full_matrix(capsys, monkeypatch):
+    # the full matrices would be 2^16 x 2^16 bits: 512 MB each
+    def refuse(f):
+        raise AssertionError("to_matrix called")
+
+    from boolweyl import bweyl
+
+    for module in (bweyl, lang, cli):
+        monkeypatch.setattr(module, "to_matrix", refuse)
+    assert run(capsys, "entail", "~a a", "1", "-n", "16") == (0, "yes\n", "")
+    assert run(capsys, "entail", "~a a", "~b", "-n", "16") == (1, "no\n", "")
+
+
 def test_entail_witness(capsys):
     code, out, _ = run(capsys, "entail", "~a a", "1", "--witness")
     assert code == 0

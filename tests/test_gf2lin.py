@@ -6,8 +6,8 @@ import random
 import pytest
 
 from boolweyl.gf2lin import (
+    ColumnSolver,
     Gf2Matrix,
-    colspace_contains,
     identity,
     mat_add,
     mat_apply,
@@ -136,9 +136,9 @@ def test_colspace_trivial_cases():
     rng = random.Random(6)
     for _ in range(10):
         s = random_matrix(rng, 4)
-        assert colspace_contains(identity(4), s)
-    assert not colspace_contains(zero_matrix(2), identity(2))
-    assert colspace_contains(zero_matrix(2), zero_matrix(2))
+        assert ColumnSolver(identity(4), s).solvable()
+    assert not ColumnSolver(zero_matrix(2), identity(2)).solvable()
+    assert ColumnSolver(zero_matrix(2), zero_matrix(2)).solvable()
 
 
 def test_colspace_matches_brute_force_n1():
@@ -146,7 +146,7 @@ def test_colspace_matches_brute_force_n1():
     for _ in range(100):
         t = random_matrix(rng, 2)
         s = random_matrix(rng, 2)
-        assert colspace_contains(t, s) == brute_colspace_contains(t, s)
+        assert ColumnSolver(t, s).solvable() == brute_colspace_contains(t, s)
 
 
 def test_colspace_contains_agrees_with_solve_right():
@@ -158,7 +158,7 @@ def test_colspace_contains_agrees_with_solve_right():
         s = zero_matrix(side) if trial % 10 == 1 else random_matrix(rng, side)
         if trial % 3 == 0:
             s = mat_mul(t, random_matrix(rng, side))
-        contains = colspace_contains(t, s)
+        contains = ColumnSolver(t, s).solvable()
         assert contains == (solve_right(t, s) is not None)
         outcomes.add((side, contains))
     assert outcomes == {(side, c) for side in (1, 2, 4, 8, 16) for c in (False, True)}
@@ -182,16 +182,16 @@ def test_colspace_preorder():
         a = random_matrix(rng, 4)
         b = random_matrix(rng, 4)
         c = random_matrix(rng, 4)
-        assert colspace_contains(a, a)
-        if colspace_contains(a, b) and colspace_contains(b, c):
-            assert colspace_contains(a, c)
+        assert ColumnSolver(a, a).solvable()
+        if ColumnSolver(a, b).solvable() and ColumnSolver(b, c).solvable():
+            assert ColumnSolver(a, c).solvable()
 
 
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         mat_mul(identity(2), identity(4))
     with pytest.raises(ValueError):
-        colspace_contains(identity(2), identity(4))
+        ColumnSolver(identity(2), identity(4))
 
 
 def thin_matrix(rng, side):
@@ -227,6 +227,58 @@ def test_solve_right_matches_fredholm_alternative():
                 assert mat_mul(t, r) == s
             seen.add(blocked)
     assert seen == {False, True}
+
+
+def full_elimination_solve(t, s):
+    """solve_right with no early stop: eliminate every row of [t | s], refuse
+    when a pivot lies below the side, else back-substitute per pivot."""
+    side = t.side
+    pivots = {}
+    for vec in ((tr << side) | sr for tr, sr in zip(t.rows, s.rows)):
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = vec
+                break
+            vec ^= pivots[p]
+    if min(pivots, default=side) < side:
+        return None
+    r = [0] * side
+    for p in sorted(pivots):
+        row = pivots[p]
+        acc = row & ((1 << side) - 1)
+        for q in range(side):
+            if (row >> (side + q)) & 1 and q != p - side:
+                acc ^= r[q]
+        r[p - side] = acc
+    return Gf2Matrix(tuple(r))
+
+
+def test_early_stop_solves_as_a_full_elimination():
+    rng = random.Random(13)
+    outcomes = set()
+    for side in (1, 2, 4, 8, 16):
+        for trial in range(60):
+            t = thin_matrix(rng, side) if trial % 2 else random_matrix(rng, side)
+            s = mat_mul(t, random_matrix(rng, side))
+            if trial % 3:
+                s = mat_add(s, thin_matrix(rng, side) if trial % 5 else random_matrix(rng, side))
+            solver = ColumnSolver(t, s)
+            want = full_elimination_solve(t, s)
+            assert solver.solve() == want
+            assert solver.solvable() == (want is not None)
+            outcomes.add((side, want is None))
+    assert outcomes == {(side, no) for side in (1, 2, 4, 8, 16) for no in (False, True)}
+
+
+def test_elimination_stops_at_the_first_low_pivot():
+    from boolweyl.gf2lin import _echelon
+
+    # the second row reduces to bit 1, below the floor 4: the third is never read
+    rows = iter([0b110000, 0b110010, 0b1000000])
+    assert _echelon(rows, 4) is None
+    assert next(rows) == 0b1000000
+    assert _echelon([0b110000, 0b110010, 0b1000000]) == {5: 0b110000, 1: 0b10, 6: 0b1000000}
 
 
 def test_text_round_trip():

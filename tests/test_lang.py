@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +190,7 @@ LEX_PINNED = [
     "x{0}",
     "x{ 1 , 2 }",
     "x{1,,2}",
+    "x{~1}",  # a '~' marks family elements, not set elements
     "x{2,1,2}",
     "x{１}",
     "xy{1}",
@@ -804,6 +806,41 @@ def test_entails_quantum_matches_the_matrix_route():
             seen.add((is_classical(p), is_classical(q), got))
     kinds = {(pc, qc) for pc in (True, False) for qc in (True, False)}
     assert seen == {(pc, qc, got) for pc, qc in kinds for got in (True, False)}
+
+
+def test_block_route_matches_full_matrices_on_xy_pairs():
+    # the derivatives of both operands touch the coordinates in `touched`;
+    # the left indices are drawn over all of [n]
+    from boolweyl.bweyl import OpCoeffs, diagonal_blocks
+    from boolweyl.gf2lin import ColumnSolver
+    from boolweyl.lang import _entails
+
+    rng = random.Random(17)
+    counts = Counter()
+    for trial in range(1200):
+        n = 4 + trial % 6
+        touched = rng.getrandbits(n) & rng.getrandbits(n)
+        if trial % 7 == 0:
+            touched = (1 << n) - 1
+
+        def draw(size):
+            terms = {(rng.getrandbits(n), rng.getrandbits(n) & touched) for _ in range(size)}
+            return OpCoeffs(n, "XY", frozenset(terms))
+
+        q = draw(rng.randint(1, 4))
+        p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
+        got = _entails(p, q)
+        assert got == ColumnSolver(to_matrix(q), to_matrix(p)).solvable(), (p, q)
+        blocks = list(diagonal_blocks((p, q)))
+        cover = 0
+        for a, b in p.terms | q.terms:
+            cover |= b
+        counts[got] += 1
+        counts["split"] += blocks[0][0].side < 1 << n
+        counts["left outside"] += any(a & ~cover for a, _ in p.terms | q.terms)
+        counts["duplicates"] += len(blocks) < (1 << n) // blocks[0][0].side
+    assert min(counts[True], counts[False]) >= 200, counts
+    assert min(counts["split"], counts["left outside"], counts["duplicates"]) >= 200, counts
 
 
 def test_entailment_preorder():
