@@ -103,7 +103,6 @@ def cmd_matrix(args) -> int:
     if args.format == "dot":
         _print_lines(matrix_dot_lines(m))
     elif args.format == "json":
-        # the bytes of json.dumps(matrix_to_json(m)), one write per row
         sys.stdout.writelines(matrix_json_chunks(m))
         print()
     else:

@@ -106,11 +106,6 @@ def gf2_rank(vectors) -> int:
     return len(_echelon(vectors))
 
 
-def rank(a: Gf2Matrix) -> int:
-    """Row rank, by elimination on packed rows."""
-    return gf2_rank(a.rows)
-
-
 class ColumnSolver:
     """One elimination of the augmented rows [t | s] for the system t r = s.
 
@@ -185,7 +180,8 @@ def matrix_from_text(text: str) -> Gf2Matrix:
 
 
 def matrix_dot_lines(a: Gf2Matrix) -> Iterator[str]:
-    """The lines of matrix_to_dot, one node or edge each, produced lazily."""
+    """DOT lines, produced lazily: a node per subset mask, labelled like
+    "{1,3}", and an edge from b to a iff the entry (a, b) is 1."""
     yield "digraph gf2matrix {"
     for v in range(a.side):
         yield f'  n{v} [label="{mask_str(v)}"];'
@@ -195,21 +191,8 @@ def matrix_dot_lines(a: Gf2Matrix) -> Iterator[str]:
     yield "}"
 
 
-def matrix_to_dot(a: Gf2Matrix) -> str:
-    """Directed-graph view: an edge from b to a iff the entry (a, b) is 1.
-
-    Nodes are all subset masks, labelled as set literals like "{1,3}".
-    """
-    return "\n".join(matrix_dot_lines(a))
-
-
-def matrix_to_json(a: Gf2Matrix) -> dict:
-    return {"side": a.side, "rows": list(matrix_text_lines(a))}
-
-
 def matrix_json_chunks(a: Gf2Matrix) -> Iterator[str]:
-    """json.dumps(matrix_to_json(a)) in pieces, one per row, produced
-    lazily.  Rows hold only 0 and 1, so nothing needs escaping."""
+    """JSON {"side": ..., "rows": [0/1 strings]}, one piece per row, produced lazily."""
     yield f'{{"side": {a.side}, "rows": ['
     sep = '"'
     for line in matrix_text_lines(a):

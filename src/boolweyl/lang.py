@@ -15,8 +15,8 @@ monomial literals multiply like any other factors, so operator dumps
 like "x{1,2}y{1} + y{2}" read back directly.  Whitespace separates
 tokens; '-' appears only in '->'; an IDENT starts with any Unicode
 letter or '_' and continues with letters, digits or '_'.  Nesting has
-no limit: parsing and valuation keep their own stacks.  format_expr and
-a tree's ==, hash and repr still recurse, so they are not for trees deeper
+no limit: parsing, valuation and format_expr keep their own stacks.  A
+tree's ==, hash and repr still recurse, so they are not for trees deeper
 than Python's recursion limit, such as the parse of a few thousand '!'.
 
 On top of the core grammar, the classical connectives are accepted as
@@ -339,32 +339,42 @@ def parse_text(src: str) -> Expr:
 
 
 def format_expr(e: Expr) -> str:
-    """Canonical text.
+    """Canonical text, written with an explicit stack: no nesting limit.
 
     A tree built by parse, make_sum and make_prod parses back to an equal
     tree; the text of any tree parses to an expression of the same value.
     """
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, TildeVar):
-        return "~" + e.name
-    if isinstance(e, Mono):
-        return e.kind + "{%s}" % ",".join(str(i) for i in e.indices)
-    if isinstance(e, Sum):
-        return " + ".join(
-            f"({format_expr(p)})" if isinstance(p, Sum) else format_expr(p)
-            for p in e.parts
-        ) or "0"
-    if isinstance(e, Prod):
-        return " ".join(
-            f"({format_expr(p)})" if isinstance(p, (Sum, Prod)) else format_expr(p)
-            for p in e.parts
-        ) or "1"
-    raise TypeError(f"not an expression: {e!r}")
+    out: list[str] = []
+    end = object()  # what next() gives once a frame's parts are used up
+    # one frame per open Sum or Prod, the innermost in the locals: its parts
+    # left, the separator after each, the part types it parenthesizes, its close
+    frames: list[tuple] = []
+    parts, sep, wrap, close = iter((e,)), "", (), ""
+    while True:
+        node = next(parts, end)
+        if node is end:
+            out[-1] = close  # in place of the separator after the last part
+            if not frames:
+                return "".join(out)
+            parts, sep, wrap, close = frames.pop()
+        elif isinstance(node, (Sum, Prod)):
+            frames.append((parts, sep, wrap, close))
+            close = ")" if isinstance(node, wrap) else ""
+            out.append("(" if close else "")
+            if isinstance(node, Sum):  # an empty sum reads 0, an empty product 1
+                parts, sep, wrap = iter(node.parts or (Zero(),)), " + ", Sum
+            else:
+                parts, sep, wrap = iter(node.parts or (One(),)), " ", (Sum, Prod)
+            continue
+        elif isinstance(node, (Var, TildeVar)):
+            out.append(("~" if isinstance(node, TildeVar) else "") + node.name)
+        elif isinstance(node, Mono):
+            out.append(node.kind + "{%s}" % ",".join(str(i) for i in node.indices))
+        elif isinstance(node, (Zero, One)):
+            out.append("0" if isinstance(node, Zero) else "1")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        out.append(sep)
 
 
 # --- contexts -----------------------------------------------------------------

@@ -156,45 +156,6 @@ def _superset_sum_bits(bits: int, size: int) -> int:
     return bits
 
 
-def _check_pow2_length(length: int) -> None:
-    if length < 1 or length & (length - 1):
-        raise ValueError(f"vector length must be a power of two, got {length}")
-
-
-def _pack(vec: Iterable[int]) -> tuple[int, int]:
-    bits = 0
-    length = 0
-    for v in vec:
-        if v & 1:
-            bits |= 1 << length
-        length += 1
-    return bits, length
-
-
-def _unpack(bits: int, length: int) -> list[int]:
-    return [(bits >> i) & 1 for i in range(length)]
-
-
-def subset_sum_transform(vec: Iterable[int]) -> list[int]:
-    """GF(2) subset sum: out(b) = XOR over a subset of b of vec(a).
-
-    Self-inverse; the identity coefficients of the M <-> X basis change.
-    """
-    bits, length = _pack(vec)
-    _check_pow2_length(length)
-    return _unpack(_subset_sum_bits(bits, length), length)
-
-
-def superset_sum_transform(vec: Iterable[int]) -> list[int]:
-    """GF(2) superset sum: out(a) = XOR over b superset of a of vec(b).
-
-    Self-inverse; the coefficients of the X <-> W basis change.
-    """
-    bits, length = _pack(vec)
-    _check_pow2_length(length)
-    return _unpack(_superset_sum_bits(bits, length), length)
-
-
 @dataclass(frozen=True)
 class RingElem:
     """Element of the Boolean ring: packed coefficients plus a basis tag."""
@@ -209,10 +170,6 @@ class RingElem:
             raise ValueError(f"unknown ring basis {self.basis!r}")
         if not 0 <= self.bits < (1 << (1 << self.n)):
             raise ValueError("coefficient vector out of range")
-
-    def coeff(self, a: int) -> int:
-        check_mask(a, self.n)
-        return (self.bits >> a) & 1
 
     def support(self) -> tuple[int, ...]:
         """Masks with coefficient 1, ascending."""

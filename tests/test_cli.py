@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from boolweyl import checks, cli, lang
 from boolweyl.bweyl import OP_BASES, to_matrix
 from boolweyl.cli import main
-from boolweyl.gf2lin import mat_mul, matrix_from_text, matrix_to_json
+from boolweyl.gf2lin import mat_mul, matrix_from_text, matrix_text_lines
 from boolweyl.lang import eval_quantum, infer_context, parse_text
 from boolweyl.ring import RING_BASES
 
@@ -172,7 +172,7 @@ def test_matrix_json_streamed_bytes(capsys):
         code, out, _ = run(capsys, "matrix", expr, "-n", str(n), "--format", "json")
         assert code == 0
         m = to_matrix(eval_quantum(parse_text(expr), infer_context([parse_text(expr)], n)))
-        assert out == json.dumps(matrix_to_json(m)) + "\n"
+        assert out == json.dumps({"side": m.side, "rows": list(matrix_text_lines(m))}) + "\n"
 
 
 def test_dot_output(capsys):

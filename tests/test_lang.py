@@ -462,6 +462,55 @@ def test_format_of_empty_and_one_part_nodes_keeps_the_value():
     assert [format_expr(e) for e in trees[:3]] == ["0", "1", "(0) a"]
 
 
+def reference_format_expr(e):
+    """The recursive writer that `format_expr` replaced, kept as its reference."""
+    if isinstance(e, Zero):
+        return "0"
+    if isinstance(e, One):
+        return "1"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, TildeVar):
+        return "~" + e.name
+    if isinstance(e, Mono):
+        return e.kind + "{%s}" % ",".join(str(i) for i in e.indices)
+    if isinstance(e, Sum):
+        return " + ".join(_reference_part(p, Sum) for p in e.parts) or "0"
+    if isinstance(e, Prod):
+        return " ".join(_reference_part(p, (Sum, Prod)) for p in e.parts) or "1"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _reference_part(p, wrap):
+    text = reference_format_expr(p)
+    return f"({text})" if isinstance(p, wrap) else text
+
+
+def test_format_matches_the_recursive_writer():
+    # trees of any shape: empty and one-part nodes, sums in sums, products in products
+    leaves = (Zero(), One(), Var("a"), TildeVar("b"), Mono("x", (1, 2)), Mono("s", ()), Mono("m", (3,)))
+    rng = random.Random(29)
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        parts = tuple(tree(depth - 1) for _ in range(rng.randint(0, 3)))
+        return Sum(parts) if rng.getrandbits(1) else Prod(parts)
+
+    for _ in range(3000):
+        e = tree(rng.randint(0, 6))
+        assert format_expr(e) == reference_format_expr(e), e
+    with pytest.raises(TypeError, match="^not an expression"):
+        format_expr(Sum((Var("a"), "b")))
+
+
+def test_format_of_a_tree_deeper_than_the_stack():
+    # the parse of k '!' nests k sums; the writer keeps its own stack
+    depth = 100_000
+    text = format_expr(parse_text("!" * depth + "a"))
+    assert text == "(" * (depth - 1) + "a + 1" + ") + 1" * (depth - 1)
+
+
 # --- contexts -------------------------------------------------------------------
 
 
@@ -841,6 +890,28 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
         counts["duplicates"] += len(blocks) < (1 << n) // blocks[0][0].side
     assert min(counts[True], counts[False]) >= 200, counts
     assert min(counts["split"], counts["left outside"], counts["duplicates"]) >= 200, counts
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_battery_entailment_sees_split_matrices(n, monkeypatch):
+    # the battery runs the check at n itself, up to 5; on the check's own
+    # draws there, most diagonal_blocks calls yield several blocks
+    from boolweyl import lang
+    from boolweyl.bweyl import diagonal_blocks
+
+    assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
+    blocks_per_call = []
+
+    def counting_blocks(ops):
+        blocks = list(diagonal_blocks(ops))
+        blocks_per_call.append(len(blocks))
+        return iter(blocks)
+
+    monkeypatch.setattr(lang, "diagonal_blocks", counting_blocks)
+    for seed in range(8):
+        result = checks.check_entailment(n, 25, random.Random(seed))
+        assert result.ok, result.detail
+    assert sum(count > 1 for count in blocks_per_call) >= 100, blocks_per_call
 
 
 def test_entailment_preorder():

@@ -11,6 +11,8 @@ from boolweyl.bweyl import op_add, op_mul, op_zero
 from boolweyl.diffops import apply_coeffs
 from boolweyl.ring import (
     RingElem,
+    _subset_sum_bits,
+    _superset_sum_bits,
     convert_ring_basis,
     k_cover_parity,
     mask_from_indices,
@@ -25,8 +27,6 @@ from boolweyl.ring import (
     ring_text,
     ring_to_json,
     ring_zero,
-    subset_sum_transform,
-    superset_sum_transform,
 )
 from boolweyl.setfam import circ_act, fam_add, family, family_n
 
@@ -61,20 +61,18 @@ def test_mask_helpers():
 
 
 def test_subset_sum_transform_small():
-    assert subset_sum_transform([1, 0]) == [1, 1]
-    assert subset_sum_transform([0, 1]) == [0, 1]
+    assert _subset_sum_bits(0b01, 2) == 0b11
+    assert _subset_sum_bits(0b10, 2) == 0b10
 
 
 def test_superset_sum_transform_small():
-    assert superset_sum_transform([1, 0]) == [1, 0]
-    assert superset_sum_transform([0, 1]) == [1, 1]
+    assert _superset_sum_bits(0b01, 2) == 0b01
+    assert _superset_sum_bits(0b10, 2) == 0b11
 
 
-def test_transform_length_validation():
-    with pytest.raises(ValueError):
-        subset_sum_transform([1, 0, 1])
-    with pytest.raises(ValueError):
-        superset_sum_transform([])
+def bits_of(vec):
+    """Pack a 0/1 list: entry i is bit i."""
+    return sum(v << i for i, v in enumerate(vec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -82,14 +80,14 @@ def test_transforms_match_brute_force(n):
     size = 1 << n
     for packed in range(1 << size):
         vec = [(packed >> i) & 1 for i in range(size)]
-        assert subset_sum_transform(vec) == brute_subset_sum(vec)
-        assert superset_sum_transform(vec) == brute_superset_sum(vec)
+        assert _subset_sum_bits(packed, size) == bits_of(brute_subset_sum(vec))
+        assert _superset_sum_bits(packed, size) == bits_of(brute_superset_sum(vec))
 
 
-@given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
-def test_transforms_are_involutions(vec):
-    assert subset_sum_transform(subset_sum_transform(vec)) == vec
-    assert superset_sum_transform(superset_sum_transform(vec)) == vec
+@given(st.integers(0, (1 << 16) - 1))
+def test_transforms_are_involutions(bits):
+    assert _subset_sum_bits(_subset_sum_bits(bits, 16), 16) == bits
+    assert _superset_sum_bits(_superset_sum_bits(bits, 16), 16) == bits
 
 
 def m_bits(f: RingElem) -> int:
