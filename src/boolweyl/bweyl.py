@@ -79,13 +79,15 @@ Term = tuple[int, int]
 
 @dataclass(frozen=True)
 class OpCoeffs:
-    """Operator coefficients: sparse set of (left, right) index pairs."""
+    """Operator coefficients: sparse set of (left, right) index pairs, given
+    as any iterable and stored as a frozenset."""
 
     n: int
     basis: str
     terms: frozenset[Term]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", frozenset(self.terms))
         check_dim(self.n)
         if self.basis not in OP_BASES:
             raise ValueError(f"unknown operator basis {self.basis!r}")
@@ -99,39 +101,27 @@ class OpCoeffs:
         """Terms in the canonical order: ascending on (left, right)."""
         return sorted(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "OpCoeffs") -> "OpCoeffs":
-        return op_add(self, other)
-
-    def __mul__(self, other: "OpCoeffs") -> "OpCoeffs":
-        return op_mul(self, other)
-
     def __str__(self) -> str:
         return op_text(self)
 
 
-def op_coeffs(n: int, basis: str, terms: Iterable[Term]) -> OpCoeffs:
-    return OpCoeffs(n, basis, frozenset(terms))
-
-
 def op_zero(n: int, basis: str = "XY") -> OpCoeffs:
-    return OpCoeffs(n, basis, frozenset())
+    return OpCoeffs(n, basis, ())
 
 
 def op_identity(n: int, basis: str = "XY") -> OpCoeffs:
     """The identity operator written in the given basis."""
+    check_dim(n)
     if basis[0] == "M":
         # 1 = sum of all point indicators
-        return OpCoeffs(n, basis, frozenset((a, 0) for a in range(1 << n)))
-    return OpCoeffs(n, basis, frozenset({(0, 0)}))
+        return OpCoeffs(n, basis, ((a, 0) for a in range(1 << n)))
+    return OpCoeffs(n, basis, {(0, 0)})
 
 
 def op_monomial(n: int, basis: str, a: int, b: int) -> OpCoeffs:
     check_mask(a, n)
     check_mask(b, n)
-    return OpCoeffs(n, basis, frozenset({(a, b)}))
+    return OpCoeffs(n, basis, {(a, b)})
 
 
 def op_add(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
@@ -495,10 +485,5 @@ def op_to_json(f: OpCoeffs) -> dict:
 def op_from_json(data: dict) -> OpCoeffs:
     n = data["n"]
     check_dim(n)
-    return OpCoeffs(
-        n,
-        data["basis"],
-        frozenset(
-            (mask_from_indices(a, n), mask_from_indices(b, n)) for a, b in data["terms"]
-        ),
-    )
+    terms = ((mask_from_indices(a, n), mask_from_indices(b, n)) for a, b in data["terms"])
+    return OpCoeffs(n, data["basis"], terms)

@@ -46,15 +46,12 @@ def random_op(rng: random.Random, n: int, basis: str | None = None) -> bweyl.OpC
     basis = basis or rng.choice(bweyl.OP_BASES)
     size = 1 << n
     if size * size <= 16:
-        terms = frozenset(
-            (a, b) for a in range(size) for b in range(size) if rng.getrandbits(1)
-        )
+        terms = {(a, b) for a in range(size) for b in range(size) if rng.getrandbits(1)}
     else:
         count = rng.randint(0, size)
-        pairs = set()
-        while len(pairs) < count:
-            pairs.add((rng.randrange(size), rng.randrange(size)))
-        terms = frozenset(pairs)
+        terms = set()
+        while len(terms) < count:
+            terms.add((rng.randrange(size), rng.randrange(size)))
     return bweyl.OpCoeffs(n, basis, terms)
 
 
@@ -65,12 +62,12 @@ def random_family(rng: random.Random, n: int, max_members: int | None = None) ->
     members = set()
     while len(members) < count:
         members.add((rng.randrange(size), rng.randrange(size)))
-    return setfam.Family(n, frozenset(members))
+    return setfam.Family(n, members)
 
 
 def random_family_n(rng: random.Random, n: int) -> setfam.FamilyN:
     size = 1 << n
-    return setfam.FamilyN(n, frozenset(a for a in range(size) if rng.getrandbits(1)))
+    return setfam.FamilyN(n, (a for a in range(size) if rng.getrandbits(1)))
 
 
 def random_expr(rng: random.Random, names: tuple[str, ...], depth: int, quantum: bool = True) -> lang.Expr:
@@ -406,7 +403,7 @@ def check_monomial_product_forms(n: int, samples: int, rng: random.Random) -> Ch
             for e in range(size):
                 if d & ~e == 0 and (e & ~d) & ~(a ^ c) == 0:
                     want.add((a, e))
-        if got.terms != frozenset(want):
+        if got.terms != want:
             return CheckResult("monomial-product-forms", False, f"MY {a},{b},{c},{d}")
         got_s = bweyl.op_mul(bweyl.op_monomial(n, "MS", a, b), bweyl.op_monomial(n, "MS", c, d))
         want_s = frozenset({(a, b ^ d)}) if a == (b ^ c) else frozenset()
@@ -547,7 +544,11 @@ def check_entailment(n: int, samples: int, rng: random.Random) -> CheckResult:
 
 
 def run_battery(n: int = 3, samples: int = 25, seed: int = 0) -> list[CheckResult]:
-    """The full invariant battery at one dimension."""
+    """The full invariant battery at one dimension; n and samples are
+    refused before the first draw when out of range."""
+    ring.check_dim(n)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     lang_samples = max(samples, 50)
     return [

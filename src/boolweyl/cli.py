@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
+from .bweyl import convert_op_basis, op_mul, op_to_json, to_matrix, OP_BASES
 from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
 from .lang import (
     LangError,
@@ -73,7 +73,7 @@ def cmd_mul(args) -> int:
         raise LangError(f"basis {basis!r} does not name an operator basis")
     f = convert_op_basis(eval_quantum(lhs, ctx), basis)
     g = convert_op_basis(eval_quantum(rhs, ctx), basis)
-    _print_value(f * g, args.format)
+    _print_value(op_mul(f, g), args.format)
     return 0
 
 

@@ -455,7 +455,7 @@ def _lift(value: int | OpCoeffs, n: int) -> OpCoeffs:
     if isinstance(value, OpCoeffs):
         return value
     x = _convert_bits(value, 1 << n, "M", "X")
-    return OpCoeffs(n, "XY", frozenset((a, 0) for a in iter_bits(x)))
+    return OpCoeffs(n, "XY", ((a, 0) for a in iter_bits(x)))
 
 
 def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
@@ -478,22 +478,24 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
     size = 1 << n
     true = (1 << size) - 1
 
-    # a fold: the unit, then how two tables and how two operators combine
+    # a fold: the unit, then how two tables and how two operators combine; a
+    # neutral table meets an operator through _lift, as the empty operator or
+    # the identity
     sum_fold = (0, int.__xor__, op_add)
     prod_fold = (true, int.__and__, op_mul)
     end = object()  # what next() gives once a frame's parts are used up
-    # one frame per open Sum or Prod: its parts left, its value so far and its
-    # fold.  The innermost frame is held in the locals; the outermost is a sum
-    # whose one part is e, and the walk ends when it closes.
+    # one frame per open Sum or Prod: its parts left, its value so far and how
+    # it combines.  The innermost frame is held in the locals; the outermost is
+    # a sum whose one part is e, and the walk ends when it closes.
     frames: list[tuple] = []
-    parts, value, (unit, tables, operators) = iter((e,)), 0, sum_fold
+    parts, (value, tables, operators) = iter((e,)), sum_fold
     while True:
         node = next(parts, end)
         if node is end:  # the frame closes: its value is a part of the frame below
             if not frames:
                 return RingElem(n, "M", value) if isinstance(value, int) else value
             v = value
-            parts, value, unit, tables, operators = frames.pop()
+            parts, value, tables, operators = frames.pop()
         elif isinstance(node, Zero):
             v = 0
         elif isinstance(node, One):
@@ -512,16 +514,14 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
             else:
                 v = _convert_bits(1 << mask, size, node.kind.upper(), "M")
         elif isinstance(node, (Sum, Prod)):
-            frames.append((parts, value, unit, tables, operators))
-            unit, tables, operators = sum_fold if isinstance(node, Sum) else prod_fold
-            parts, value = iter(node.parts), unit
+            frames.append((parts, value, tables, operators))
+            value, tables, operators = sum_fold if isinstance(node, Sum) else prod_fold
+            parts = iter(node.parts)
             continue
         else:
             raise TypeError(f"not an expression: {node!r}")
         if isinstance(value, int) and isinstance(v, int):
             value = tables(value, v)
-        elif value == unit:  # v is an operator, and unit a neutral table
-            value = v
         else:
             value = operators(_lift(value, n), _lift(v, n))
 

@@ -110,11 +110,6 @@ def mask_str(mask: int) -> str:
     return "{" + (_LOW_LABELS[mask & 255] + _HIGH_LABELS[mask >> 8])[:-1] + "}"
 
 
-def odd_parity(a: int) -> int:
-    """1 iff the subset a has odd cardinality."""
-    return a.bit_count() & 1
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask, in decreasing order, ending with 0."""
     if mask < 0:
@@ -175,15 +170,6 @@ class RingElem:
         """Masks with coefficient 1, ascending."""
         return tuple(iter_bits(self.bits))
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        return ring_add(self, other)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        return ring_mul(self, other)
-
     def __str__(self) -> str:
         return ring_text(self)
 
@@ -230,6 +216,7 @@ def ring_one(n: int, basis: str = "X") -> RingElem:
 
 
 def ring_from_support(n: int, basis: str, masks: Iterable[int]) -> RingElem:
+    check_dim(n)
     bits = 0
     for a in masks:
         check_mask(a, n)

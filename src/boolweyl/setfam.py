@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .bweyl import OpCoeffs
 from .lang import read_elements
@@ -44,12 +43,14 @@ PairedMask = tuple[int, int]  # (plain part, tilde part), each a mask over [n]
 
 @dataclass(frozen=True)
 class Family:
-    """Family of subsets of the doubled ground set [n] + tilde [n]."""
+    """Family of subsets of the doubled ground set [n] + tilde [n]; the
+    members are given as any iterable and stored as a frozenset."""
 
     n: int
     members: frozenset[PairedMask]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(self.members))
         check_dim(self.n)
         for plain, tilde in self.members:
             check_mask(plain, self.n)
@@ -61,26 +62,19 @@ class Family:
 
 @dataclass(frozen=True)
 class FamilyN:
-    """Family of plain subsets of [n]."""
+    """Family of plain subsets of [n], stored as a frozenset like Family's."""
 
     n: int
     members: frozenset[int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", frozenset(self.members))
         check_dim(self.n)
         for a in self.members:
             check_mask(a, self.n)
 
     def __str__(self) -> str:
         return familyn_text(self)
-
-
-def family(n: int, members: Iterable[PairedMask]) -> Family:
-    return Family(n, frozenset(members))
-
-
-def family_n(n: int, members: Iterable[int]) -> FamilyN:
-    return FamilyN(n, frozenset(members))
 
 
 def fam_add(a: Family, b: Family) -> Family:
@@ -113,7 +107,7 @@ def circ_prod(a_fam: Family, b_fam: Family) -> Family:
                         count ^= 1
             if count:
                 out.add((a1, a2))
-    return Family(n, frozenset(out))
+    return Family(n, out)
 
 
 def circ_act(a_fam: Family, f: FamilyN) -> FamilyN:
@@ -132,7 +126,7 @@ def circ_act(a_fam: Family, f: FamilyN) -> FamilyN:
                     count ^= 1
         if count:
             out.add(a)
-    return FamilyN(n, frozenset(out))
+    return FamilyN(n, out)
 
 
 def bullet_prod(a_fam: Family, b_fam: Family) -> Family:
@@ -161,7 +155,7 @@ def bullet_prod(a_fam: Family, b_fam: Family) -> Family:
                                 count ^= 1
             if count:
                 out.add((a1, a2))
-    return Family(n, frozenset(out))
+    return Family(n, out)
 
 
 def bullet_act(a_fam: Family, f: FamilyN) -> FamilyN:
@@ -178,7 +172,7 @@ def bullet_act(a_fam: Family, f: FamilyN) -> FamilyN:
                     count ^= 1
         if count:
             out.add(a)
-    return FamilyN(n, frozenset(out))
+    return FamilyN(n, out)
 
 
 def star_prod(a_fam: Family, b_fam: Family) -> Family:
@@ -196,7 +190,7 @@ def star_prod(a_fam: Family, b_fam: Family) -> Family:
                     count ^= 1
             if count:
                 out.add((a1, a2))
-    return Family(n, frozenset(out))
+    return Family(n, out)
 
 
 def star_act(a_fam: Family, f: FamilyN) -> FamilyN:
@@ -211,7 +205,7 @@ def star_act(a_fam: Family, f: FamilyN) -> FamilyN:
                 count ^= 1
         if count:
             out.add(a)
-    return FamilyN(n, frozenset(out))
+    return FamilyN(n, out)
 
 
 def ast_prod(a_fam: Family, b_fam: Family) -> Family:
@@ -233,7 +227,7 @@ def ast_prod(a_fam: Family, b_fam: Family) -> Family:
                             count ^= 1
             if count:
                 out.add((a1, a2))
-    return Family(n, frozenset(out))
+    return Family(n, out)
 
 
 def ast_act(a_fam: Family, f: FamilyN) -> FamilyN:
@@ -251,7 +245,7 @@ def ast_act(a_fam: Family, f: FamilyN) -> FamilyN:
                         count ^= 1
         if count:
             out.add(a)
-    return FamilyN(n, frozenset(out))
+    return FamilyN(n, out)
 
 
 PRODUCT_BASIS = {"circ": "MY", "bullet": "XY", "star": "MS", "ast": "XS"}
@@ -267,11 +261,11 @@ PRODUCTS = {
 def family_to_op(a_fam: Family, product: str) -> OpCoeffs:
     """The operator whose terms are the family members, in the basis
     matching the chosen product."""
-    return OpCoeffs(a_fam.n, PRODUCT_BASIS[product], frozenset(a_fam.members))
+    return OpCoeffs(a_fam.n, PRODUCT_BASIS[product], a_fam.members)
 
 
 def op_to_family(op: OpCoeffs) -> Family:
-    return Family(op.n, frozenset(op.terms))
+    return Family(op.n, op.terms)
 
 
 def familyn_to_ring(f: FamilyN, product: str) -> RingElem:
@@ -282,18 +276,18 @@ def familyn_to_ring(f: FamilyN, product: str) -> RingElem:
 
 
 def ring_to_familyn(f: RingElem) -> FamilyN:
-    return FamilyN(f.n, frozenset(f.support()))
+    return FamilyN(f.n, f.support())
 
 
 def hat_diagonal(f: FamilyN) -> Family:
     """Pairs (a, a) over the members of a plain family."""
-    return Family(f.n, frozenset((a, a) for a in f.members))
+    return Family(f.n, ((a, a) for a in f.members))
 
 
 def tilde_antidiagonal(f: FamilyN) -> Family:
     """Pairs (a, complement(a)) over the members of a plain family."""
     full = (1 << f.n) - 1
-    return Family(f.n, frozenset((a, a ^ full) for a in f.members))
+    return Family(f.n, ((a, a ^ full) for a in f.members))
 
 
 # --- text and JSON forms -----------------------------------------------------
@@ -345,7 +339,7 @@ def parse_family(text: str, n: int) -> Family:
                 else:
                     plain |= bit
         members.add((plain, tilde))
-    return Family(n, frozenset(members))
+    return Family(n, members)
 
 
 def family_to_json(a_fam: Family) -> dict:
@@ -362,10 +356,5 @@ def family_to_json(a_fam: Family) -> dict:
 def family_from_json(data: dict) -> Family:
     n = data["n"]
     check_dim(n)
-    return Family(
-        n,
-        frozenset(
-            (mask_from_indices(p, n), mask_from_indices(t, n))
-            for p, t in data["members"]
-        ),
-    )
+    members = ((mask_from_indices(p, n), mask_from_indices(t, n)) for p, t in data["members"])
+    return Family(n, members)

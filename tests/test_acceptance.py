@@ -12,8 +12,8 @@ import time
 from boolweyl import checks
 from boolweyl.bweyl import (
     OP_BASES,
+    OpCoeffs,
     convert_op_basis,
-    op_coeffs,
     op_identity,
     op_monomial,
     op_mul,
@@ -148,7 +148,7 @@ def test_criterion_04_worked_examples():
 
     # 5: y{1,2} across m{1,2,3}: nine spanning terms; the constant parts
     # are the four indicators m{1,2,3}, m{2,3}, m{1,3}, m{3}
-    f, g = op_coeffs(3, "MY", [(a, 0b011) for a in range(8)]), op_monomial(3, "MY", 0b111, 0)
+    f, g = OpCoeffs(3, "MY", [(a, 0b011) for a in range(8)]), op_monomial(3, "MY", 0b111, 0)
     got = op_mul(f, g)
     want = {
         (0b111, 0), (0b110, 0), (0b110, 0b001), (0b101, 0), (0b101, 0b010),
@@ -188,7 +188,7 @@ def test_criterion_04_worked_examples():
     # 8: square of the full m/y term grid is the identity
     for n in (1, 2, 3):
         size = 1 << n
-        f = op_coeffs(n, "MY", [(a, b) for a in range(size) for b in range(size)])
+        f = OpCoeffs(n, "MY", [(a, b) for a in range(size) for b in range(size)])
         got = op_mul(f, f)
         assert got == op_identity(n, "MY")
         assert oracle_ok(got, f, f)
@@ -197,7 +197,7 @@ def test_criterion_04_worked_examples():
     # expansion generates come in equal ordered pairs and cancel mod 2;
     # the w-left twin behaves identically
     for n in (2, 3):
-        r = op_coeffs(n, "XY", [(1 << i, 1 << i) for i in range(n)])
+        r = OpCoeffs(n, "XY", [(1 << i, 1 << i) for i in range(n)])
         acc = set(r.terms)
         for i in range(n):
             for j in range(n):
@@ -207,7 +207,7 @@ def test_criterion_04_worked_examples():
         got = op_mul(r, r)
         assert got.terms == frozenset(acc) == r.terms
         assert oracle_ok(got, r, r)
-        s = op_coeffs(n, "WY", [(1 << i, 1 << i) for i in range(n)])
+        s = OpCoeffs(n, "WY", [(1 << i, 1 << i) for i in range(n)])
         got_s = op_mul(s, s)
         assert got_s == s
         assert oracle_ok(got_s, s, s)
@@ -215,7 +215,7 @@ def test_criterion_04_worked_examples():
     # 10: powers of the all-y sum alternate between itself and the identity
     for n in (1, 2, 3, 4):
         size = 1 << n
-        f = op_coeffs(n, "XY", [(0, b) for b in range(size)])
+        f = OpCoeffs(n, "XY", [(0, b) for b in range(size)])
         for k in range(1, 6):
             assert op_power(f, k) == (f if k % 2 else op_identity(n, "XY"))
 
@@ -226,7 +226,7 @@ def test_criterion_04_worked_examples():
         for c in range(size):
             # s^[n] m^c = m^(comp c) s^[n]
             lhs = op_mul(
-                op_coeffs(n, "MS", [(a, full) for a in range(size)]),
+                OpCoeffs(n, "MS", [(a, full) for a in range(size)]),
                 op_monomial(n, "MS", c, 0),
             )
             assert lhs.terms == frozenset({(c ^ full, full)})
@@ -235,12 +235,12 @@ def test_criterion_04_worked_examples():
                     op_monomial(n, "MS", c ^ full, full), op_monomial(n, "MS", c, d)
                 )
                 assert got.terms == frozenset({(c ^ full, d ^ full)})
-        f = op_coeffs(n, "MS", [(a, a ^ full) for a in range(size)])
-        g = op_coeffs(n, "MS", [(full, d) for d in range(size)])
+        f = OpCoeffs(n, "MS", [(a, a ^ full) for a in range(size)])
+        g = OpCoeffs(n, "MS", [(full, d) for d in range(size)])
         got = op_mul(f, g)
         assert got.terms == frozenset((a, b) for a in range(size) for b in range(size))
         assert oracle_ok(got, f, g)
-        h = op_coeffs(n, "MS", [(a, b) for a in range(size) for b in range(size)])
+        h = OpCoeffs(n, "MS", [(a, b) for a in range(size) for b in range(size)])
         got = op_mul(h, op_monomial(n, "MS", full, full))
         assert got.terms == frozenset((a, a) for a in range(size))
 

@@ -1,6 +1,7 @@
 """Operator algebra: basis changes, structural products, normal ordering."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,6 @@ from boolweyl.bweyl import (
     convert_op_basis,
     normal_order,
     op_add,
-    op_coeffs,
     op_from_json,
     op_identity,
     op_monomial,
@@ -32,7 +32,7 @@ from boolweyl.diffops import (
     shift_power_matrix,
 )
 from boolweyl.gf2lin import Gf2Matrix, identity, mat_add, mat_mul, zero_matrix
-from boolweyl.ring import ring_monomial, submasks
+from boolweyl.ring import ring_from_support, ring_monomial, submasks
 
 
 def oracle_equal(f: OpCoeffs, g: OpCoeffs) -> bool:
@@ -103,7 +103,7 @@ def test_to_matrix_matches_per_term_route():
 def test_to_matrix_basics():
     assert to_matrix(op_zero(2)) == zero_matrix(4)
     assert to_matrix(op_monomial(2, "XY", 0, 0)) == identity(4)
-    assert to_matrix(op_coeffs(1, "XY", [(0, 1)])) == derivative_matrix(1, 1)
+    assert to_matrix(OpCoeffs(1, "XY", [(0, 1)])) == derivative_matrix(1, 1)
     for basis in OP_BASES:
         assert to_matrix(op_identity(3, basis)) == identity(8)
 
@@ -165,11 +165,11 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
 
 
 def test_to_matrix_is_the_one_block_of_all_coordinates():
-    f = op_coeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
+    f = OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
     assert list(bweyl.diagonal_blocks((f,))) == [(to_matrix(f),)]
     # one right index, widened to three coordinates: two equal blocks of side 8
-    g = op_coeffs(4, "XY", [(0, 0b0100)])
-    assert list(bweyl.diagonal_blocks((g,))) == [(to_matrix(op_coeffs(3, "XY", [(0, 0b100)])),)]
+    g = OpCoeffs(4, "XY", [(0, 0b0100)])
+    assert list(bweyl.diagonal_blocks((g,))) == [(to_matrix(OpCoeffs(3, "XY", [(0, 0b100)])),)]
 
 
 # --- structural coefficient -----------------------------------------------------
@@ -303,7 +303,7 @@ def test_x_monomial_pair_powers_are_fixed():
 def test_full_my_square_is_identity():
     for n in (1, 2, 3):
         size = 1 << n
-        f = op_coeffs(n, "MY", [(a, b) for a in range(size) for b in range(size)])
+        f = OpCoeffs(n, "MY", [(a, b) for a in range(size) for b in range(size)])
         assert op_mul(f, f) == op_identity(n, "MY")
 
 
@@ -311,7 +311,7 @@ def test_derivative_sum_power_parity():
     # f = sum of y^a over all a: odd powers give f, even powers the identity
     for n in (1, 2, 3, 4):
         size = 1 << n
-        f = op_coeffs(n, "XY", [(0, b) for b in range(size)])
+        f = OpCoeffs(n, "XY", [(0, b) for b in range(size)])
         for k in range(1, 6):
             want = f if k % 2 else op_identity(n, "XY")
             assert op_power(f, k) == want
@@ -321,7 +321,7 @@ def test_xy_pair_sum_squares():
     # r = sum of x^{i}y^{i}: the cross terms cancel over GF(2), so r^2 = r;
     # the same holds for the w-left twin by the x/w substitution symmetry
     for n in (2, 3):
-        r = op_coeffs(n, "XY", [(1 << i, 1 << i) for i in range(n)])
+        r = OpCoeffs(n, "XY", [(1 << i, 1 << i) for i in range(n)])
         r2 = op_mul(r, r)
         assert r2 == r
         assert to_matrix(r2) == mat_mul(to_matrix(r), to_matrix(r))
@@ -334,7 +334,7 @@ def test_xy_pair_sum_squares():
                     pair = ((1 << i) | (1 << j),) * 2
                     acc.symmetric_difference_update({pair})
         assert frozenset(acc) == r2.terms
-        s = op_coeffs(n, "WY", [(1 << i, 1 << i) for i in range(n)])
+        s = OpCoeffs(n, "WY", [(1 << i, 1 << i) for i in range(n)])
         s2 = op_mul(s, s)
         assert s2 == s
         assert to_matrix(s2) == mat_mul(to_matrix(s), to_matrix(s))
@@ -358,8 +358,8 @@ def test_y_family_product_counts_disjoint_covers():
         for _ in range(20):
             fam_a = [a for a in range(size) if rng.getrandbits(1)]
             fam_b = [a for a in range(size) if rng.getrandbits(1)]
-            f = op_coeffs(n, "XY", [(0, a) for a in fam_a])
-            g = op_coeffs(n, "XY", [(0, a) for a in fam_b])
+            f = OpCoeffs(n, "XY", [(0, a) for a in fam_a])
+            g = OpCoeffs(n, "XY", [(0, a) for a in fam_b])
             prod = op_mul(f, g)
             for b in range(size):
                 count = sum(
@@ -380,7 +380,7 @@ def test_y_family_power_counts_disjoint_k_covers():
         size = 1 << n
         for _ in range(10):
             fam = [a for a in range(size) if rng.getrandbits(1)]
-            f = op_coeffs(n, "XY", [(0, a) for a in fam])
+            f = OpCoeffs(n, "XY", [(0, a) for a in fam])
             for k in (2, 3, 4):
                 power = op_power(f, k)
                 for b in range(size):
@@ -403,13 +403,13 @@ def test_shifted_presentation_examples():
         size = 1 << n
         full = size - 1
         # (sum_a m^a s^(comp a)) (sum_d m^[n] s^d) covers every index pair
-        f = op_coeffs(n, "MS", [(a, a ^ full) for a in range(size)])
-        g = op_coeffs(n, "MS", [(full, d) for d in range(size)])
+        f = OpCoeffs(n, "MS", [(a, a ^ full) for a in range(size)])
+        g = OpCoeffs(n, "MS", [(full, d) for d in range(size)])
         assert op_mul(f, g).terms == frozenset(
             (a, b) for a in range(size) for b in range(size)
         )
         # (sum m^a s^b)(m^[n] s^[n]) keeps only the diagonal pairs
-        h = op_coeffs(n, "MS", [(a, b) for a in range(size) for b in range(size)])
+        h = OpCoeffs(n, "MS", [(a, b) for a in range(size) for b in range(size)])
         assert op_mul(h, op_monomial(n, "MS", full, full)).terms == frozenset(
             (a, a) for a in range(size)
         )
@@ -438,8 +438,8 @@ def test_regular_functions_multiply_pointwise_in_ms():
         size = 1 << n
         supp_f = [a for a in range(size) if rng.getrandbits(1)]
         supp_g = [a for a in range(size) if rng.getrandbits(1)]
-        f = op_coeffs(n, "MS", [(a, 0) for a in supp_f])
-        g = op_coeffs(n, "MS", [(a, 0) for a in supp_g])
+        f = OpCoeffs(n, "MS", [(a, 0) for a in supp_f])
+        g = OpCoeffs(n, "MS", [(a, 0) for a in supp_g])
         want = frozenset((a, 0) for a in set(supp_f) & set(supp_g))
         assert op_mul(f, g).terms == want
 
@@ -447,6 +447,22 @@ def test_regular_functions_multiply_pointwise_in_ms():
 def test_op_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         op_mul(op_identity(2), op_identity(3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: op_identity(20, "MY"), lambda: ring_from_support(30, "M", [1 << 27])],
+    ids=["op_identity", "ring_from_support"],
+)
+def test_builders_check_the_dimension_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"dimension must be in \[1, 16\]"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_op_mul_mixed_bases_converts_to_left():
@@ -507,7 +523,7 @@ def reference_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     # W-left multiplies through the X-left rules
     kernel = REFERENCE_KERNELS[f.basis.replace("W", "X")]
     counts = Counter(kernel(f.terms, g.terms))
-    return op_coeffs(f.n, f.basis, (key for key, count in counts.items() if count & 1))
+    return OpCoeffs(f.n, f.basis, (key for key, count in counts.items() if count & 1))
 
 
 def test_below_is_the_submask_indicator():
@@ -544,7 +560,7 @@ def test_op_mul_dense_pairs_match_matrix_product():
     rng = random.Random(77)
     for basis in OP_BASES:
         f, g = (
-            op_coeffs(n, basis, {(rng.randrange(size), rng.randrange(size)) for _ in range(400)})
+            OpCoeffs(n, basis, {(rng.randrange(size), rng.randrange(size)) for _ in range(400)})
             for _ in range(2)
         )
         assert len(f.terms) > 350 and len(g.terms) > 350
@@ -611,7 +627,7 @@ def test_associativity_and_unit():
 
 def test_op_add():
     f = op_monomial(2, "XY", 1, 0)
-    assert op_add(f, f).is_zero()
+    assert not op_add(f, f).terms
     g = op_monomial(2, "XY", 2, 1)
     assert op_add(f, g).terms == {(1, 0), (2, 1)}
 
@@ -679,7 +695,7 @@ def test_normal_order_projector_pattern():
 def test_normal_order_letter_reduction():
     # x^2 = x, y^2 = 0, s^2 = 1
     assert normal_order([("x", 1), ("x", 1)], 1).terms == frozenset({(1, 0)})
-    assert normal_order([("y", 1), ("y", 1)], 1).is_zero()
+    assert not normal_order([("y", 1), ("y", 1)], 1).terms
     assert normal_order([("s", 1), ("s", 1)], 1) == op_identity(1, "XS")
 
 
@@ -726,7 +742,7 @@ def test_normal_order_rejects_mixed_right_letters():
 
 
 def test_text_form():
-    f = op_coeffs(2, "XY", [(0b11, 0b01), (0b11, 0b11)])
+    f = OpCoeffs(2, "XY", [(0b11, 0b01), (0b11, 0b11)])
     assert op_text(f) == "x{1,2}y{1} + x{1,2}y{1,2}"
     assert op_text(op_zero(2)) == "0"
     assert op_text(op_identity(2, "XY")) == "1"
@@ -753,20 +769,20 @@ def test_text_form_matches_per_bit_spelling():
             full = (1 << n) - 1
             terms = {(0, 0), (full, full), (0, full), (full, 0)}
             terms |= {(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)}
-            f = op_coeffs(n, basis, terms)
+            f = OpCoeffs(n, basis, terms)
             want = " + ".join(old_term_text(basis, a, b) for a, b in f.sorted_terms())
             assert op_text(f) == want
 
 
 def test_json_round_trip():
-    f = op_coeffs(2, "WS", [(0b01, 0b11), (0, 0)])
+    f = OpCoeffs(2, "WS", [(0b01, 0b11), (0, 0)])
     data = op_to_json(f)
     assert data == {"n": 2, "basis": "WS", "terms": [[[], []], [[1], [1, 2]]]}
     assert op_from_json(data) == f
 
 
 def test_sorted_terms_order():
-    f = op_coeffs(2, "XY", [(2, 1), (1, 3), (1, 0)])
+    f = OpCoeffs(2, "XY", [(2, 1), (1, 3), (1, 0)])
     assert f.sorted_terms() == [(1, 0), (1, 3), (2, 1)]
 
 

@@ -1,0 +1,118 @@
+"""The invariant battery: its arguments, its draws, and the faults it catches."""
+
+import hashlib
+import random
+
+import pytest
+
+from boolweyl import bweyl, checks, ring
+from boolweyl.cli import main
+
+
+@pytest.mark.parametrize(
+    "n, samples, message",
+    [
+        (17, 25, r"dimension must be in \[1, 16\], got 17"),
+        (0, 25, r"dimension must be in \[1, 16\], got 0"),
+        (3, 0, "samples must be at least 1, got 0"),
+    ],
+)
+def test_battery_refuses_bad_arguments_before_any_check(monkeypatch, n, samples, message):
+    def first_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "check_transform_involutions", first_check)
+    with pytest.raises(ValueError, match=message):
+        checks.run_battery(n, samples=samples)
+
+
+def test_battery_draws_what_it_drew(monkeypatch):
+    # PASS details such as "25 samples, n=5" hide the draws; the transcript and
+    # the RNG's next 64 bits after each battery pin them.  A change that means
+    # to draw differently updates the digest with it.
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(checks.random, "Random", Recording)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for n in range(1, 6):
+            for r in checks.run_battery(n=n, seed=seed):
+                digest.update(f"{r.status} {r.name} ({r.detail})\n".encode())
+            [rng] = made
+            made.clear()
+            digest.update(rng.getrandbits(64).to_bytes(8, "little"))
+    assert digest.hexdigest() == "20e305dc80f4359763aad0e0075bb1fb3a2eeeb99e0fbdd13cde00fa6919a1de"
+
+
+def _drop_lowest_term(kernel):
+    def mutant(f, g):
+        terms = kernel(f, g)
+        return terms - set(sorted(terms)[:1])
+
+    return mutant
+
+
+def _superset_sum_without_step_1(bits: int, size: int) -> int:
+    # the steps commute and each undoes itself, so this skips step 1
+    bits = ring._superset_sum_bits(bits, size)
+    return bits ^ (bits >> 1) & ring._block_mask(size, 1)
+
+
+KERNEL_MUTANTS = {
+    "_mul_xy": (
+        lambda orig: lambda f, g: orig(f, g) ^ {(0, 0)},
+        {
+            "product-homomorphism",
+            "product-unit-associativity",
+            "monomial-product-forms",
+            "family-coherence",
+            "rewrite-soundness",
+            "normalize",
+        },
+    ),
+    "_mul_ms": (
+        _drop_lowest_term,
+        {
+            "product-homomorphism",
+            "product-unit-associativity",
+            "monomial-product-forms",
+            "family-coherence",
+        },
+    ),
+    "_below": (
+        lambda orig: lambda s: orig(s) & ~(1 << s),
+        {
+            "rep-matrices",
+            "coordinate-application",
+            "product-homomorphism",
+            "basis-roundtrips",
+            "product-unit-associativity",
+            "monomial-product-forms",
+            "family-coherence",
+            "rewrite-soundness",
+            "entailment",
+        },
+    ),
+    "_superset_sum_bits": (lambda orig: _superset_sum_without_step_1, {"basis-roundtrips"}),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANTS))
+def test_battery_fails_on_a_broken_kernel(monkeypatch, kernel):
+    mutate, want = KERNEL_MUTANTS[kernel]
+    monkeypatch.setattr(bweyl, kernel, mutate(getattr(bweyl, kernel)))
+    failed = {r.name: r.detail for r in checks.run_battery(n=2, samples=25, seed=0) if r.status == "FAIL"}
+    assert want <= failed.keys()
+    assert all(failed[name] for name in want)
+
+
+def test_crosscheck_exits_1_on_a_broken_kernel(monkeypatch, capsys):
+    mutate, _ = KERNEL_MUTANTS["_mul_xy"]
+    monkeypatch.setattr(bweyl, "_mul_xy", mutate(bweyl._mul_xy))
+    assert main(["crosscheck", "--n", "2"]) == 1
+    assert "FAIL n=2 product-homomorphism" in capsys.readouterr().out

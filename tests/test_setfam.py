@@ -17,7 +17,6 @@ from boolweyl.setfam import (
     bullet_prod,
     circ_prod,
     fam_add,
-    family,
     family_from_json,
     family_text,
     family_to_op,
@@ -41,7 +40,7 @@ def test_literal_round_trip():
     f = fam3("{{1,2,~2,~3},{1}}")
     assert f.members == frozenset({(0b011, 0b110), (0b001, 0)})
     assert parse_family(family_text(f), 3) == f
-    assert family_text(family(3, [])) == "{}"
+    assert family_text(Family(3, [])) == "{}"
     assert parse_family("{{}}", 3).members == frozenset({(0, 0)})
     with pytest.raises(ValueError):
         parse_family("{1,2}", 3)  # members must be braced
@@ -129,7 +128,7 @@ def separators_are_single_commas(text):
 
 def random_family_literal(rng):
     """A random family written out by family_text, with whitespace runs between its tokens."""
-    f = family(9, {(rng.getrandbits(9), rng.getrandbits(9)) for _ in range(rng.randrange(4))})
+    f = Family(9, {(rng.getrandbits(9), rng.getrandbits(9)) for _ in range(rng.randrange(4))})
     tokens = re.findall(r"~?\d+|.", family_text(f))
     spaces = [rng.choice(["", "", " ", "\t", " \n ", "\u00a0"]) for _ in range(len(tokens) + 1)]
     return f, "".join(space + token for space, token in zip(spaces, tokens + [""]))
@@ -186,9 +185,9 @@ def test_fam_add():
     b = fam3("{{1},{2}}")
     assert fam_add(a, b) == fam3("{{2}}")
     assert fam_add(a, a).members == frozenset()
-    assert fam_add(a, family(3, [])) == a
+    assert fam_add(a, Family(3, [])) == a
     with pytest.raises(ValueError):
-        fam_add(a, family(2, []))
+        fam_add(a, Family(2, []))
 
 
 def test_circ_product_worked_example():
@@ -253,8 +252,8 @@ def test_products_match_operator_route(kind):
         for t1 in range(2):
             for p2 in range(2):
                 for t2 in range(2):
-                    a = family(1, [(p1, t1)])
-                    b = family(1, [(p2, t2)])
+                    a = Family(1, [(p1, t1)])
+                    b = Family(1, [(p2, t2)])
                     got = prod(a, b)
                     want = op_to_family(op_mul(family_to_op(a, kind), family_to_op(b, kind)))
                     assert got == want
@@ -316,9 +315,9 @@ def test_bullet_action_of_diagonal_family():
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
-        family(3, [(0b1000, 0)])
+        Family(3, [(0b1000, 0)])
     with pytest.raises(ValueError):
-        circ_prod(family(2, []), family(3, []))
+        circ_prod(Family(2, []), Family(3, []))
 
 
 def test_familyn_text_matches_per_bit_spelling():
