@@ -54,7 +54,6 @@ to_matrix is its one-block case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2lin import Gf2Matrix
@@ -71,31 +70,36 @@ from .ring import (
     require_same_dim,
     submasks,
 )
+from .value import Value, _set_key, setters
 
 OP_BASES = ("MY", "XY", "WY", "MS", "XS", "WS")
 
 Term = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class OpCoeffs:
+class OpCoeffs(Value):
     """Operator coefficients: sparse set of (left, right) index pairs, given
     as any iterable and stored as a frozenset."""
 
+    __slots__ = ("n", "basis", "terms")
     n: int
     basis: str
     terms: frozenset[Term]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        check_dim(self.n)
-        if self.basis not in OP_BASES:
-            raise ValueError(f"unknown operator basis {self.basis!r}")
-        top = 1 << self.n
-        for a, b in self.terms:
+    def __init__(self, n: int, basis: str, terms: Iterable[Term]) -> None:
+        terms = frozenset(terms)
+        check_dim(n)
+        if basis not in OP_BASES:
+            raise ValueError(f"unknown operator basis {basis!r}")
+        top = 1 << n
+        for a, b in terms:
             if not (0 <= a < top and 0 <= b < top):
-                check_mask(a, self.n)
-                check_mask(b, self.n)
+                check_mask(a, n)
+                check_mask(b, n)
+        _set_n(self, n)
+        _set_basis(self, basis)
+        _set_terms(self, terms)
+        _set_key(self, (n, basis, terms))
 
     def sorted_terms(self) -> list[Term]:
         """Terms in the canonical order: ascending on (left, right)."""
@@ -103,6 +107,9 @@ class OpCoeffs:
 
     def __str__(self) -> str:
         return op_text(self)
+
+
+_set_n, _set_basis, _set_terms = setters(OpCoeffs)
 
 
 def op_zero(n: int, basis: str = "XY") -> OpCoeffs:
@@ -216,7 +223,7 @@ def _block_matrix(groups: Iterable[tuple[int, int]], side: int, shift: bool) -> 
             below = _below(b)
         for r in iter_bits(left):
             rows[r] ^= 1 << (r ^ b) if shift else below << (r & ~b)
-    return Gf2Matrix(tuple(rows))
+    return Gf2Matrix(rows)
 
 
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:

@@ -8,24 +8,34 @@ the CLI crosscheck subcommand reports one line per check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import bweyl, diffops, gf2lin, lang, ring, setfam
+from .value import Value, _set_key, setters
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value):
     """ok: the check ran and held.  A skipped check ran nothing, so it is
     not ok, and it is not a failure either."""
 
+    __slots__ = ("name", "ok", "detail", "skipped")
     name: str
     ok: bool
-    detail: str = ""
-    skipped: bool = False
+    detail: str
+    skipped: bool
+
+    def __init__(self, name: str, ok: bool, detail: str = "", skipped: bool = False) -> None:
+        _set_name(self, name)
+        _set_ok(self, ok)
+        _set_detail(self, detail)
+        _set_skipped(self, skipped)
+        _set_key(self, (name, ok, detail, skipped))
 
     @property
     def status(self) -> str:
         return "SKIP" if self.skipped else "PASS" if self.ok else "FAIL"
+
+
+_set_name, _set_ok, _set_detail, _set_skipped = setters(CheckResult)
 
 
 # --- samplers -----------------------------------------------------------------
@@ -297,7 +307,7 @@ def _x_change_matrix(n: int) -> gf2lin.Gf2Matrix:
         for a in ring.submasks(b):
             row |= 1 << a
         rows.append(row)
-    return gf2lin.Gf2Matrix(tuple(rows))
+    return gf2lin.Gf2Matrix(rows)
 
 
 def check_rep_matrices(n: int, rng: random.Random) -> CheckResult:

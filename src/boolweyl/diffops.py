@@ -47,20 +47,20 @@ def derivative_matrix(i: int, n: int) -> Gf2Matrix:
     """Matrix of the Boolean derivative d_i on M-basis coordinates."""
     _check_index(i, n)
     e = 1 << (i - 1)
-    return Gf2Matrix(tuple((1 << a) | (1 << (a ^ e)) for a in range(1 << n)))
+    return Gf2Matrix((1 << a) | (1 << (a ^ e)) for a in range(1 << n))
 
 
 def shift_matrix(i: int, n: int) -> Gf2Matrix:
     """Matrix of the shift s_i: the transposition a <-> a + e_i."""
     _check_index(i, n)
     e = 1 << (i - 1)
-    return Gf2Matrix(tuple(1 << (a ^ e) for a in range(1 << n)))
+    return Gf2Matrix(1 << (a ^ e) for a in range(1 << n))
 
 
 def multiplication_matrix(f: RingElem) -> Gf2Matrix:
     """Matrix of multiplication by f: diagonal with entries f(a)."""
     bits = convert_ring_basis(f, "M").bits
-    return Gf2Matrix(tuple(((bits >> a) & 1) << a for a in range(1 << f.n)))
+    return Gf2Matrix(((bits >> a) & 1) << a for a in range(1 << f.n))
 
 
 def _generator_power(generator, b: int, n: int) -> Gf2Matrix:
@@ -118,7 +118,7 @@ def rep_matrix(left: str, right: str, a: int, b: int, n: int) -> Gf2Matrix:
                 rows[a | (d & ~e)] ^= 1 << d
     else:
         raise ValueError(f"no representation for left={left!r}, right={right!r}")
-    return Gf2Matrix(tuple(rows))
+    return Gf2Matrix(rows)
 
 
 def apply_coeffs(op: "OpCoeffs", f: RingElem) -> RingElem:

@@ -9,22 +9,27 @@ AND + popcount-parity per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .ring import DimensionMismatch, iter_bits, mask_str
+from .value import Value, _set_key, setters
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(Value):
+    """Square matrix of packed rows, given as any iterable and stored as a tuple."""
+
+    __slots__ = ("rows",)
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        side = len(self.rows)
+    def __init__(self, rows: Iterable[int]) -> None:
+        rows = tuple(rows)
+        side = len(rows)
         if side < 1 or side & (side - 1):
             raise ValueError(f"side must be a power of two, got {side}")
-        if min(self.rows) < 0 or max(self.rows) >> side:
+        if min(rows) < 0 or max(rows) >> side:
             raise ValueError("row out of range for matrix side")
+        _set_rows(self, rows)
+        _set_key(self, (rows,))
 
     @property
     def side(self) -> int:
@@ -40,8 +45,11 @@ class Gf2Matrix:
         return matrix_to_text(self)
 
 
+(_set_rows,) = setters(Gf2Matrix)
+
+
 def identity(side: int) -> Gf2Matrix:
-    return Gf2Matrix(tuple(1 << i for i in range(side)))
+    return Gf2Matrix(1 << i for i in range(side))
 
 
 def zero_matrix(side: int) -> Gf2Matrix:
@@ -55,7 +63,7 @@ def _require_same_side(a: Gf2Matrix, b: Gf2Matrix) -> None:
 
 def mat_add(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     _require_same_side(a, b)
-    return Gf2Matrix(tuple(x ^ y for x, y in zip(a.rows, b.rows)))
+    return Gf2Matrix(x ^ y for x, y in zip(a.rows, b.rows))
 
 
 def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
@@ -68,7 +76,7 @@ def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
         for k in iter_bits(arow):
             acc ^= brows[k]
         out.append(acc)
-    return Gf2Matrix(tuple(out))
+    return Gf2Matrix(out)
 
 
 def mat_apply(a: Gf2Matrix, v: int) -> int:
@@ -144,7 +152,7 @@ class ColumnSolver:
             for q in iter_bits((row >> side) ^ (1 << c)):
                 acc ^= r[q]
             r[c] = acc
-        return Gf2Matrix(tuple(r))
+        return Gf2Matrix(r)
 
 
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:
@@ -176,7 +184,7 @@ def matrix_from_text(text: str) -> Gf2Matrix:
         if len(line) > side:
             raise ValueError(f"line of length {len(line)} is longer than the matrix side {side}")
         rows.append(int(line[::-1] or "0", 2))  # column 0 is the leftmost
-    return Gf2Matrix(tuple(rows))
+    return Gf2Matrix(rows)
 
 
 def matrix_dot_lines(a: Gf2Matrix) -> Iterator[str]:

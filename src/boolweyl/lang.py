@@ -51,7 +51,6 @@ Only a witness builds the full matrices and back-substitutes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bweyl import (
@@ -73,6 +72,7 @@ from .ring import (
     iter_bits,
     mask_from_indices,
 )
+from .value import Value, _set_key, setters
 
 
 class LangError(ValueError):
@@ -98,40 +98,68 @@ class EvalError(LangError):
 # --- expression trees ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Zero(Value):
+    __slots__ = ()
+    _key = ()  # no fields, so every instance has the empty key
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(Value):
+    __slots__ = ()
+    _key = ()
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_var_name(self, name)
+        _set_key(self, (name,))
 
-@dataclass(frozen=True)
-class TildeVar:
+
+class TildeVar(Value):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_tilde_name(self, name)
+        _set_key(self, (name,))
 
-@dataclass(frozen=True)
-class Mono:
+
+class Mono(Value):
+    __slots__ = ("kind", "indices")
     kind: str  # one of m x w y s
     indices: tuple[int, ...]  # sorted 1-based
 
+    def __init__(self, kind: str, indices: tuple[int, ...]) -> None:
+        _set_mono_kind(self, kind)
+        _set_mono_indices(self, indices)
+        _set_key(self, (kind, indices))
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple["Expr", ...]
+
+class Sum(Value):
+    __slots__ = ("parts",)
+    parts: tuple[Expr, ...]
+
+    def __init__(self, parts: tuple[Expr, ...]) -> None:
+        _set_sum_parts(self, parts)
+        _set_key(self, (parts,))
 
 
-@dataclass(frozen=True)
-class Prod:
-    parts: tuple["Expr", ...]
+class Prod(Value):
+    __slots__ = ("parts",)
+    parts: tuple[Expr, ...]
+
+    def __init__(self, parts: tuple[Expr, ...]) -> None:
+        _set_prod_parts(self, parts)
+        _set_key(self, (parts,))
+
+
+(_set_var_name,) = setters(Var)
+(_set_tilde_name,) = setters(TildeVar)
+_set_mono_kind, _set_mono_indices = setters(Mono)
+(_set_sum_parts,) = setters(Sum)
+(_set_prod_parts,) = setters(Prod)
 
 
 Expr = Union[Zero, One, Var, TildeVar, Mono, Sum, Prod]
@@ -380,16 +408,20 @@ def format_expr(e: Expr) -> str:
 # --- contexts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarContext:
-    """Ordered variable names; position i (1-based) is the i-th coordinate."""
+class VarContext(Value):
+    """Ordered variable names, given as any iterable and stored as a tuple;
+    position i (1-based) is the i-th coordinate."""
 
+    __slots__ = ("names",)
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        check_dim(len(self.names))
+        check_dim(len(names))
+        _set_names(self, names)
+        _set_key(self, (names,))
 
     @property
     def n(self) -> int:
@@ -400,6 +432,9 @@ class VarContext:
             return self.names.index(name) + 1
         except ValueError:
             raise EvalError(f"unknown variable {name!r}") from None
+
+
+(_set_names,) = setters(VarContext)
 
 
 def _walk(e: Expr):
@@ -437,7 +472,7 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
         while filler in names:
             filler += "_"
         names.setdefault(filler)
-    return VarContext(tuple(names))
+    return VarContext(names)
 
 
 # --- valuations ---------------------------------------------------------------

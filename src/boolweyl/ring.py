@@ -27,10 +27,11 @@ basis converts to M, ANDs and converts back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from typing import Iterable, Iterator, Sequence
+
+from .value import Value, _set_key, setters
 
 MAX_DIM = 16
 RING_BASES = ("M", "X", "W")
@@ -151,20 +152,24 @@ def _superset_sum_bits(bits: int, size: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Value):
     """Element of the Boolean ring: packed coefficients plus a basis tag."""
 
+    __slots__ = ("n", "basis", "bits")
     n: int
     basis: str
     bits: int
 
-    def __post_init__(self) -> None:
-        check_dim(self.n)
-        if self.basis not in RING_BASES:
-            raise ValueError(f"unknown ring basis {self.basis!r}")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+    def __init__(self, n: int, basis: str, bits: int) -> None:
+        check_dim(n)
+        if basis not in RING_BASES:
+            raise ValueError(f"unknown ring basis {basis!r}")
+        if not 0 <= bits < (1 << (1 << n)):
             raise ValueError("coefficient vector out of range")
+        _set_n(self, n)
+        _set_basis(self, basis)
+        _set_bits(self, bits)
+        _set_key(self, (n, basis, bits))
 
     def support(self) -> tuple[int, ...]:
         """Masks with coefficient 1, ascending."""
@@ -172,6 +177,9 @@ class RingElem:
 
     def __str__(self) -> str:
         return ring_text(self)
+
+
+_set_n, _set_basis, _set_bits = setters(RingElem)
 
 
 # The self-inverse butterfly between X and each other basis.

@@ -22,7 +22,7 @@ routes can be checked against each other.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterable
 
 from .bweyl import OpCoeffs
 from .lang import read_elements
@@ -37,44 +37,57 @@ from .ring import (
     require_same_dim,
     submasks,
 )
+from .value import Value, _set_key, setters
 
 PairedMask = tuple[int, int]  # (plain part, tilde part), each a mask over [n]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """Family of subsets of the doubled ground set [n] + tilde [n]; the
     members are given as any iterable and stored as a frozenset."""
 
+    __slots__ = ("n", "members")
     n: int
     members: frozenset[PairedMask]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        check_dim(self.n)
-        for plain, tilde in self.members:
-            check_mask(plain, self.n)
-            check_mask(tilde, self.n)
+    def __init__(self, n: int, members: Iterable[PairedMask]) -> None:
+        members = frozenset(members)
+        check_dim(n)
+        for plain, tilde in members:
+            check_mask(plain, n)
+            check_mask(tilde, n)
+        _set_family_n(self, n)
+        _set_family_members(self, members)
+        _set_key(self, (n, members))
 
     def __str__(self) -> str:
         return family_text(self)
 
 
-@dataclass(frozen=True)
-class FamilyN:
+_set_family_n, _set_family_members = setters(Family)
+
+
+class FamilyN(Value):
     """Family of plain subsets of [n], stored as a frozenset like Family's."""
 
+    __slots__ = ("n", "members")
     n: int
     members: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        check_dim(self.n)
-        for a in self.members:
-            check_mask(a, self.n)
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        members = frozenset(members)
+        check_dim(n)
+        for a in members:
+            check_mask(a, n)
+        _set_familyn_n(self, n)
+        _set_familyn_members(self, members)
+        _set_key(self, (n, members))
 
     def __str__(self) -> str:
         return familyn_text(self)
+
+
+_set_familyn_n, _set_familyn_members = setters(FamilyN)
 
 
 def fam_add(a: Family, b: Family) -> Family:

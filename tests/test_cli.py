@@ -356,6 +356,23 @@ def test_import_leaves_battery_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_code_generator():
+    # dataclasses and its inspect chain cost every call start-up time; the
+    # baseline is the modules of an empty program, so a site hook cannot fail it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def loaded(code):
+        code += "; import sys; print(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        return set(proc.stdout.split())
+
+    added = loaded("import boolweyl.cli") - loaded("pass")
+    assert "boolweyl.lang" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
 def point_text(mask, n):
     return "m{%s}" % ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
 

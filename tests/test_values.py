@@ -1,0 +1,164 @@
+"""Value semantics of every value class: equality, hash, repr, immutability,
+pickling and copying, and the checks run on construction."""
+
+import copy
+import pickle
+
+import pytest
+
+from boolweyl.bweyl import OpCoeffs
+from boolweyl.checks import CheckResult
+from boolweyl.gf2lin import Gf2Matrix
+from boolweyl.lang import Mono, One, Prod, Sum, TildeVar, Var, VarContext, Zero
+from boolweyl.ring import RingElem
+from boolweyl.setfam import Family, FamilyN
+
+PARTS = (Var("a"), TildeVar("b"), Mono("x", (1, 2)))
+
+# (value, its fields in declaration order, its repr)
+VALUES = [
+    (RingElem(2, "X", 5), (2, "X", 5), "RingElem(n=2, basis='X', bits=5)"),
+    (Gf2Matrix((1, 2)), ((1, 2),), "Gf2Matrix(rows=(1, 2))"),
+    (OpCoeffs(1, "XY", {(0, 1)}), (1, "XY", frozenset({(0, 1)})), "OpCoeffs(n=1, basis='XY', terms=frozenset({(0, 1)}))"),
+    (VarContext(("a", "b")), (("a", "b"),), "VarContext(names=('a', 'b'))"),
+    (Zero(), (), "Zero()"),
+    (One(), (), "One()"),
+    (Var("a"), ("a",), "Var(name='a')"),
+    (TildeVar("a"), ("a",), "TildeVar(name='a')"),
+    (Mono("x", (1, 2)), ("x", (1, 2)), "Mono(kind='x', indices=(1, 2))"),
+    (
+        Sum(PARTS),
+        (PARTS,),
+        "Sum(parts=(Var(name='a'), TildeVar(name='b'), Mono(kind='x', indices=(1, 2))))",
+    ),
+    (
+        Prod((Var("a"), One())),
+        ((Var("a"), One()),),
+        "Prod(parts=(Var(name='a'), One()))",
+    ),
+    (Family(2, {(1, 2)}), (2, frozenset({(1, 2)})), "Family(n=2, members=frozenset({(1, 2)}))"),
+    (FamilyN(2, {3}), (2, frozenset({3})), "FamilyN(n=2, members=frozenset({3}))"),
+]
+FROZEN = [value for value, _, _ in VALUES]
+ALL = FROZEN + [CheckResult("held", False, "x=1", skipped=True)]
+
+
+def test_distinct_classes_with_equal_fields_are_unequal():
+    assert Var("a") != TildeVar("a")
+    assert Sum(PARTS) != Prod(PARTS)
+    assert Zero() != One()
+    assert Family(1, set()) != FamilyN(1, set())
+    assert Var("a") != ("a",)
+    assert Var("a") == Var("a") and not Var("a") != Var("a")
+    assert Var("a") != Var("b")
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=lambda v: type(v).__name__)
+def test_hash_is_the_hash_of_the_field_tuple(value, fields, text):
+    assert hash(value) == hash(fields)
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=lambda v: type(v).__name__)
+def test_repr_names_every_field(value, fields, text):
+    assert repr(value) == text
+
+
+def test_check_result_repr():
+    assert repr(CheckResult("held", True)) == "CheckResult(name='held', ok=True, detail='', skipped=False)"
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned_or_deleted(value):
+    for name in ("n", "_extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize("value", ALL, ids=lambda v: type(v).__name__)
+def test_pickle_and_copy_give_back_an_equal_value(value):
+    for other in (
+        pickle.loads(pickle.dumps(value)),
+        pickle.loads(pickle.dumps(value, protocol=0)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(other) is type(value)
+        assert other == value
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RingElem(0, "Q", -1), "dimension must be in [1, 16], got 0"),
+        (lambda: RingElem(1, "Q", -1), "unknown ring basis 'Q'"),
+        (lambda: RingElem(1, "M", 16), "coefficient vector out of range"),
+        (lambda: RingElem(1, "M", -1), "coefficient vector out of range"),
+        (lambda: Gf2Matrix(()), "side must be a power of two, got 0"),
+        (lambda: Gf2Matrix((0, 0, 0)), "side must be a power of two, got 3"),
+        (lambda: Gf2Matrix((1, 4)), "row out of range for matrix side"),
+        (lambda: Gf2Matrix((1, -1)), "row out of range for matrix side"),
+        (lambda: OpCoeffs(17, "QQ", {(9, 9)}), "dimension must be in [1, 16], got 17"),
+        (lambda: OpCoeffs(1, "QQ", {(9, 9)}), "unknown operator basis 'QQ'"),
+        (lambda: OpCoeffs(1, "XY", {(2, 0)}), "mask 2 out of range for n=1"),
+        (lambda: OpCoeffs(1, "XY", {(0, -1)}), "mask -1 out of range for n=1"),
+        (lambda: VarContext(("a", "a")), "variable names must be distinct"),
+        (lambda: VarContext(()), "dimension must be in [1, 16], got 0"),
+        (lambda: Family(0, {(9, 9)}), "dimension must be in [1, 16], got 0"),
+        (lambda: Family(1, {(0, 2)}), "mask 2 out of range for n=1"),
+        (lambda: FamilyN(1, {0, 2}), "mask 2 out of range for n=1"),
+    ],
+)
+def test_validation_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_a_frozenset_argument_is_kept_as_is():
+    terms, members, plain = frozenset({(0, 1)}), frozenset({(1, 0)}), frozenset({1})
+    assert OpCoeffs(1, "XY", terms).terms is terms
+    assert Family(1, members).members is members
+    assert FamilyN(1, plain).members is plain
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    rows = [1, 2]
+    m = Gf2Matrix(rows)
+    rows[0] = 2
+    assert m.rows == (1, 2)
+    assert hash(m) == hash(((1, 2),))
+    names = ["a", "b"]
+    ctx = VarContext(names)
+    names.append("c")
+    assert ctx.names == ("a", "b") and ctx.n == 2
+    assert hash(ctx) == hash((("a", "b"),))
+
+
+def test_check_results_are_frozen_values():
+    result = CheckResult("held", True)
+    assert hash(result) == hash(("held", True, "", False))
+    with pytest.raises(AttributeError):
+        result.ok = False
+    assert result.status == "PASS"
+
+
+def test_a_value_class_keeps_its_own_eq_and_hash():
+    from boolweyl.value import Value, _set_key
+
+    class Node(Value):
+        __slots__ = ()
+
+        def __init__(self) -> None:
+            _set_key(self, ())
+
+        def __eq__(self, other: object) -> bool:
+            return self is other
+
+        def __hash__(self) -> int:
+            return id(self)
+
+    a, b = Node(), Node()
+    assert a == a and a != b
+    assert hash(a) == id(a)
