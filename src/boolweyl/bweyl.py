@@ -48,8 +48,10 @@ the operator it denotes on M-basis coordinates, its rows written from
 closed forms, and multiplication of coefficients must match
 multiplication of matrices bit for bit.  The products of generator
 matrices in diffops are the oracle these rows are checked against.
-diagonal_blocks writes the same rows one diagonal block at a time;
-to_matrix is its one-block case.
+diagonal_block_rows writes the same rows one diagonal block at a time,
+each block's rows of two operators side by side, built only as far as
+they are read; with all of [n] as block coordinates its one block is
+the two matrices of to_matrix.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2lin import Gf2Matrix
 from .ring import (
+    _LOW_BITS,
     _block_mask,
     _convert_bits,
     _superset_sum_bits,
@@ -207,29 +210,16 @@ def _left_tables(f: OpCoeffs) -> list[tuple[int, int]]:
     return [(b, _convert_bits(left, size, f.basis[0], "M")) for b, left in _pack_index(f.terms, 0).items()]
 
 
-def _block_matrix(groups: Iterable[tuple[int, int]], side: int, shift: bool) -> Gf2Matrix:
-    """The matrix of the sum over (b, g) in groups of g * P^b, g a table
-    over `side` points.
-
-    Multiplication by g is diagonal on M coordinates, so row r of P^b is
-    XORed into the result for every r in the support of g.  Those rows
-    have closed forms: row r of s^b is the point r + b, and row r of d^b
-    the points (r - b) | t for every t subset of b, i.e. the submasks of b
-    shifted by r - b.
-    """
-    rows = [0] * side
-    for b, left in groups:
-        if not shift:
-            below = _below(b)
-        for r in iter_bits(left):
-            rows[r] ^= 1 << (r ^ b) if shift else below << (r & ~b)
-    return Gf2Matrix(rows)
-
-
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
-    """Matrix of the operator on M-basis coordinates: the one diagonal block
-    of diagonal_blocks when the block coordinates are all of [n]."""
-    return _block_matrix(_left_tables(f), 1 << f.n, f.basis[1] == "S")
+    """Matrix of the operator on M-basis coordinates."""
+    size = 1 << f.n
+    shift = f.basis[1] == "S"
+    nbytes = (size + 7) >> 3
+    parts = [
+        (b if shift else _below(b), ~b, left.to_bytes(nbytes, "little"))
+        for b, left in _left_tables(f)
+    ]
+    return Gf2Matrix(list(_block_rows(parts, nbytes, min(size, 8), shift)))
 
 
 def _swap_coords(bits: int, size: int, i: int, j: int) -> int:
@@ -240,67 +230,100 @@ def _swap_coords(bits: int, size: int, i: int, j: int) -> int:
     return bits ^ t ^ (t << delta)
 
 
-def diagonal_blocks(ops: Sequence[OpCoeffs]) -> Iterator[tuple[Gf2Matrix, ...]]:
-    """The distinct diagonal blocks of the matrices of ops, produced lazily.
+def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterator[int]]]:
+    """The augmented rows [q-hat | p-hat] of two operators in Y bases (MY,
+    XY or WY), one distinct diagonal block at a time, produced lazily.
 
-    Row r of P^b has its entries at the columns c with c & ~b == r & ~b.
-    So with B the union of the right indices of all terms of ops, widened
-    by the lowest coordinates outside it to at least min(n, 3), every
-    matrix is block diagonal: one block per coset z = r & ~B, of side
-    2^|B|.  A stable partition moves B's coordinates to the low bits and
-    keeps the order of rows and columns inside a block; block z is then
-    built from the bits [z 2^|B|, (z + 1) 2^|B|) of each left table (see
-    _left_tables), a whole number of bytes.  Blocks whose slices all
-    agree are equal, so each distinct tuple (block of ops[0], block of
-    ops[1], ...) is yielded once, in the order of its lowest z.
+    Row r of d^b has its entries at the columns c with c & ~b == r & ~b.
+    So with B the union of the right indices of all terms of p and q,
+    widened by the lowest coordinates outside it to at least min(n, 3),
+    both matrices are block diagonal: one block per coset z = r & ~B, of
+    side 2^|B|.  A stable partition moves B's coordinates to the low bits
+    and keeps the order of rows and columns inside a block; block z is
+    then built from the bits [z 2^|B|, (z + 1) 2^|B|) of each left table
+    (see _left_tables), a whole number of bytes (one byte, zero-padded,
+    when n <= 2).  Blocks whose slices all agree are equal, so each
+    distinct pair is given once, in the order of its lowest z, and a pair
+    whose p block is zero is skipped.
+
+    Each pair is (side, rows): rows gives (q_r << side) | p_r for r from
+    0 to side - 1, with q_r and p_r row r of the two blocks.  The rows are
+    built 8 at a time from one byte of each table, so a reader that stops
+    early leaves the rest of the block unbuilt.
     """
-    n = ops[0].n
-    for f in ops:
-        require_same_dim(ops[0], f)
+    require_same_dim(p, q)
+    if p.basis[1] != "Y" or q.basis[1] != "Y":
+        raise ValueError(f"diagonal_block_rows needs Y bases, not {p.basis} and {q.basis}")
+    n = p.n
     size, full = 1 << n, (1 << n) - 1
-    groups = [_left_tables(f) for f in ops]
-    shifts = [f.basis[1] == "S" for f in ops]
+    groups = [_left_tables(p), _left_tables(q)]
     low = 0
     for gs in groups:
         for b, _ in gs:
             low |= b
     while low.bit_count() < min(n, 3):
         low |= ~low & (low + 1)  # its lowest clear bit
-    if low == full:
-        yield tuple(_block_matrix(gs, size, shift) for gs, shift in zip(groups, shifts))
-        return
     order = list(iter_bits(low)) + list(iter_bits(full ^ low))
     at = list(range(n))  # the coordinate at each bit position, as the swaps go
     swaps = []
-    for p, c in enumerate(order):
-        q = at.index(c)
-        if q != p:
-            at[p], at[q] = c, at[p]
-            swaps.append((p, q))
-    rank = {c: p for p, c in enumerate(order)}
-    tables = []  # per operator: (b moved to the low bits, bytes of g moved)
-    for gs in groups:
-        moved = []
-        for b, left in gs:
-            for p, q in swaps:
-                left = _swap_coords(left, size, p, q)
-            moved.append((sum(1 << rank[c] for c in iter_bits(b)), left.to_bytes(size >> 3, "little")))
-        tables.append(moved)
+    for i, c in enumerate(order):
+        j = at.index(c)
+        if j != i:
+            at[i], at[j] = c, at[i]
+            swaps.append((i, j))
+    rank = {c: i for i, c in enumerate(order)}
     side = 1 << low.bit_count()
-    width = side >> 3
+    nbytes = (size + 7) >> 3
+    # per (b, g), p's first: the submasks of b moved, shifted by q's offset
+    # `side`, the complement of b moved, and the bytes of g moved
+    tables = []
+    for gs, offset in zip(groups, (0, side)):
+        for b, left in gs:
+            for i, j in swaps:
+                left = _swap_coords(left, size, i, j)
+            b = sum(1 << rank[c] for c in iter_bits(b))
+            tables.append((_below(b) << offset, ~b, left.to_bytes(nbytes, "little")))
+    width = (side + 7) >> 3
+    zero = bytes(width)
+    p_count = len(groups[0])
     seen = set()
-    for start in range(0, size >> 3, width):
-        stop = start + width
-        key = tuple(data[start:stop] for moved in tables for _, data in moved)
+    for start in range(0, nbytes, width):
+        key = tuple(data[start : start + width] for _, _, data in tables)
         if key in seen:
             continue
         seen.add(key)
-        yield tuple(
-            _block_matrix(
-                [(b, int.from_bytes(data[start:stop], "little")) for b, data in moved], side, shift
-            )
-            for moved, shift in zip(tables, shifts)
-        )
+        if any(part != zero for part in key[:p_count]):
+            parts = [(form, outside, part) for (form, outside, _), part in zip(tables, key) if part != zero]
+            yield side, _block_rows(parts, width, min(side, 8), shift=False)
+
+
+def _block_rows(
+    parts: list[tuple[int, int, bytes]], width: int, chunk_side: int, shift: bool
+) -> Iterator[int]:
+    """The rows of the sum of g * P^b over the parts (form, ~b, bytes of g),
+    P^b the shift or derivative power of b, 8 rows per byte of the tables
+    (fewer when there are fewer rows).
+
+    Multiplication by g is diagonal on M coordinates, so row r of P^b is
+    XORed into row r for every bit r of g.  Those rows have closed forms:
+    row r of s^b is the point r + b (form = b), and row r of d^b the points
+    (r - b) | t for every t subset of b, i.e. the submasks of b (form, one
+    packed table) shifted by r & ~b.
+    """
+    for k in range(width):
+        base = k << 3
+        rows = [0] * chunk_side
+        for form, outside, part in parts:
+            byte = part[k]
+            if not byte:
+                continue
+            if shift:
+                for t in _LOW_BITS[byte]:
+                    rows[t] ^= 1 << ((base + t) ^ form)
+            else:
+                for t in _LOW_BITS[byte]:
+                    rows[t] ^= form << ((base + t) & outside)
+        yield from rows
 
 
 def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:

@@ -43,9 +43,10 @@ p-hat = q-hat * r over GF(2), column-space containment; a proposition's
 matrix is diagonal, so for two propositions it is the pointwise order
 of truth functions (classical entailment), decided on truth tables.
 With an operator on either side it is decided on the distinct diagonal
-blocks that the coordinates touched by derivatives or shifts cut out,
-each elimination stopping at the first row that refutes containment.
-Only a witness builds the full matrices and back-substitutes.
+blocks that the coordinates touched by derivatives cut out, their rows
+made as the elimination reads them, and each elimination stopping at
+the first row that refutes containment.  Only a witness builds the
+full matrices and back-substitutes.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 from .bweyl import (
     OpCoeffs,
     convert_op_basis,
-    diagonal_blocks,
+    diagonal_block_rows,
     op_add,
     op_monomial,
     op_mul,
     to_matrix,
 )
-from .gf2lin import ColumnSolver, Gf2Matrix, solve_right
+from .gf2lin import Gf2Matrix, _echelon, solve_right
 from .ring import (
     RingElem,
     _block_mask,
@@ -608,17 +609,19 @@ def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
 
     Two truth tables are compared pointwise.  Otherwise both matrices are
     block diagonal on the cosets of the coordinates that the derivatives
-    or shifts touch (bweyl.diagonal_blocks), and containment holds iff it
-    holds in every block: each distinct pair of blocks is eliminated once,
-    a zero block of p-hat holds with no elimination, and the first block
-    that fails answers no.
+    touch, and containment holds iff it holds in every block.  Each
+    distinct pair of blocks with a nonzero block of p-hat is eliminated
+    once, on the augmented rows [q-hat | p-hat] that
+    bweyl.diagonal_block_rows builds as the elimination reads them.  The
+    elimination stops at the first row that reduces into the p-hat half,
+    so the first block that fails answers no, and its rows past the eight
+    that hold that row are never built.
     """
     if isinstance(pv, RingElem) and isinstance(qv, RingElem):
         return pv.bits & ~qv.bits == 0
     return all(
-        ColumnSolver(q, p).solvable()
-        for p, q in diagonal_blocks((as_operator(pv), as_operator(qv)))
-        if any(p.rows)
+        _echelon(rows, side) is not None
+        for side, rows in diagonal_block_rows(as_operator(pv), as_operator(qv))
     )
 
 

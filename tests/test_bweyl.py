@@ -131,6 +131,16 @@ def reference_blocks(ops, low):
     return list(blocks)
 
 
+def reference_block_rows(blocks):
+    """(side, augmented rows (q_r << side) | p_r) per pair of reference blocks
+    whose p block is not zero."""
+    return [
+        (pb.side, [(qb.rows[r] << pb.side) | pb.rows[r] for r in range(pb.side)])
+        for pb, qb in blocks
+        if any(pb.rows)
+    ]
+
+
 def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
     rng = random.Random(23)
     seen = Counter()
@@ -139,37 +149,64 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         touched = rng.getrandbits(n) & rng.getrandbits(n)
         if trial % 5 == 0:
             touched = rng.getrandbits(n)
-        ops = [
-            OpCoeffs(
-                n,
-                rng.choice(OP_BASES),
-                frozenset(
-                    (rng.getrandbits(n), rng.getrandbits(n) & touched)
-                    for _ in range(rng.randint(0, 5))
+        p, q = (
+            convert_op_basis(
+                OpCoeffs(
+                    n,
+                    rng.choice(OP_BASES),
+                    frozenset(
+                        (rng.getrandbits(n), rng.getrandbits(n) & touched)
+                        for _ in range(rng.randint(0, 5))
+                    ),
                 ),
+                "XY",
             )
-            for _ in range(1 + trial % 2)
-        ]
+            for _ in range(2)
+        )
         low = 0
-        for f in ops:
+        for f in (p, q):
             for _, b in f.terms:
                 low |= b
         # widened by the lowest coordinates outside it to at least three
         while low.bit_count() < min(n, 3):
             low |= ~low & (low + 1)
-        got = list(bweyl.diagonal_blocks(ops))
-        assert got == reference_blocks(ops, low), ops
-        seen[len(got) > 1] += 1
-        seen["duplicates"] += len(got) < 1 << (n - low.bit_count())
+        blocks = reference_blocks((p, q), low)
+        got = [(side, list(rows)) for side, rows in bweyl.diagonal_block_rows(p, q)]
+        assert got == reference_block_rows(blocks), (p, q)
+        seen[len(blocks) > 1] += 1
+        seen["duplicates"] += len(blocks) < 1 << (n - low.bit_count())
+        seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
     assert min(seen[True], seen[False], seen["duplicates"]) >= 30, seen
+    assert seen["fewer than 8 rows"] >= 50, seen
 
 
 def test_to_matrix_is_the_one_block_of_all_coordinates():
-    f = OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
-    assert list(bweyl.diagonal_blocks((f,))) == [(to_matrix(f),)]
+    p = convert_op_basis(OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)]), "XY")
+    q = convert_op_basis(OpCoeffs(4, "MS", [(0b0110, 0b1111)]), "XY")
+    rows = [(to_matrix(q).rows[r] << 16) | to_matrix(p).rows[r] for r in range(16)]
+    assert [(side, list(got)) for side, got in bweyl.diagonal_block_rows(p, q)] == [(16, rows)]
+    # at n <= 2 the one block has fewer than 8 rows
+    for n in (1, 2):
+        d = OpCoeffs(n, "XY", [(0, 1)])
+        one = op_identity(n)
+        side = 1 << n
+        rows = [(to_matrix(one).rows[r] << side) | to_matrix(d).rows[r] for r in range(side)]
+        assert [(s, list(got)) for s, got in bweyl.diagonal_block_rows(d, one)] == [(side, rows)]
     # one right index, widened to three coordinates: two equal blocks of side 8
     g = OpCoeffs(4, "XY", [(0, 0b0100)])
-    assert list(bweyl.diagonal_blocks((g,))) == [(to_matrix(OpCoeffs(3, "XY", [(0, 0b100)])),)]
+    one = op_identity(4)
+    block = to_matrix(OpCoeffs(3, "XY", [(0, 0b100)]))
+    rows = [(1 << (r + 8)) | block.rows[r] for r in range(8)]
+    assert [(side, list(got)) for side, got in bweyl.diagonal_block_rows(g, one)] == [(8, rows)]
+
+
+def test_diagonal_block_rows_refuses_shift_bases():
+    p = OpCoeffs(3, "XY", [(0, 1)])
+    for basis in ("MS", "XS", "WS"):
+        q = convert_op_basis(p, basis)
+        for pair in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="Y bases"):
+                next(bweyl.diagonal_block_rows(*pair))
 
 
 # --- structural coefficient -----------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,31 @@ def test_entail_at_n16_builds_no_full_matrix(capsys, monkeypatch):
         monkeypatch.setattr(module, "to_matrix", refuse)
     assert run(capsys, "entail", "~a a", "1", "-n", "16") == (0, "yes\n", "")
     assert run(capsys, "entail", "~a a", "~b", "-n", "16") == (1, "no\n", "")
+
+
+def test_entail_with_every_coordinate_derived_stops_at_the_refuting_rows(capsys, monkeypatch):
+    # the derivatives touch all 16 coordinates, so the one block is the whole
+    # 2^16 x 2^16 matrix; its first row refutes containment, so only the
+    # first rows are built, and no matrix at all
+    from boolweyl import gf2lin
+
+    def refuse(self, rows):
+        raise AssertionError("Gf2Matrix built")
+
+    monkeypatch.setattr(gf2lin.Gf2Matrix, "__init__", refuse)
+    names = "abcdefghijklnopq"
+    p = " ".join("~" + v for v in names)
+    q = " ".join(names) + " " + p
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run(capsys, "entail", p, q, "-n", "16")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (1, "no\n", "")
+    assert elapsed < 2.0 and peak < 32 << 20, (elapsed, peak)
 
 
 def test_entail_witness(capsys):

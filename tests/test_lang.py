@@ -857,10 +857,37 @@ def test_entails_quantum_matches_the_matrix_route():
     assert seen == {(pc, qc, got) for pc, qc in kinds for got in (True, False)}
 
 
+def block_coordinates(p, q):
+    """The right indices of the terms of p and q, widened by the lowest
+    coordinates outside them to at least min(n, 3)."""
+    low = 0
+    for _, b in p.terms | q.terms:
+        low |= b
+    while low.bit_count() < min(p.n, 3):
+        low |= ~low & (low + 1)
+    return low
+
+
+def distinct_block_pairs(p, q, low):
+    """The number of distinct pairs (block of p-hat, block of q-hat) over the
+    cosets z of the coordinates in low, zero blocks included, cut from the
+    full matrices.  Row z + s of a block diagonal matrix, s inside low, has
+    its entries at the columns z + t, so shifting it right by z gives the
+    row of the block of z in coordinates shared by all cosets."""
+    inside = [s for s in range(1 << p.n) if s & ~low == 0]
+    matrices = (to_matrix(p).rows, to_matrix(q).rows)
+    blocks = {
+        tuple(rows[z + s] >> z for rows in matrices for s in inside)
+        for z in range(1 << p.n)
+        if z & low == 0
+    }
+    return len(blocks)
+
+
 def test_block_route_matches_full_matrices_on_xy_pairs():
     # the derivatives of both operands touch the coordinates in `touched`;
     # the left indices are drawn over all of [n]
-    from boolweyl.bweyl import OpCoeffs, diagonal_blocks
+    from boolweyl.bweyl import OpCoeffs, diagonal_block_rows
     from boolweyl.gf2lin import ColumnSolver
     from boolweyl.lang import _entails
 
@@ -880,14 +907,16 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         got = _entails(p, q)
         assert got == ColumnSolver(to_matrix(q), to_matrix(p)).solvable(), (p, q)
-        blocks = list(diagonal_blocks((p, q)))
+        sides = [side for side, _ in diagonal_block_rows(p, q)]
         cover = 0
         for a, b in p.terms | q.terms:
             cover |= b
+        low = block_coordinates(p, q)
+        assert set(sides) <= {1 << low.bit_count()}
         counts[got] += 1
-        counts["split"] += blocks[0][0].side < 1 << n
+        counts["split"] += low != (1 << n) - 1
         counts["left outside"] += any(a & ~cover for a, _ in p.terms | q.terms)
-        counts["duplicates"] += len(blocks) < (1 << n) // blocks[0][0].side
+        counts["duplicates"] += distinct_block_pairs(p, q, low) < 1 << (n - low.bit_count())
     assert min(counts[True], counts[False]) >= 200, counts
     assert min(counts["split"], counts["left outside"], counts["duplicates"]) >= 200, counts
 
@@ -895,23 +924,90 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
 @pytest.mark.parametrize("n", [4, 5])
 def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # the battery runs the check at n itself, up to 5; on the check's own
-    # draws there, most diagonal_blocks calls yield several blocks
+    # draws there, most block eliminations see matrices with several
+    # distinct diagonal blocks, cut here from the full matrices, and many
+    # eliminate several blocks of side smaller than the whole
     from boolweyl import lang
-    from boolweyl.bweyl import diagonal_blocks
+    from boolweyl.bweyl import diagonal_block_rows
 
     assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
-    blocks_per_call = []
+    calls = []  # (distinct block pairs, blocks eliminated, their side) per call
 
-    def counting_blocks(ops):
-        blocks = list(diagonal_blocks(ops))
-        blocks_per_call.append(len(blocks))
+    def counting_blocks(p, q):
+        blocks = list(diagonal_block_rows(p, q))
+        distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
+        calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
         return iter(blocks)
 
-    monkeypatch.setattr(lang, "diagonal_blocks", counting_blocks)
+    monkeypatch.setattr(lang, "diagonal_block_rows", counting_blocks)
     for seed in range(8):
         result = checks.check_entailment(n, 25, random.Random(seed))
         assert result.ok, result.detail
-    assert sum(count > 1 for count in blocks_per_call) >= 100, blocks_per_call
+    assert sum(distinct > 1 for distinct, _, _ in calls) >= 100, calls
+    assert sum(0 < side < 1 << n for _, _, side in calls) >= 100, calls
+    assert sum(count > 1 for _, count, _ in calls) >= 50, calls
+
+
+def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
+    # a "yes" reads every row of every distinct block; a "no" reads the
+    # blocks before the failing one whole, and of that one only the rows up
+    # to the first that reduces into the p-hat half
+    from boolweyl import lang
+    from boolweyl.bweyl import OpCoeffs, diagonal_block_rows
+    from boolweyl.gf2lin import _echelon
+
+    reads = []  # [side, rows read] per block handed to the elimination
+
+    def counting_rows(p, q):
+        for side, rows in diagonal_block_rows(p, q):
+            read = [side, 0]
+            reads.append(read)
+
+            def counted(rows=rows, read=read):
+                for row in rows:
+                    read[1] += 1
+                    yield row
+
+            yield side, counted()
+
+    monkeypatch.setattr(lang, "diagonal_block_rows", counting_rows)
+    rng = random.Random(29)
+    counts = Counter()
+    for trial in range(400):
+        n = 3 + trial % 6
+        touched = rng.getrandbits(n) & rng.getrandbits(n)
+        if trial % 7 == 0:
+            touched = (1 << n) - 1
+
+        def draw(size):
+            terms = {(rng.getrandbits(n), rng.getrandbits(n) & touched) for _ in range(size)}
+            return OpCoeffs(n, "XY", frozenset(terms))
+
+        q = draw(rng.randint(1, 4))
+        p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
+        reads.clear()
+        got = lang._entails(p, q)
+        blocks = [(side, list(rows)) for side, rows in diagonal_block_rows(p, q)]
+        if got:
+            assert reads == [[side, side] for side, _ in blocks], (p, q)
+            continue
+        *passed, (side, last) = reads
+        assert passed == [[side, side] for side, _ in blocks[: len(passed)]], (p, q)
+        rows = blocks[len(passed)][1]
+        assert _echelon(rows[: last - 1], side) is not None, (p, q)
+        assert _echelon(rows[:last], side) is None, (p, q)
+        counts["no"] += 1
+        counts["fewer than the side"] += last < side
+    assert counts["no"] >= 100 and counts["fewer than the side"] >= 0.8 * counts["no"], counts
+    # d{1..n} has the constants as its column space, x{1..n} d{1..n} the
+    # multiples of x{1..n}: the first row already refutes containment
+    for n in (3, 8, 16):
+        full = (1 << n) - 1
+        p = OpCoeffs(n, "XY", [(0, full)])
+        q = OpCoeffs(n, "XY", [(full, full)])
+        reads.clear()
+        assert not lang._entails(p, q)
+        assert reads == [[1 << n, 1]]
 
 
 def test_entailment_preorder():
