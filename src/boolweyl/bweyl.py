@@ -51,11 +51,13 @@ matrices in diffops are the oracle these rows are checked against.
 diagonal_block_rows writes the same rows one diagonal block at a time,
 each block's rows of two operators side by side, built only as far as
 they are read; with all of [n] as block coordinates its one block is
-the two matrices of to_matrix.
+the two matrices of to_matrix.  It also places a matrix solved block by
+block back on M-basis coordinates, so a witness needs no full matrix.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2lin import Gf2Matrix
@@ -222,15 +224,16 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     return Gf2Matrix(list(_block_rows(parts, nbytes, min(size, 8), shift)))
 
 
-def _swap_coords(bits: int, size: int, i: int, j: int) -> int:
-    """The table over `size` points with coordinates i < j exchanged: each
-    point with bit i set and bit j clear trades its bit with its mirror."""
-    delta = (1 << j) - (1 << i)
-    t = (bits ^ (bits >> delta)) & _block_mask(size, 1 << j) & ~_block_mask(size, 1 << i)
-    return bits ^ t ^ (t << delta)
+def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
+    """The table with coordinates exchanged, swap by swap: a swap of i < j is (2^j - 2^i,
+    the points with bit i set and bit j clear), each trading its bit with its mirror."""
+    for delta, points in swaps:
+        t = (bits ^ (bits >> delta)) & points
+        bits ^= t ^ (t << delta)
+    return bits
 
 
-def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterator[int]]]:
+def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterator[int], Callable]]:
     """The augmented rows [q-hat | p-hat] of two operators in Y bases (MY,
     XY or WY), one distinct diagonal block at a time, produced lazily.
 
@@ -246,10 +249,15 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
     distinct pair is given once, in the order of its lowest z, and a pair
     whose p block is zero is skipped.
 
-    Each pair is (side, rows): rows gives (q_r << side) | p_r for r from
+    Each is (side, rows, place): rows gives (q_r << side) | p_r for r from
     0 to side - 1, with q_r and p_r row r of the two blocks.  The rows are
     built 8 at a time from one byte of each table, so a reader that stops
-    early leaves the rest of the block unbuilt.
+    early leaves the rest of the block unbuilt.  place(block, out) writes
+    the rows of a side x side matrix on the block's coordinates into out,
+    the 2^n rows of a matrix on M-basis coordinates: for every coset z
+    that shares the block, row t, its swaps undone and shifted left by z,
+    is row z | u, u the t-th submask of B.  A later coset can still join a
+    block, so place is called once the generator is used up.
     """
     require_same_dim(p, q)
     if p.basis[1] != "Y" or q.basis[1] != "Y":
@@ -263,6 +271,7 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
             low |= b
     while low.bit_count() < min(n, 3):
         low |= ~low & (low + 1)  # its lowest clear bit
+    dim = low.bit_count()
     order = list(iter_bits(low)) + list(iter_bits(full ^ low))
     at = list(range(n))  # the coordinate at each bit position, as the swaps go
     swaps = []
@@ -270,31 +279,40 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
         j = at.index(c)
         if j != i:
             at[i], at[j] = c, at[i]
-            swaps.append((i, j))
+            swaps.append(((1 << j) - (1 << i), _block_mask(size, 1 << j) & ~_block_mask(size, 1 << i)))
     rank = {c: i for i, c in enumerate(order)}
-    side = 1 << low.bit_count()
+    side = 1 << dim
     nbytes = (size + 7) >> 3
     # per (b, g), p's first: the submasks of b moved, shifted by q's offset
     # `side`, the complement of b moved, and the bytes of g moved
     tables = []
     for gs, offset in zip(groups, (0, side)):
         for b, left in gs:
-            for i, j in swaps:
-                left = _swap_coords(left, size, i, j)
+            left = _swap_coords(left, swaps)
             b = sum(1 << rank[c] for c in iter_bits(b))
             tables.append((_below(b) << offset, ~b, left.to_bytes(nbytes, "little")))
+
+    def place(cosets: list[int], block: Sequence[int], out: list[int]) -> None:
+        us = [0]  # the submasks of B in ascending order, by doubling
+        for c in order[:dim]:
+            us += [u | 1 << c for u in us]
+        zs = [sum(1 << order[dim + i] for i in iter_bits(k)) for k in cosets]
+        for u, row in zip(us, block):
+            row = _swap_coords(row, reversed(swaps))
+            for z in zs:
+                out[z | u] = row << z
+
     width = (side + 7) >> 3
     zero = bytes(width)
     p_count = len(groups[0])
-    seen = set()
-    for start in range(0, nbytes, width):
+    cosets_of: dict[tuple[bytes, ...], list[int]] = {}  # per distinct key, the slices k that share it
+    for k, start in enumerate(range(0, nbytes, width)):
         key = tuple(data[start : start + width] for _, _, data in tables)
-        if key in seen:
-            continue
-        seen.add(key)
-        if any(part != zero for part in key[:p_count]):
+        cosets = cosets_of.setdefault(key, [])
+        cosets.append(k)
+        if len(cosets) == 1 and any(part != zero for part in key[:p_count]):
             parts = [(form, outside, part) for (form, outside, _), part in zip(tables, key) if part != zero]
-            yield side, _block_rows(parts, width, min(side, 8), shift=False)
+            yield side, _block_rows(parts, width, min(side, 8), shift=False), partial(place, cosets)
 
 
 def _block_rows(

@@ -485,6 +485,12 @@ def _same_matrix(p: lang.Expr, q: lang.Expr, ctx: lang.VarContext) -> bool:
     return bweyl.to_matrix(lang.eval_quantum(p, ctx)) == bweyl.to_matrix(lang.eval_quantum(q, ctx))
 
 
+def _matrix_witness(p: lang.Expr, q: lang.Expr, ctx: lang.VarContext) -> gf2lin.Gf2Matrix | None:
+    """solve_right on the full matrices: lang.entailment_witness's oracle."""
+    t = bweyl.to_matrix(lang.eval_quantum(q, ctx))
+    return gf2lin.solve_right(t, bweyl.to_matrix(lang.eval_quantum(p, ctx)))
+
+
 def check_rewrite_soundness(samples: int, rng: random.Random) -> CheckResult:
     names = ("a", "b")
     ctx = lang.VarContext(names)
@@ -535,7 +541,8 @@ def check_entailment(n: int, samples: int, rng: random.Random) -> CheckResult:
         want = all((pv >> a) & 1 <= (qv >> a) & 1 for a in range(size))
         if got != want:
             return CheckResult("entailment", False, "classical decision wrong")
-        if got != (lang.entailment_witness(p, q, ctx) is not None):  # the matrix route
+        oracle = _matrix_witness(p, q, ctx)
+        if got != (oracle is not None) or lang.entailment_witness(p, q, ctx) != oracle:
             return CheckResult("entailment", False, "classical/quantum disagree on propositions")
         if not lang.entails_classical(p, p, ctx):
             return CheckResult("entailment", False, "not reflexive")
@@ -543,7 +550,8 @@ def check_entailment(n: int, samples: int, rng: random.Random) -> CheckResult:
         s = random_expr(rng, names, 2)
         t = random_expr(rng, names, 2)
         entailed = lang.entails_quantum(r, s, ctx)
-        if entailed != (lang.entailment_witness(r, s, ctx) is not None):  # the matrix route
+        oracle = _matrix_witness(r, s, ctx)
+        if entailed != (oracle is not None) or lang.entailment_witness(r, s, ctx) != oracle:
             return CheckResult("entailment", False, "block and matrix routes disagree")
         if entailed and lang.entails_quantum(s, t, ctx) and not lang.entails_quantum(r, t, ctx):
             return CheckResult("entailment", False, "not transitive")

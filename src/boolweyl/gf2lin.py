@@ -125,10 +125,9 @@ class ColumnSolver:
     back-substitute a solution.
     """
 
-    def __init__(self, t: Gf2Matrix, s: Gf2Matrix) -> None:
-        _require_same_side(t, s)
-        side = self.side = t.side
-        self._pivots = _echelon(((tr << side) | sr for tr, sr in zip(t.rows, s.rows)), side)
+    def __init__(self, side: int, rows: Iterable[int]) -> None:
+        self.side = side
+        self._pivots = _echelon(rows, side)
 
     def solvable(self) -> bool:
         """True iff t r = s has a solution: no pivot lies below `side`."""
@@ -157,7 +156,9 @@ class ColumnSolver:
 
 def solve_right(t: Gf2Matrix, s: Gf2Matrix) -> Gf2Matrix | None:
     """A matrix r with t r = s, or None when no such r exists."""
-    return ColumnSolver(t, s).solve()
+    _require_same_side(t, s)
+    side = t.side
+    return ColumnSolver(side, ((tr << side) | sr for tr, sr in zip(t.rows, s.rows))).solve()
 
 
 def matrix_text_lines(a: Gf2Matrix) -> Iterator[str]:

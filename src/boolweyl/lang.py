@@ -45,8 +45,8 @@ of truth functions (classical entailment), decided on truth tables.
 With an operator on either side it is decided on the distinct diagonal
 blocks that the coordinates touched by derivatives cut out, their rows
 made as the elimination reads them, and each elimination stopping at
-the first row that refutes containment.  Only a witness builds the
-full matrices and back-substitutes.
+the first row that refutes containment.  A witness is back-substituted
+on the same blocks, so no entailment builds a full matrix.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ from .bweyl import (
     op_add,
     op_monomial,
     op_mul,
-    to_matrix,
 )
-from .gf2lin import Gf2Matrix, _echelon, solve_right
+from .gf2lin import ColumnSolver, Gf2Matrix
 from .ring import (
     RingElem,
     _block_mask,
@@ -620,8 +619,8 @@ def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
     if isinstance(pv, RingElem) and isinstance(qv, RingElem):
         return pv.bits & ~qv.bits == 0
     return all(
-        _echelon(rows, side) is not None
-        for side, rows in diagonal_block_rows(as_operator(pv), as_operator(qv))
+        ColumnSolver(side, rows).solvable()
+        for side, rows, _ in diagonal_block_rows(as_operator(pv), as_operator(qv))
     )
 
 
@@ -643,9 +642,22 @@ def entails_quantum(p: Expr, q: Expr, ctx: VarContext) -> bool:
 
 
 def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
-    """A matrix r with q-hat * r = p-hat, or None when p is not entailed."""
-    s = to_matrix(eval_quantum(p, ctx))
-    return solve_right(to_matrix(eval_quantum(q, ctx)), s)
+    """A matrix r with q-hat * r = p-hat, or None when p is not entailed.
+
+    r, zero outside the pivot columns of q-hat, is block diagonal like
+    both, so each distinct block of it is solved once, on the blocks that
+    decide the entailment, and placed on every coset that shares it.
+    """
+    solved = []
+    for side, rows, place in diagonal_block_rows(eval_quantum(p, ctx), eval_quantum(q, ctx)):
+        block = ColumnSolver(side, rows).solve()
+        if block is None:
+            return None
+        solved.append((place, block.rows))
+    r = [0] * (1 << ctx.n)
+    for place, block in solved:  # placed once every coset has joined its block
+        place(block, r)
+    return Gf2Matrix(r)
 
 
 # --- normalization ------------------------------------------------------------

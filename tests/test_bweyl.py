@@ -171,8 +171,15 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         while low.bit_count() < min(n, 3):
             low |= ~low & (low + 1)
         blocks = reference_blocks((p, q), low)
-        got = [(side, list(rows)) for side, rows in bweyl.diagonal_block_rows(p, q)]
+        streamed = list(bweyl.diagonal_block_rows(p, q))
+        got = [(side, list(rows)) for side, rows, _ in streamed]
         assert got == reference_block_rows(blocks), (p, q)
+        # placed on every coset that shares it, each p block rebuilds p-hat:
+        # the skipped zero blocks are its zero rows
+        placed = [0] * (1 << n)
+        for (side, _, place), (_, rows) in zip(streamed, got):
+            place([row & ((1 << side) - 1) for row in rows], placed)
+        assert placed == list(to_matrix(p).rows), (p, q)
         seen[len(blocks) > 1] += 1
         seen["duplicates"] += len(blocks) < 1 << (n - low.bit_count())
         seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
@@ -184,20 +191,20 @@ def test_to_matrix_is_the_one_block_of_all_coordinates():
     p = convert_op_basis(OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)]), "XY")
     q = convert_op_basis(OpCoeffs(4, "MS", [(0b0110, 0b1111)]), "XY")
     rows = [(to_matrix(q).rows[r] << 16) | to_matrix(p).rows[r] for r in range(16)]
-    assert [(side, list(got)) for side, got in bweyl.diagonal_block_rows(p, q)] == [(16, rows)]
+    assert [(side, list(got)) for side, got, _ in bweyl.diagonal_block_rows(p, q)] == [(16, rows)]
     # at n <= 2 the one block has fewer than 8 rows
     for n in (1, 2):
         d = OpCoeffs(n, "XY", [(0, 1)])
         one = op_identity(n)
         side = 1 << n
         rows = [(to_matrix(one).rows[r] << side) | to_matrix(d).rows[r] for r in range(side)]
-        assert [(s, list(got)) for s, got in bweyl.diagonal_block_rows(d, one)] == [(side, rows)]
+        assert [(s, list(got)) for s, got, _ in bweyl.diagonal_block_rows(d, one)] == [(side, rows)]
     # one right index, widened to three coordinates: two equal blocks of side 8
     g = OpCoeffs(4, "XY", [(0, 0b0100)])
     one = op_identity(4)
     block = to_matrix(OpCoeffs(3, "XY", [(0, 0b100)]))
     rows = [(1 << (r + 8)) | block.rows[r] for r in range(8)]
-    assert [(side, list(got)) for side, got in bweyl.diagonal_block_rows(g, one)] == [(8, rows)]
+    assert [(side, list(got)) for side, got, _ in bweyl.diagonal_block_rows(g, one)] == [(8, rows)]
 
 
 def test_diagonal_block_rows_refuses_shift_bases():

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -118,10 +119,29 @@ def test_entail_at_n16_builds_no_full_matrix(capsys, monkeypatch):
 
     from boolweyl import bweyl
 
-    for module in (bweyl, lang, cli):
+    for module in (bweyl, cli):
         monkeypatch.setattr(module, "to_matrix", refuse)
     assert run(capsys, "entail", "~a a", "1", "-n", "16") == (0, "yes\n", "")
     assert run(capsys, "entail", "~a a", "~b", "-n", "16") == (1, "no\n", "")
+
+
+def test_entail_witness_at_n12_builds_no_full_matrix(capsys, monkeypatch):
+    # the witness is solved on the 2^9 equal diagonal blocks of side 8 and
+    # placed on each; its text is that of the full-matrix solve
+    def refuse(f):
+        raise AssertionError("to_matrix called")
+
+    from boolweyl import bweyl
+
+    # every binding of it in the package, wherever it was imported
+    orig = bweyl.to_matrix
+    for name, module in list(sys.modules.items()):
+        if name.startswith("boolweyl") and getattr(module, "to_matrix", None) is orig:
+            monkeypatch.setattr(module, "to_matrix", refuse)
+    code, out, err = run(capsys, "entail", "--witness", "~a a", "1", "-n", "12")
+    assert (code, err, out[:4], len(out)) == (0, "", "yes\n", 16781316)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "d90570a7476f99956937d235530a9bbfcc4f98ca876d287db425e9a627f87ee7"
 
 
 def test_entail_with_every_coordinate_derived_stops_at_the_refuting_rows(capsys, monkeypatch):

@@ -119,6 +119,13 @@ def test_rank_submultiplicative():
         assert gf2_rank(mat_mul(a, b).rows) <= min(gf2_rank(a.rows), gf2_rank(b.rows))
 
 
+def augmented(t, s):
+    """(side, rows) of the system t r = s: row i packs row i of t above bit
+    `side` and row i of s below it."""
+    side = t.side
+    return side, [(tr << side) | sr for tr, sr in zip(t.rows, s.rows)]
+
+
 def brute_colspace_contains(t, s):
     side = t.side
     for packed in range(1 << (side * side)):
@@ -134,9 +141,9 @@ def test_colspace_trivial_cases():
     rng = random.Random(6)
     for _ in range(10):
         s = random_matrix(rng, 4)
-        assert ColumnSolver(identity(4), s).solvable()
-    assert not ColumnSolver(zero_matrix(2), identity(2)).solvable()
-    assert ColumnSolver(zero_matrix(2), zero_matrix(2)).solvable()
+        assert ColumnSolver(*augmented(identity(4), s)).solvable()
+    assert not ColumnSolver(*augmented(zero_matrix(2), identity(2))).solvable()
+    assert ColumnSolver(*augmented(zero_matrix(2), zero_matrix(2))).solvable()
 
 
 def test_colspace_matches_brute_force_n1():
@@ -144,7 +151,7 @@ def test_colspace_matches_brute_force_n1():
     for _ in range(100):
         t = random_matrix(rng, 2)
         s = random_matrix(rng, 2)
-        assert ColumnSolver(t, s).solvable() == brute_colspace_contains(t, s)
+        assert ColumnSolver(*augmented(t, s)).solvable() == brute_colspace_contains(t, s)
 
 
 def test_colspace_contains_agrees_with_solve_right():
@@ -156,7 +163,7 @@ def test_colspace_contains_agrees_with_solve_right():
         s = zero_matrix(side) if trial % 10 == 1 else random_matrix(rng, side)
         if trial % 3 == 0:
             s = mat_mul(t, random_matrix(rng, side))
-        contains = ColumnSolver(t, s).solvable()
+        contains = ColumnSolver(*augmented(t, s)).solvable()
         assert contains == (solve_right(t, s) is not None)
         outcomes.add((side, contains))
     assert outcomes == {(side, c) for side in (1, 2, 4, 8, 16) for c in (False, True)}
@@ -180,16 +187,16 @@ def test_colspace_preorder():
         a = random_matrix(rng, 4)
         b = random_matrix(rng, 4)
         c = random_matrix(rng, 4)
-        assert ColumnSolver(a, a).solvable()
-        if ColumnSolver(a, b).solvable() and ColumnSolver(b, c).solvable():
-            assert ColumnSolver(a, c).solvable()
+        assert ColumnSolver(*augmented(a, a)).solvable()
+        if ColumnSolver(*augmented(a, b)).solvable() and ColumnSolver(*augmented(b, c)).solvable():
+            assert ColumnSolver(*augmented(a, c)).solvable()
 
 
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         mat_mul(identity(2), identity(4))
     with pytest.raises(ValueError):
-        ColumnSolver(identity(2), identity(4))
+        solve_right(identity(2), identity(4))
 
 
 def thin_matrix(rng, side):
@@ -261,7 +268,7 @@ def test_early_stop_solves_as_a_full_elimination():
             s = mat_mul(t, random_matrix(rng, side))
             if trial % 3:
                 s = mat_add(s, thin_matrix(rng, side) if trial % 5 else random_matrix(rng, side))
-            solver = ColumnSolver(t, s)
+            solver = ColumnSolver(*augmented(t, s))
             want = full_elimination_solve(t, s)
             assert solver.solve() == want
             assert solver.solvable() == (want is not None)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from boolweyl.bweyl import (
     to_matrix,
 )
 from boolweyl.diffops import multiplication_matrix
+from boolweyl.gf2lin import solve_right
 from boolweyl.lang import (
     EvalError,
     LexError,
@@ -53,7 +55,7 @@ from boolweyl.lang import (
     tokenize,
     valuation,
 )
-from boolweyl.ring import convert_ring_basis, mask_from_indices, ring_eval
+from boolweyl.ring import convert_ring_basis, iter_bits, mask_from_indices, ring_eval
 
 
 # --- lexer ----------------------------------------------------------------------
@@ -827,6 +829,22 @@ def test_entailment_witness():
     assert entailment_witness(parse_text("1"), parse_text("0"), ctx) is None
 
 
+def test_witness_at_n14_is_cut_from_its_blocks():
+    # ~a a has the derivative of one coordinate: 2^11 equal blocks of side 8,
+    # solved once; the two full matrices would take some 120 MiB
+    ctx = infer_context([parse_text("~a a"), parse_text("1")], 14)
+    tracemalloc.start()
+    try:
+        witness = entailment_witness(parse_text("~a a"), parse_text("1"), ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # q-hat is the identity, so the witness is p-hat, the derivative along a
+    # of the multiple by a: row r is the point r with a set
+    assert witness is not None and witness.rows == tuple(1 << (r | 1) for r in range(1 << 14))
+    assert peak < 40 << 20, peak
+
+
 def test_quantum_extends_classical_entailment():
     rng = random.Random(5)
     for n in (1, 2, 3):
@@ -838,9 +856,14 @@ def test_quantum_extends_classical_entailment():
             assert entails_classical(p, q, ctx) == entails_quantum(p, q, ctx)
 
 
+def matrix_witness(p, q, ctx):
+    """solve_right on the full matrices of q-hat and p-hat."""
+    return solve_right(to_matrix(eval_quantum(q, ctx)), to_matrix(eval_quantum(p, ctx)))
+
+
 def test_entails_quantum_matches_the_matrix_route():
-    # two propositions are decided on truth tables, anything else by
-    # elimination; the witness search eliminates for every pair
+    # two propositions are decided on truth tables, anything else on the
+    # diagonal blocks; the full matrices are solved for every pair
     rng = random.Random(11)
     seen = set()
     for n in range(1, 6):
@@ -851,10 +874,56 @@ def test_entails_quantum_matches_the_matrix_route():
             r = checks.random_expr(rng, names, 2, quantum=i % 2 == 1)
             p = Prod((q, r)) if rng.getrandbits(1) else r  # q r is entailed by q
             got = entails_quantum(p, q, ctx)
-            assert got == (entailment_witness(p, q, ctx) is not None), (p, q)
+            assert got == (matrix_witness(p, q, ctx) is not None), (p, q)
             seen.add((is_classical(p), is_classical(q), got))
     kinds = {(pc, qc) for pc in (True, False) for qc in (True, False)}
     assert seen == {(pc, qc, got) for pc, qc in kinds for got in (True, False)}
+
+
+def operator_expr(f, names):
+    """An expression whose operator valuation is the XY operator f."""
+    return make_sum(
+        [
+            make_prod([Var(names[i]) for i in iter_bits(a)] + [TildeVar(names[i]) for i in iter_bits(b)])
+            for a, b in sorted(f.terms)
+        ]
+    )
+
+
+def test_block_witness_is_the_full_matrix_witness():
+    # the witness solved block by block and placed on every coset is the
+    # one that solve_right finds on the full matrices, "no" included
+    from boolweyl.bweyl import OpCoeffs
+
+    rng = random.Random(31)
+    counts = Counter()
+    for trial in range(1400):
+        n = 1 + trial % 7
+        names = tuple(f"v{i}" for i in range(n))
+        ctx = VarContext(names)
+        touched = rng.getrandbits(n) & rng.getrandbits(n)
+        if trial % 5 == 0:
+            touched = (1 << n) - 1  # the derivatives touch every coordinate: one block
+
+        def draw(size):
+            terms = {(rng.getrandbits(n), rng.getrandbits(n) & touched) for _ in range(size)}
+            return operator_expr(OpCoeffs(n, "XY", frozenset(terms)), names)
+
+        q = draw(rng.randint(1, 4))
+        p = Prod((q, draw(rng.randint(1, 3)))) if trial % 2 else draw(rng.randint(0, 4))
+        want = matrix_witness(p, q, ctx)
+        assert entailment_witness(p, q, ctx) == want, (n, p, q)
+        pv, qv = eval_quantum(p, ctx), eval_quantum(q, ctx)
+        low = block_coordinates(pv, qv)
+        rows = to_matrix(pv).rows
+        cosets = [z for z in range(1 << n) if z & low == 0]
+        inside = [u for u in range(1 << n) if u & ~low == 0]
+        counts[n, want is not None] += 1
+        counts["p = q r"] += trial % 2
+        counts["one block"] += n >= 4 and low == (1 << n) - 1
+        counts["zero p block"] += any(rows) and any(not any(rows[z | u] for u in inside) for z in cosets)
+    assert min(counts[n, yes] for n in range(1, 8) for yes in (False, True)) >= 20, counts
+    assert min(counts["one block"], counts["zero p block"]) >= 100, counts
 
 
 def block_coordinates(p, q):
@@ -888,7 +957,6 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
     # the derivatives of both operands touch the coordinates in `touched`;
     # the left indices are drawn over all of [n]
     from boolweyl.bweyl import OpCoeffs, diagonal_block_rows
-    from boolweyl.gf2lin import ColumnSolver
     from boolweyl.lang import _entails
 
     rng = random.Random(17)
@@ -906,8 +974,8 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
         q = draw(rng.randint(1, 4))
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         got = _entails(p, q)
-        assert got == ColumnSolver(to_matrix(q), to_matrix(p)).solvable(), (p, q)
-        sides = [side for side, _ in diagonal_block_rows(p, q)]
+        assert got == (solve_right(to_matrix(q), to_matrix(p)) is not None), (p, q)
+        sides = [side for side, _, _ in diagonal_block_rows(p, q)]
         cover = 0
         for a, b in p.terms | q.terms:
             cover |= b
@@ -926,7 +994,8 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # the battery runs the check at n itself, up to 5; on the check's own
     # draws there, most block eliminations see matrices with several
     # distinct diagonal blocks, cut here from the full matrices, and many
-    # eliminate several blocks of side smaller than the whole
+    # eliminate several blocks of side smaller than the whole.  Only the
+    # decisions count: the witnesses go through the same blocks
     from boolweyl import lang
     from boolweyl.bweyl import diagonal_block_rows
 
@@ -935,8 +1004,9 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
 
     def counting_blocks(p, q):
         blocks = list(diagonal_block_rows(p, q))
-        distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
-        calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
+        if sys._getframe(1).f_code is lang._entails.__code__:
+            distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
+            calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
         return iter(blocks)
 
     monkeypatch.setattr(lang, "diagonal_block_rows", counting_blocks)
@@ -959,7 +1029,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     reads = []  # [side, rows read] per block handed to the elimination
 
     def counting_rows(p, q):
-        for side, rows in diagonal_block_rows(p, q):
+        for side, rows, place in diagonal_block_rows(p, q):
             read = [side, 0]
             reads.append(read)
 
@@ -968,7 +1038,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
                     read[1] += 1
                     yield row
 
-            yield side, counted()
+            yield side, counted(), place
 
     monkeypatch.setattr(lang, "diagonal_block_rows", counting_rows)
     rng = random.Random(29)
@@ -987,7 +1057,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         reads.clear()
         got = lang._entails(p, q)
-        blocks = [(side, list(rows)) for side, rows in diagonal_block_rows(p, q)]
+        blocks = [(side, list(rows)) for side, rows, _ in diagonal_block_rows(p, q)]
         if got:
             assert reads == [[side, side] for side, _ in blocks], (p, q)
             continue
