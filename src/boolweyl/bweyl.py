@@ -75,7 +75,7 @@ from .ring import (
     require_same_dim,
     submasks,
 )
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 OP_BASES = ("MY", "XY", "WY", "MS", "XS", "WS")
 
@@ -104,7 +104,6 @@ class OpCoeffs(Value):
         _set_n(self, n)
         _set_basis(self, basis)
         _set_terms(self, terms)
-        _set_key(self, (n, basis, terms))
 
     def sorted_terms(self) -> list[Term]:
         """Terms in the canonical order: ascending on (left, right)."""
@@ -115,10 +114,6 @@ class OpCoeffs(Value):
 
 
 _set_n, _set_basis, _set_terms = setters(OpCoeffs)
-
-
-def op_zero(n: int, basis: str = "XY") -> OpCoeffs:
-    return OpCoeffs(n, basis, ())
 
 
 def op_identity(n: int, basis: str = "XY") -> OpCoeffs:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from . import bweyl, diffops, gf2lin, lang, ring, setfam
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 
 class CheckResult(Value):
@@ -28,7 +28,6 @@ class CheckResult(Value):
         _set_ok(self, ok)
         _set_detail(self, detail)
         _set_skipped(self, skipped)
-        _set_key(self, (name, ok, detail, skipped))
 
     @property
     def status(self) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .ring import DimensionMismatch, iter_bits, mask_str
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 
 class Gf2Matrix(Value):
@@ -29,7 +29,6 @@ class Gf2Matrix(Value):
         if min(rows) < 0 or max(rows) >> side:
             raise ValueError("row out of range for matrix side")
         _set_rows(self, rows)
-        _set_key(self, (rows,))
 
     @property
     def side(self) -> int:

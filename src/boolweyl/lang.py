@@ -72,7 +72,7 @@ from .ring import (
     iter_bits,
     mask_from_indices,
 )
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 
 class LangError(ValueError):
@@ -100,12 +100,10 @@ class EvalError(LangError):
 
 class Zero(Value):
     __slots__ = ()
-    _key = ()  # no fields, so every instance has the empty key
 
 
 class One(Value):
     __slots__ = ()
-    _key = ()
 
 
 class Var(Value):
@@ -114,7 +112,6 @@ class Var(Value):
 
     def __init__(self, name: str) -> None:
         _set_var_name(self, name)
-        _set_key(self, (name,))
 
 
 class TildeVar(Value):
@@ -123,7 +120,6 @@ class TildeVar(Value):
 
     def __init__(self, name: str) -> None:
         _set_tilde_name(self, name)
-        _set_key(self, (name,))
 
 
 class Mono(Value):
@@ -134,7 +130,6 @@ class Mono(Value):
     def __init__(self, kind: str, indices: tuple[int, ...]) -> None:
         _set_mono_kind(self, kind)
         _set_mono_indices(self, indices)
-        _set_key(self, (kind, indices))
 
 
 class Sum(Value):
@@ -143,7 +138,6 @@ class Sum(Value):
 
     def __init__(self, parts: tuple[Expr, ...]) -> None:
         _set_sum_parts(self, parts)
-        _set_key(self, (parts,))
 
 
 class Prod(Value):
@@ -152,7 +146,6 @@ class Prod(Value):
 
     def __init__(self, parts: tuple[Expr, ...]) -> None:
         _set_prod_parts(self, parts)
-        _set_key(self, (parts,))
 
 
 (_set_var_name,) = setters(Var)
@@ -421,7 +414,6 @@ class VarContext(Value):
             raise ValueError("variable names must be distinct")
         check_dim(len(names))
         _set_names(self, names)
-        _set_key(self, (names,))
 
     @property
     def n(self) -> int:

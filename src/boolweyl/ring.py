@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 MAX_DIM = 16
 RING_BASES = ("M", "X", "W")
@@ -169,7 +169,6 @@ class RingElem(Value):
         _set_n(self, n)
         _set_basis(self, basis)
         _set_bits(self, bits)
-        _set_key(self, (n, basis, bits))
 
     def support(self) -> tuple[int, ...]:
         """Masks with coefficient 1, ascending."""
@@ -212,10 +211,6 @@ def ring_monomial(kind: str, a: int, n: int) -> RingElem:
     if kind not in RING_BASES:
         raise ValueError(f"unknown ring basis {kind!r}")
     return RingElem(n, kind, 1 << a)
-
-
-def ring_zero(n: int, basis: str = "M") -> RingElem:
-    return RingElem(n, basis, 0)
 
 
 def ring_one(n: int, basis: str = "X") -> RingElem:

@@ -37,7 +37,7 @@ from .ring import (
     require_same_dim,
     submasks,
 )
-from .value import Value, _set_key, setters
+from .value import Value, setters
 
 PairedMask = tuple[int, int]  # (plain part, tilde part), each a mask over [n]
 
@@ -58,7 +58,6 @@ class Family(Value):
             check_mask(tilde, n)
         _set_family_n(self, n)
         _set_family_members(self, members)
-        _set_key(self, (n, members))
 
     def __str__(self) -> str:
         return family_text(self)
@@ -81,7 +80,6 @@ class FamilyN(Value):
             check_mask(a, n)
         _set_familyn_n(self, n)
         _set_familyn_members(self, members)
-        _set_key(self, (n, members))
 
     def __str__(self) -> str:
         return familyn_text(self)

@@ -1,39 +1,43 @@
 """The immutable base of every value class in the package.
 
 A value class lists its fields in __slots__, checks its arguments in
-__init__, and stores each field with its slot's setter (see `setters`) and
-the tuple of all of them, in __slots__ order, with _set_key.  Equality,
-hash, repr, pickling and copying all read that one tuple, so nothing is
-compiled per class.  A subclass that defines its own __eq__ or __hash__
-keeps it.
+__init__, and stores each field with its slot's setter (see `setters`).
+The slots are the only store: each class gets one getter of the tuple of
+its fields, in __slots__ order, and equality, hash, repr, pickling and
+copying all read that tuple.  A subclass that defines its own __eq__ or
+__hash__ keeps it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Value:
-    __slots__ = ("_key",)
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # Each class gets its own copy of the comparison code: CPython 3.11+
-        # specialises each attribute load of a code object for one class, so
-        # on a tree of mixed nodes one shared copy keeps missing its cache
-        # (tree == took 1.5 times as long with one copy as with one per class).
-        for name in ("__eq__", "__hash__"):
-            if name not in cls.__dict__:
-                method = Value.__dict__[name]
-                setattr(cls, name, type(method)(method.__code__.replace(), method.__globals__, name))
+        # the tuple of the class's fields: attrgetter returns a tuple only for two names or more
+        names = cls.__slots__
+        if len(names) > 1:
+            fields = attrgetter(*names)
+        elif names:
+            fields = lambda value, get=attrgetter(*names): (get(value),)
+        else:
+            fields = lambda value: ()
+        cls._fields = staticmethod(fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key == other._key
+            fields = self._fields
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -44,10 +48,7 @@ class Value:
 
     def __reduce__(self):
         # the constructor rebuilds the value and runs its checks again
-        return type(self), self._key
-
-
-_set_key = Value._key.__set__
+        return type(self), self._fields(self)
 
 
 def setters(cls: type) -> tuple:

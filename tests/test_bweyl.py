@@ -21,7 +21,6 @@ from boolweyl.bweyl import (
     op_power,
     op_text,
     op_to_json,
-    op_zero,
     structural_coeff_c,
     to_matrix,
 )
@@ -101,7 +100,7 @@ def test_to_matrix_matches_per_term_route():
 
 
 def test_to_matrix_basics():
-    assert to_matrix(op_zero(2)) == zero_matrix(4)
+    assert to_matrix(OpCoeffs(2, "XY", ())) == zero_matrix(4)
     assert to_matrix(op_monomial(2, "XY", 0, 0)) == identity(4)
     assert to_matrix(OpCoeffs(1, "XY", [(0, 1)])) == derivative_matrix(1, 1)
     for basis in OP_BASES:
@@ -788,7 +787,7 @@ def test_normal_order_rejects_mixed_right_letters():
 def test_text_form():
     f = OpCoeffs(2, "XY", [(0b11, 0b01), (0b11, 0b11)])
     assert op_text(f) == "x{1,2}y{1} + x{1,2}y{1,2}"
-    assert op_text(op_zero(2)) == "0"
+    assert op_text(OpCoeffs(2, "XY", ())) == "0"
     assert op_text(op_identity(2, "XY")) == "1"
     assert op_text(op_monomial(2, "MY", 0, 0)) == "m{}"
     assert op_text(op_monomial(2, "XY", 0, 0b10)) == "y{2}"

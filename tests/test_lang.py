@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from boolweyl import checks
 from boolweyl.bweyl import (
+    OpCoeffs,
     convert_op_basis,
     op_add,
     op_identity,
     op_monomial,
     op_mul,
     op_text,
-    op_zero,
     to_matrix,
 )
 from boolweyl.diffops import multiplication_matrix
@@ -628,7 +628,7 @@ def reference_eval_quantum(e, ctx):
 
     def go(node):
         if isinstance(node, Zero):
-            return op_zero(n, "XY")
+            return OpCoeffs(n, "XY", ())
         if isinstance(node, One):
             return op_identity(n, "XY")
         if isinstance(node, Var):
@@ -640,7 +640,7 @@ def reference_eval_quantum(e, ctx):
             if node.kind in ("y", "s"):
                 return op_monomial(n, "X" + node.kind.upper(), 0, mask)
             return op_monomial(n, node.kind.upper() + "Y", mask, 0)
-        value = op_zero(n, "XY") if isinstance(node, Sum) else op_identity(n, "XY")
+        value = OpCoeffs(n, "XY", ()) if isinstance(node, Sum) else op_identity(n, "XY")
         for part in node.parts:
             value = (op_add if isinstance(node, Sum) else op_mul)(value, go(part))
         return value
@@ -893,8 +893,6 @@ def operator_expr(f, names):
 def test_block_witness_is_the_full_matrix_witness():
     # the witness solved block by block and placed on every coset is the
     # one that solve_right finds on the full matrices, "no" included
-    from boolweyl.bweyl import OpCoeffs
-
     rng = random.Random(31)
     counts = Counter()
     for trial in range(1400):
@@ -956,7 +954,7 @@ def distinct_block_pairs(p, q, low):
 def test_block_route_matches_full_matrices_on_xy_pairs():
     # the derivatives of both operands touch the coordinates in `touched`;
     # the left indices are drawn over all of [n]
-    from boolweyl.bweyl import OpCoeffs, diagonal_block_rows
+    from boolweyl.bweyl import diagonal_block_rows
     from boolweyl.lang import _entails
 
     rng = random.Random(17)
@@ -1023,7 +1021,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     # blocks before the failing one whole, and of that one only the rows up
     # to the first that reduces into the p-hat half
     from boolweyl import lang
-    from boolweyl.bweyl import OpCoeffs, diagonal_block_rows
+    from boolweyl.bweyl import diagonal_block_rows
     from boolweyl.gf2lin import _echelon
 
     reads = []  # [side, rows read] per block handed to the elimination

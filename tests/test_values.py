@@ -2,7 +2,9 @@
 pickling and copying, and the checks run on construction."""
 
 import copy
+import importlib.util
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from boolweyl.gf2lin import Gf2Matrix
 from boolweyl.lang import Mono, One, Prod, Sum, TildeVar, Var, VarContext, Zero
 from boolweyl.ring import RingElem
 from boolweyl.setfam import Family, FamilyN
+from boolweyl.value import Value, setters
 
 PARTS = (Var("a"), TildeVar("b"), Mono("x", (1, 2)))
 
@@ -41,6 +44,19 @@ VALUES = [
 ]
 FROZEN = [value for value, _, _ in VALUES]
 ALL = FROZEN + [CheckResult("held", False, "x=1", skipped=True)]
+
+
+class Pair(Value):
+    """A value class that declares only its slots and stores them with setters."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_left, _set_right = setters(Pair)
 
 
 def test_distinct_classes_with_equal_fields_are_unequal():
@@ -145,13 +161,8 @@ def test_check_results_are_frozen_values():
 
 
 def test_a_value_class_keeps_its_own_eq_and_hash():
-    from boolweyl.value import Value, _set_key
-
     class Node(Value):
         __slots__ = ()
-
-        def __init__(self) -> None:
-            _set_key(self, ())
 
         def __eq__(self, other: object) -> bool:
             return self is other
@@ -162,3 +173,33 @@ def test_a_value_class_keeps_its_own_eq_and_hash():
     a, b = Node(), Node()
     assert a == a and a != b
     assert hash(a) == id(a)
+
+
+def test_a_class_that_declares_only_slots_is_a_full_value():
+    pair = Pair("a", (1, 2))
+    assert pair == Pair("a", (1, 2)) and pair != Pair("a", (1,))
+    assert hash(pair) == hash(("a", (1, 2)))
+    assert repr(pair) == "Pair(left='a', right=(1, 2))"
+    for other in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+        assert type(other) is Pair and other == pair
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=lambda v: type(v).__name__)
+def test_the_fields_are_the_only_slots(value, fields, text):
+    slots = [name for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())]
+    assert len(slots) == len(fields)
+    assert tuple(getattr(value, name) for name in slots) == fields
+    assert not hasattr(value, "__dict__")
+
+
+def test_the_value_micro_bench_runs_each_operation():
+    # tools/bench_values.py is run by hand against another checkout; here it
+    # loads this checkout under its own name and runs each operation once
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_values.py"
+    spec = importlib.util.spec_from_file_location("bench_values", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    operations = bench.operations(bench.load(bench.HERE, "boolweyl_bench_values_test"))
+    assert operations
+    for operation in operations.values():
+        operation()
