@@ -487,10 +487,11 @@ def normal_order(word: Sequence[Factor], n: int) -> OpCoeffs:
     else:
         left = "X"
     basis = left + right
-    acc = op_identity(n, basis)
+    acc = None  # the first factor, in the word's basis, starts the product
     for kind, value in word:
-        acc = op_mul(acc, _factor_op(kind, value, n, right))
-    return acc
+        f = _factor_op(kind, value, n, right)
+        acc = convert_op_basis(f, basis) if acc is None else op_mul(acc, f)
+    return op_identity(n, basis) if acc is None else acc
 
 
 # --- text and JSON forms -----------------------------------------------------

@@ -36,7 +36,8 @@ to the left for '|' and to the right for '->', with the product order kept.
 Valuations: a proposition (no tilde variables, no y/s literals) denotes
 a ring element, any expression an operator (variables multiply, tilde
 variables derive).  The one walk, `valuation`, decides which: it gives
-a proposition's truth table, and any other expression's XY operator.
+a proposition's truth table, and any other expression's XY operator;
+a sum or product starts from its first part, never from a lifted unit.
 Equivalence compares truth tables, or canonical XY coefficients, so it
 builds no matrix.  Quantum entailment of p by q is solvability of
 p-hat = q-hat * r over GF(2), column-space containment; a proposition's
@@ -495,34 +496,31 @@ def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
 def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
     """The one valuation walk, and the one test of proposition or operator.
 
-    A proposition's value is its truth table, an M-basis ring element;
-    anything else's is its XY operator.  Inside the walk a table is a
-    packed int (a sum is an XOR, a product an AND), and meets an operator
-    leaf (a tilde variable or a y/s literal) as the multiplication
-    operator _lift gives; two tables never meet as operators.
+    A proposition's value is its truth table, an M-basis ring element; anything
+    else's is its XY operator.  Inside the walk a table is a packed int (a sum
+    XORs, a product ANDs) and meets an operator leaf as the multiplication
+    operator _lift gives.  A sum or product starts from its first part: no unit
+    is lifted, and two tables never meet as operators.
     """
     n = ctx.n
     size = 1 << n
     true = (1 << size) - 1
 
-    # a fold: the unit, then how two tables and how two operators combine; a
-    # neutral table meets an operator through _lift, as the empty operator or
-    # the identity
-    sum_fold = (0, int.__xor__, op_add)
-    prod_fold = (true, int.__and__, op_mul)
     end = object()  # what next() gives once a frame's parts are used up
-    # one frame per open Sum or Prod: its parts left, its value so far and how
-    # it combines.  The innermost frame is held in the locals; the outermost is
-    # a sum whose one part is e, and the walk ends when it closes.
+    # a frame per open Sum or Prod: its parts left, its value (None before the
+    # first part) and whether it multiplies; the innermost is in the locals,
+    # the outermost a sum whose one part is e, and the walk ends when it closes
     frames: list[tuple] = []
-    parts, (value, tables, operators) = iter((e,)), sum_fold
+    parts, value, multiplies = iter((e,)), None, False
     while True:
         node = next(parts, end)
         if node is end:  # the frame closes: its value is a part of the frame below
+            if value is None:  # no parts: the unit
+                value = true if multiplies else 0
             if not frames:
                 return RingElem(n, "M", value) if isinstance(value, int) else value
             v = value
-            parts, value, tables, operators = frames.pop()
+            parts, value, multiplies = frames.pop()
         elif isinstance(node, Zero):
             v = 0
         elif isinstance(node, One):
@@ -541,16 +539,17 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
             else:
                 v = _convert_bits(1 << mask, size, node.kind.upper(), "M")
         elif isinstance(node, (Sum, Prod)):
-            frames.append((parts, value, tables, operators))
-            value, tables, operators = sum_fold if isinstance(node, Sum) else prod_fold
-            parts = iter(node.parts)
+            frames.append((parts, value, multiplies))
+            parts, value, multiplies = iter(node.parts), None, isinstance(node, Prod)
             continue
         else:
             raise TypeError(f"not an expression: {node!r}")
-        if isinstance(value, int) and isinstance(v, int):
-            value = tables(value, v)
+        if value is None:
+            value = v
+        elif isinstance(value, int) and isinstance(v, int):
+            value = value & v if multiplies else value ^ v
         else:
-            value = operators(_lift(value, n), _lift(v, n))
+            value = (op_mul if multiplies else op_add)(_lift(value, n), _lift(v, n))
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:

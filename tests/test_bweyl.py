@@ -774,6 +774,28 @@ def test_normal_order_oracle_agreement():
         assert to_matrix(normal_order(word, n)) == expect
 
 
+def test_normal_order_starts_from_the_first_factor(monkeypatch):
+    # only the empty word is the identity: an M-left word does not build
+    # the 2^n point indicators of 1 to multiply them away
+    words = [
+        ([("m", 1)], 16),
+        ([("y", 1), ("m", 0b11)], 2),
+        ([("s", 2), ("x", 1), ("s", 2)], 2),
+        ([("y", 1), ("w", 1)], 1),
+        ([("x", 3)], 3),
+    ]
+    expect = [normal_order(word, n) for word, n in words]
+    assert expect[0] == op_monomial(16, "MY", 1, 0)
+
+    def refuse(n, basis="XY"):
+        raise AssertionError("op_identity called on a non-empty word")
+
+    monkeypatch.setattr(bweyl, "op_identity", refuse)
+    assert [normal_order(word, n) for word, n in words] == expect
+    monkeypatch.undo()
+    assert normal_order([], 2) == op_identity(2)
+
+
 def test_normal_order_rejects_mixed_right_letters():
     with pytest.raises(ValueError):
         normal_order([("y", 1), ("s", 1)], 1)

@@ -55,7 +55,7 @@ from boolweyl.lang import (
     tokenize,
     valuation,
 )
-from boolweyl.ring import convert_ring_basis, iter_bits, mask_from_indices, ring_eval
+from boolweyl.ring import RingElem, convert_ring_basis, iter_bits, mask_from_indices, ring_eval
 
 
 # --- lexer ----------------------------------------------------------------------
@@ -737,6 +737,70 @@ def test_valuation_of_empty_sums_and_products():
     assert valuation(Sum(()), ctx) == valuation(Zero(), ctx)
     assert valuation(Prod(()), ctx) == valuation(One(), ctx)
     assert eval_quantum(Prod((TildeVar("a"), Sum(()))), ctx) == eval_quantum(Zero(), ctx)
+
+
+@pytest.mark.parametrize(
+    "e, proposition",
+    [
+        (Sum(()), True),
+        (Prod(()), True),
+        (Sum((Var("a"),)), True),
+        (Prod((Sum(()),)), True),
+        (Sum((TildeVar("a"),)), False),
+        (Prod((Mono("s", (1,)),)), False),
+        (Prod((TildeVar("a"), Var("b"))), False),
+        (Sum((Sum(()), TildeVar("a"))), False),
+        (Prod((Prod(()), TildeVar("a"), Zero())), False),
+    ],
+)
+def test_edge_frames_match_the_reference_walk(e, proposition):
+    # parse makes no Sum or Prod with fewer than two parts, so the random
+    # texts of test_eval_quantum_matches_reference_walk never reach a frame
+    # that closes on its unit or on its first part alone
+    ctx = VarContext(("a", "b"))
+    assert isinstance(valuation(e, ctx), RingElem) is proposition is is_classical(e)
+    assert eval_quantum(e, ctx) == reference_eval_quantum(e, ctx)
+
+
+@pytest.mark.parametrize(
+    "text, muls, adds, table_lifts",
+    [
+        ("~a", 0, 0, 0),
+        ("a ~b", 1, 0, 1),
+        ("~a b", 1, 0, 1),
+        ("a ~b + ~a b", 2, 1, 2),
+        ("~a + 1", 0, 1, 1),
+        ("!~a", 0, 1, 1),
+        ("y{1} s{2}", 1, 0, 0),
+        ("(a | b) ~c", 1, 0, 1),
+        ("a b + a", 0, 0, 0),
+    ],
+)
+def test_valuation_does_only_the_arithmetic_the_text_writes(text, muls, adds, table_lifts, monkeypatch):
+    # a sum or product starts from its first part: no unit is lifted, and
+    # no empty operator is added or identity multiplied
+    from boolweyl import lang
+
+    e = parse_text(text)
+    ctx = infer_context([e])
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(lang, name)
+
+        def call(*args):
+            calls[name] += 1
+            calls["table lifts"] += name == "_lift" and isinstance(args[0], int)
+            return real(*args)
+
+        return call
+
+    for name in ("op_mul", "op_add", "_lift"):
+        monkeypatch.setattr(lang, name, counting(name))
+    value = valuation(e, ctx)
+    monkeypatch.undo()
+    assert (calls["op_mul"], calls["op_add"], calls["table lifts"]) == (muls, adds, table_lifts)
+    assert lang.as_operator(value) == reference_eval_quantum(e, ctx)
 
 
 def test_is_classical():
