@@ -43,21 +43,28 @@ and b & c give the left indices a | (c & ~b) | t for every t subset of r.
 The literal rules stay as oracles: structural_coeff_c here, and the
 battery's monomial-product-forms check for all four.
 
+The language's walk packs MY terms over the left index instead, as MY
+tables {b: g}, g the 2^n-bit M table of the coefficient of y^b; its one
+product is table_product, by d_i g = (s_i g) d_i + (d_i g) for a table g.
+
 to_matrix is the semantic anchor: every element maps to the matrix of
 the operator it denotes on M-basis coordinates, its rows written from
 closed forms, and multiplication of coefficients must match
 multiplication of matrices bit for bit.  The products of generator
 matrices in diffops are the oracle these rows are checked against.
-diagonal_block_rows writes the same rows one diagonal block at a time,
-each block's rows of two operators side by side, built only as far as
-they are read; with all of [n] as block coordinates its one block is
-the two matrices of to_matrix.  It also places a matrix solved block by
-block back on M-basis coordinates, so a witness needs no full matrix.
+table_block_rows writes the same rows from MY tables one diagonal block
+at a time, each block's rows of two operators side by side, built only
+as far as they are read; with all of [n] as block coordinates its one
+block is the two matrices of to_matrix.  It also places a matrix solved
+block by block back on M-basis coordinates, so a witness needs no full
+matrix.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from bisect import bisect_left
+from functools import partial, reduce
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2lin import Gf2Matrix
@@ -199,12 +206,112 @@ def _below(s: int) -> int:
     return bits
 
 
-def _left_tables(f: OpCoeffs) -> list[tuple[int, int]]:
-    """(b, g) per right index b of f: g is the M-basis table of the ring
-    element of the left coefficients of f's terms with right index b, so
-    that f is the sum of g * P^b, P^b the shift or derivative power of b."""
+def _left_tables(f: OpCoeffs) -> dict[int, int]:
+    """{b: g} over the right indices b of f: g is the M-basis table of the
+    ring element of the left coefficients of f's terms with right index b,
+    so that f is the sum of g * P^b, P^b the shift or derivative power of b."""
     size = 1 << f.n
-    return [(b, _convert_bits(left, size, f.basis[0], "M")) for b, left in _pack_index(f.terms, 0).items()]
+    return {b: _convert_bits(left, size, f.basis[0], "M") for b, left in _pack_index(f.terms, 0).items()}
+
+
+# --- operators as MY tables ----------------------------------------------------
+
+
+class Tables:
+    """What the operators of one walk share: each distinct table is held as
+    one int, and each move of a table along a coordinate is made once."""
+
+    __slots__ = ("n", "true", "_held", "_moves")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.true = (1 << (1 << n)) - 1  # the table of 1
+        self._held = {self.true: self.true}
+        self._moves: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def hold(self, t: int) -> int:
+        return self._held.setdefault(t, t)
+
+    def move(self, t: int, i: int) -> tuple[int, int]:
+        """(s_i t, d_i t): t with its halves along coordinate i swapped, so
+        bit a reads t at a + e_i, and the sum of that with t."""
+        moved = self._moves.get((t, i))
+        if moved is None:
+            step, low = 1 << i, _block_mask(1 << self.n, 1 << i)
+            s = (t & low) << step | (t >> step) & low
+            moved = self._moves[t, i] = (self.hold(s), self.hold(t ^ s))
+        return moved
+
+
+def operator_tables(value: int | dict[int, int]) -> dict[int, int]:
+    """The MY tables {b: g} of a value of the walk, g the nonzero M table of
+    the coefficient of y^b: a truth table t multiplies, {0: t}."""
+    return value if isinstance(value, dict) else {0: value} if value else {}
+
+
+def table_sum(f: int | dict[int, int], g: int | dict[int, int], tables: Tables) -> dict[int, int]:
+    """f + g on MY tables: XOR key by key, zeros dropped."""
+    out = dict(operator_tables(f))
+    for b, t in operator_tables(g).items():
+        t = tables.hold(out.pop(b) ^ t) if b in out else t
+        if t:
+            out[b] = t
+    return out
+
+
+def _derive(g: dict[int, int], i: int, tables: Tables) -> dict[int, int]:
+    """d_i g on MY tables: d_i t = (s_i t) d_i + (d_i t) for a table t and
+    d_i d_i = 0, so t at c gives d_i t at c and, if c lacks i, s_i t at c + i."""
+    bit, out = 1 << i, {}
+    for c, t in g.items():
+        s, d = tables.move(t, i)
+        if d:
+            out[c] = tables.hold(out[c] ^ d) if c in out else d
+        if not c & bit:
+            out[c | bit] = tables.hold(out[c | bit] ^ s) if c | bit in out else s
+    return {c: t for c, t in out.items() if t}
+
+
+def table_product(f: int | dict[int, int], g: int | dict[int, int], tables: Tables) -> dict[int, int]:
+    """f g on MY tables: the sum over b of f_b (d^b g), that is, over b, d and
+    c inside b - d, of (f_b . s^c d^(b-c) g_d) d^(c | d).  The b run down a
+    binary trie of f's right indices, highest coordinate first, and a branch
+    that takes coordinate i derives with _derive, so each node derives once;
+    a leaf ANDs its f_b into each table of its derivative of g."""
+    f, g, true = operator_tables(f), operator_tables(g), tables.true
+    keys = sorted(f)
+    out: dict[int, int] = {}
+    more: dict[int, list[int]] = {}  # the later parts of a key of out
+    stack = [(0, len(keys), tables.n - 1, g)] if f else []  # keys[lo:hi] agree above i
+    while stack:
+        lo, hi, i, h = stack.pop()
+        if hi - lo > 1:
+            mid = bisect_left(keys, (keys[lo] >> i | 1) << i, lo, hi)  # the first with bit i
+            if mid > lo:
+                stack.append((lo, mid, i - 1, h))
+            if hi > mid:
+                stack.append((mid, hi, i - 1, _derive(h, i, tables)))
+            continue
+        for j in iter_bits(keys[lo] & ((1 << (i + 1)) - 1)):
+            h = _derive(h, j, tables)
+        fb = f[keys[lo]]
+        for c, t in h.items():
+            t = t if fb is true else fb if t is true else tables.hold(fb & t)
+            if t and c in out:
+                more.setdefault(c, []).append(t)
+            elif t:
+                out[c] = t
+    for c, ts in more.items():
+        t = reduce(xor, ts, out.pop(c))
+        if t:
+            out[c] = tables.hold(t)
+    return out
+
+
+def tables_operator(f: dict[int, int], n: int) -> OpCoeffs:
+    """The XY operator of MY tables: one M -> X pass per distinct table."""
+    x_of = {t: _convert_bits(t, 1 << n, "M", "X") for t in set(f.values())}
+    return OpCoeffs(n, "XY", _unpack({b: x_of[t] for b, t in f.items()}, 0))
 
 
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
@@ -214,7 +321,7 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     nbytes = (size + 7) >> 3
     parts = [
         (b if shift else _below(b), ~b, left.to_bytes(nbytes, "little"))
-        for b, left in _left_tables(f)
+        for b, left in _left_tables(f).items()
     ]
     return Gf2Matrix(list(_block_rows(parts, nbytes, min(size, 8), shift)))
 
@@ -229,18 +336,29 @@ def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
 
 
 def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterator[int], Callable]]:
-    """The augmented rows [q-hat | p-hat] of two operators in Y bases (MY,
-    XY or WY), one distinct diagonal block at a time, produced lazily.
+    """table_block_rows of two operators in Y bases (MY, XY or WY), from
+    their MY tables."""
+    require_same_dim(p, q)
+    if p.basis[1] != "Y" or q.basis[1] != "Y":
+        raise ValueError(f"diagonal_block_rows needs Y bases, not {p.basis} and {q.basis}")
+    return table_block_rows(p.n, _left_tables(p), _left_tables(q))
+
+
+def table_block_rows(
+    n: int, p: dict[int, int], q: dict[int, int]
+) -> Iterator[tuple[int, Iterator[int], Callable]]:
+    """The augmented rows [q-hat | p-hat] of two operators given as MY
+    tables {b: g} at dimension n, one distinct diagonal block at a time,
+    produced lazily.
 
     Row r of d^b has its entries at the columns c with c & ~b == r & ~b.
-    So with B the union of the right indices of all terms of p and q,
-    widened by the lowest coordinates outside it to at least min(n, 3),
-    both matrices are block diagonal: one block per coset z = r & ~B, of
-    side 2^|B|.  A stable partition moves B's coordinates to the low bits
-    and keeps the order of rows and columns inside a block; block z is
-    then built from the bits [z 2^|B|, (z + 1) 2^|B|) of each left table
-    (see _left_tables), a whole number of bytes (one byte, zero-padded,
-    when n <= 2).  Blocks whose slices all agree are equal, so each
+    So with B the union of the right indices b of p and q, widened by the
+    lowest coordinates outside it to at least min(n, 3), both matrices are
+    block diagonal: one block per coset z = r & ~B, of side 2^|B|.  A
+    stable partition moves B's coordinates to the low bits and keeps the
+    order of rows and columns inside a block; block z is then built from
+    the bits [z 2^|B|, (z + 1) 2^|B|) of each table, a whole number of
+    bytes (one byte, zero-padded, when n <= 2).  Blocks whose slices all agree are equal, so each
     distinct pair is given once, in the order of its lowest z, and a pair
     whose p block is zero is skipped.
 
@@ -254,16 +372,10 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
     is row z | u, u the t-th submask of B.  A later coset can still join a
     block, so place is called once the generator is used up.
     """
-    require_same_dim(p, q)
-    if p.basis[1] != "Y" or q.basis[1] != "Y":
-        raise ValueError(f"diagonal_block_rows needs Y bases, not {p.basis} and {q.basis}")
-    n = p.n
     size, full = 1 << n, (1 << n) - 1
-    groups = [_left_tables(p), _left_tables(q)]
     low = 0
-    for gs in groups:
-        for b, _ in gs:
-            low |= b
+    for b in (*p, *q):
+        low |= b
     while low.bit_count() < min(n, 3):
         low |= ~low & (low + 1)  # its lowest clear bit
     dim = low.bit_count()
@@ -281,8 +393,8 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
     # per (b, g), p's first: the submasks of b moved, shifted by q's offset
     # `side`, the complement of b moved, and the bytes of g moved
     tables = []
-    for gs, offset in zip(groups, (0, side)):
-        for b, left in gs:
+    for gs, offset in ((p, 0), (q, side)):
+        for b, left in gs.items():
             left = _swap_coords(left, swaps)
             b = sum(1 << rank[c] for c in iter_bits(b))
             tables.append((_below(b) << offset, ~b, left.to_bytes(nbytes, "little")))
@@ -299,7 +411,7 @@ def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterato
 
     width = (side + 7) >> 3
     zero = bytes(width)
-    p_count = len(groups[0])
+    p_count = len(p)
     cosets_of: dict[tuple[bytes, ...], list[int]] = {}  # per distinct key, the slices k that share it
     for k, start in enumerate(range(0, nbytes, width)):
         key = tuple(data[start : start + width] for _, _, data in tables)

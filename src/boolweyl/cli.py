@@ -12,10 +12,11 @@ import json
 import os
 import sys
 
-from .bweyl import convert_op_basis, op_mul, op_to_json, to_matrix, OP_BASES
+from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
 from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
 from .lang import (
     LangError,
+    Prod,
     as_operator,
     entailment_witness,
     entails_quantum,
@@ -71,9 +72,7 @@ def cmd_mul(args) -> int:
     basis = args.basis if args.basis is not None else "XY"
     if basis not in OP_BASES:
         raise LangError(f"basis {basis!r} does not name an operator basis")
-    f = convert_op_basis(eval_quantum(lhs, ctx), basis)
-    g = convert_op_basis(eval_quantum(rhs, ctx), basis)
-    _print_value(op_mul(f, g), args.format)
+    _print_value(convert_op_basis(eval_quantum(Prod((lhs, rhs)), ctx), basis), args.format)
     return 0
 
 

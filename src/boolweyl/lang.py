@@ -35,19 +35,24 @@ to the left for '|' and to the right for '->', with the product order kept.
 
 Valuations: a proposition (no tilde variables, no y/s literals) denotes
 a ring element, any expression an operator (variables multiply, tilde
-variables derive).  The one walk, `valuation`, decides which: it gives
-a proposition's truth table, and any other expression's XY operator;
-a sum or product starts from its first part, never from a lifted unit.
-Equivalence compares truth tables, or canonical XY coefficients, so it
-builds no matrix.  Quantum entailment of p by q is solvability of
+variables derive).  The one walk decides which: it gives a proposition's
+truth table, and any other expression's MY tables, the operator's one
+form sum of g_b d^b with its functions left of its derivatives, a
+2^n-bit truth table g_b per derivative index b.  A sum XORs tables, a
+product ANDs them or is the Leibniz table product of bweyl; a sum or
+product starts from its first part, never from a lifted unit.
+`valuation` and `eval_quantum` give the XY operator, converted once at
+the end.  Equivalence compares truth tables, or MY tables, so it builds
+no matrix and no XY terms.  Quantum entailment of p by q is solvability of
 p-hat = q-hat * r over GF(2), column-space containment; a proposition's
 matrix is diagonal, so for two propositions it is the pointwise order
 of truth functions (classical entailment), decided on truth tables.
 With an operator on either side it is decided on the distinct diagonal
 blocks that the coordinates touched by derivatives cut out, their rows
-made as the elimination reads them, and each elimination stopping at
-the first row that refutes containment.  A witness is back-substituted
-on the same blocks, so no entailment builds a full matrix.
+made from the MY tables as the elimination reads them, and each
+elimination stopping at the first row that refutes containment.  A
+witness is back-substituted on the same blocks, so no entailment builds
+a full matrix.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bweyl import (
     OpCoeffs,
-    convert_op_basis,
-    diagonal_block_rows,
-    op_add,
-    op_monomial,
-    op_mul,
+    Tables,
+    operator_tables,
+    table_block_rows,
+    table_product,
+    table_sum,
+    tables_operator,
 )
 from .gf2lin import ColumnSolver, Gf2Matrix
 from .ring import (
@@ -72,6 +78,7 @@ from .ring import (
     convert_ring_basis,
     iter_bits,
     mask_from_indices,
+    submasks,
 )
 from .value import Value, setters
 
@@ -477,34 +484,22 @@ def _mono_mask(mono: Mono, n: int) -> int:
     return mask_from_indices(mono.indices, n)
 
 
-def _lift(value: int | OpCoeffs, n: int) -> OpCoeffs:
-    """The XY operator of a value in the walk: a truth table is multiplication
-    by it, the terms (a, 0) for each a in its X support."""
-    if isinstance(value, OpCoeffs):
-        return value
-    x = _convert_bits(value, 1 << n, "M", "X")
-    return OpCoeffs(n, "XY", ((a, 0) for a in iter_bits(x)))
-
-
 def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
     """The XY operator of a valuation: a proposition multiplies by its truth function."""
     if isinstance(value, RingElem):
-        return _lift(convert_ring_basis(value, "M").bits, value.n)
+        return tables_operator(operator_tables(convert_ring_basis(value, "M").bits), value.n)
     return value
 
 
-def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
-    """The one valuation walk, and the one test of proposition or operator.
-
-    A proposition's value is its truth table, an M-basis ring element; anything
-    else's is its XY operator.  Inside the walk a table is a packed int (a sum
-    XORs, a product ANDs) and meets an operator leaf as the multiplication
-    operator _lift gives.  A sum or product starts from its first part: no unit
-    is lifted, and two tables never meet as operators.
-    """
+def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
+    """The walk: a proposition's truth table, an M-basis packed int, or any
+    other expression's MY tables (see bweyl.operator_tables).  Tables XOR
+    in a sum and AND in a product; once an operator appears, table_sum and
+    table_product combine.  A sum or product starts from its first part."""
     n = ctx.n
     size = 1 << n
-    true = (1 << size) - 1
+    tables = Tables(n)
+    true = tables.true
 
     end = object()  # what next() gives once a frame's parts are used up
     # a frame per open Sum or Prod: its parts left, its value (None before the
@@ -518,7 +513,7 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
             if value is None:  # no parts: the unit
                 value = true if multiplies else 0
             if not frames:
-                return RingElem(n, "M", value) if isinstance(value, int) else value
+                return value
             v = value
             parts, value, multiplies = frames.pop()
         elif isinstance(node, Zero):
@@ -529,13 +524,13 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
             # the points at which the variable's bit is set
             v = true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
         elif isinstance(node, TildeVar):
-            v = op_monomial(n, "XY", 0, 1 << (ctx.position(node.name) - 1))
+            v = {1 << (ctx.position(node.name) - 1): true}
         elif isinstance(node, Mono):
             mask = _mono_mask(node, n)
             if node.kind == "y":
-                v = op_monomial(n, "XY", 0, mask)
-            elif node.kind == "s":
-                v = convert_op_basis(op_monomial(n, "XS", 0, mask), "XY")
+                v = {mask: true}
+            elif node.kind == "s":  # s_i = 1 + d_i
+                v = dict.fromkeys(submasks(mask), true)
             else:
                 v = _convert_bits(1 << mask, size, node.kind.upper(), "M")
         elif isinstance(node, (Sum, Prod)):
@@ -549,15 +544,24 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
         elif isinstance(value, int) and isinstance(v, int):
             value = value & v if multiplies else value ^ v
         else:
-            value = (op_mul if multiplies else op_add)(_lift(value, n), _lift(v, n))
+            value = (table_product if multiplies else table_sum)(value, v, tables)
+
+
+def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
+    """The one test of proposition or operator: a proposition's truth table,
+    an M-basis ring element, or anything else's XY operator (see _value)."""
+    value = _value(e, ctx)
+    if isinstance(value, int):
+        return RingElem(ctx.n, "M", value)
+    return tables_operator(value, ctx.n)
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
     """Truth-function valuation into the Boolean ring (X-basis result)."""
-    value = valuation(e, ctx)
-    if isinstance(value, OpCoeffs):
+    value = _value(e, ctx)
+    if isinstance(value, dict):
         raise EvalError("operator expression in classical context")
-    return convert_ring_basis(value, "X")
+    return convert_ring_basis(RingElem(ctx.n, "M", value), "X")
 
 
 def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
@@ -583,44 +587,41 @@ def is_classical(e: Expr) -> bool:
 
 
 def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
-    """True iff both expressions denote the same operator: equal XY terms.
+    """True iff both expressions denote the same operator: equal MY tables.
 
-    Propositions denote multiplication operators, and f -> (g -> f g) is
-    injective, so two of them are compared on their truth tables.
+    MY is a basis, and a proposition denotes multiplication by its truth
+    table, so two propositions are compared on their truth tables.
     """
-    pv, qv = valuation(p, ctx), valuation(q, ctx)
-    if isinstance(pv, RingElem) and isinstance(qv, RingElem):
-        return pv == qv
-    return as_operator(pv) == as_operator(qv)
+    return operator_tables(_value(p, ctx)) == operator_tables(_value(q, ctx))
 
 
-def _entails(pv: RingElem | OpCoeffs, qv: RingElem | OpCoeffs) -> bool:
-    """Column-space containment of p-hat in q-hat.
+def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool:
+    """Column-space containment of p-hat in q-hat, for two values of the walk.
 
     Two truth tables are compared pointwise.  Otherwise both matrices are
     block diagonal on the cosets of the coordinates that the derivatives
     touch, and containment holds iff it holds in every block.  Each
     distinct pair of blocks with a nonzero block of p-hat is eliminated
     once, on the augmented rows [q-hat | p-hat] that
-    bweyl.diagonal_block_rows builds as the elimination reads them.  The
-    elimination stops at the first row that reduces into the p-hat half,
-    so the first block that fails answers no, and its rows past the eight
-    that hold that row are never built.
+    bweyl.table_block_rows builds from the MY tables as the elimination
+    reads them.  The elimination stops at the first row that reduces into
+    the p-hat half, so the first block that fails answers no, and its rows
+    past the eight that hold that row are never built.
     """
-    if isinstance(pv, RingElem) and isinstance(qv, RingElem):
-        return pv.bits & ~qv.bits == 0
+    if isinstance(pv, int) and isinstance(qv, int):
+        return pv & ~qv == 0
     return all(
         ColumnSolver(side, rows).solvable()
-        for side, rows, _ in diagonal_block_rows(as_operator(pv), as_operator(qv))
+        for side, rows, _ in table_block_rows(n, operator_tables(pv), operator_tables(qv))
     )
 
 
 def entails_classical(p: Expr, q: Expr, ctx: VarContext) -> bool:
     """True iff the truth function of p is pointwise below that of q."""
-    pv, qv = valuation(p, ctx), valuation(q, ctx)
-    if isinstance(pv, OpCoeffs) or isinstance(qv, OpCoeffs):
+    pv, qv = _value(p, ctx), _value(q, ctx)
+    if isinstance(pv, dict) or isinstance(qv, dict):
         raise EvalError("operator expression in classical context")
-    return _entails(pv, qv)
+    return _entails(pv, qv, ctx.n)
 
 
 def entails_quantum(p: Expr, q: Expr, ctx: VarContext) -> bool:
@@ -629,7 +630,7 @@ def entails_quantum(p: Expr, q: Expr, ctx: VarContext) -> bool:
     Two propositions have diagonal matrices, so for them this is the
     pointwise order of their truth tables, decided with no matrix.
     """
-    return _entails(valuation(p, ctx), valuation(q, ctx))
+    return _entails(_value(p, ctx), _value(q, ctx), ctx.n)
 
 
 def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
@@ -640,7 +641,8 @@ def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
     decide the entailment, and placed on every coset that shares it.
     """
     solved = []
-    for side, rows, place in diagonal_block_rows(eval_quantum(p, ctx), eval_quantum(q, ctx)):
+    pt, qt = operator_tables(_value(p, ctx)), operator_tables(_value(q, ctx))
+    for side, rows, place in table_block_rows(ctx.n, pt, qt):
         block = ColumnSolver(side, rows).solve()
         if block is None:
             return None

@@ -31,7 +31,7 @@ from boolweyl.diffops import (
     shift_power_matrix,
 )
 from boolweyl.gf2lin import Gf2Matrix, identity, mat_add, mat_mul, zero_matrix
-from boolweyl.ring import ring_from_support, ring_monomial, submasks
+from boolweyl.ring import iter_bits, ring_from_support, ring_monomial, submasks
 
 
 def oracle_equal(f: OpCoeffs, g: OpCoeffs) -> bool:
@@ -608,6 +608,54 @@ def test_op_mul_dense_pairs_match_matrix_product():
         )
         assert len(f.terms) > 350 and len(g.terms) > 350
         assert to_matrix(op_mul(f, g)) == mat_mul(to_matrix(f), to_matrix(g))
+
+
+def my_operator(n, tables):
+    """The MY operator of tables {b: g}: the terms (a, b), a in g's support."""
+    return OpCoeffs(n, "MY", ((a, b) for b, g in tables.items() for a in iter_bits(g)))
+
+
+def random_tables(rng, tables):
+    """MY tables of one of three shapes, held by `tables`: a truth table
+    alone (an int), more right indices than half of 2^n with one- or
+    two-point tables, or a few right indices with dense tables."""
+    size = 1 << tables.n
+    shape = rng.randrange(3)
+    if shape == 0:
+        return rng.getrandbits(size)
+    if shape == 1:
+        keys = rng.sample(range(size), rng.randint(size // 2 + 1, size))
+        drawn = {b: (1 << rng.randrange(size)) | (1 << rng.randrange(size)) * rng.getrandbits(1) for b in keys}
+    else:
+        drawn = {rng.randrange(size): rng.getrandbits(size) for _ in range(rng.randint(0, 3))}
+    return {b: tables.hold(g) for b, g in drawn.items() if g}
+
+
+def test_table_product_matches_op_mul_on_random_pairs():
+    # the table product on MY tables against the MY term kernel on every
+    # pair, and against the XY one, its operands converted, wherever that
+    # kernel walks at most 5,000 term pairs (the one-point tables of many
+    # right indices have up to 2^n X terms each)
+    rng = random.Random("table-product")
+    seen = Counter()
+    for trial in range(2400):
+        n = 1 + trial % 6
+        tables = bweyl.Tables(n)
+        f, g = random_tables(rng, tables), random_tables(rng, tables)
+        got = bweyl.table_product(f, g, tables)
+        assert all(got.values())
+        fm, gm = (my_operator(n, bweyl.operator_tables(v)) for v in (f, g))
+        assert my_operator(n, got) == op_mul(fm, gm), (n, f, g)
+        fx, gx = convert_op_basis(fm, "XY"), convert_op_basis(gm, "XY")
+        if len(fx.terms) * len(gx.terms) <= 5000:
+            assert bweyl.tables_operator(got, n) == op_mul(fx, gx), (n, f, g)
+            seen["XY"] += 1
+        for v in (f, g):
+            seen["many indices"] += isinstance(v, dict) and 2 * len(v) > 1 << n
+            seen["dense"] += isinstance(v, dict) and any(2 * t.bit_count() > 1 << n for t in v.values())
+            seen["table"] += isinstance(v, int)
+    assert seen["XY"] >= 2000 and min(seen.values()) >= 400, seen
+
 
 
 @pytest.mark.parametrize("bad", [-1, 8])

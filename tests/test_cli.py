@@ -358,6 +358,51 @@ def test_equiv_of_propositions_in_bounded_time(capsys):
         assert (code, out) == want
 
 
+def dense_operator(n):
+    """(a|b|...)(1+~a)(1+~b)... over n variables: the OR of all n times
+    the product of every 1 + d_i, one MY table at each of the 2^n right
+    indices, 4^n - 2^n XY terms."""
+    names = "abcdefghij"[:n]
+    return "(" + "|".join(names) + ")" + "".join(f"(1+~{v})" for v in names)
+
+
+def test_dense_operator_product_in_bounded_time(capsys):
+    # P has 4,032 XY terms at n = 6: a term-pair product walks 16 million
+    # pairs, the table product derives 64 tables along 6 coordinates
+    p = dense_operator(6)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mul", p, p, "-n", "6")
+    elapsed = time.perf_counter() - start
+    assert (code, err, len(out)) == (0, "", 680)
+    assert hashlib.sha256(out.encode()).hexdigest() == "3eab432237657545e10c7a2f231d0e4c2a02456d33458225d063a0ae817b49a9"
+    assert elapsed < 2.0, elapsed
+
+
+def test_dense_operator_equivalence_in_bounded_time(capsys):
+    # P at n = 10 has 1,047,552 XY terms; compared as 1,024 MY tables
+    p = dense_operator(10)
+    start = time.perf_counter()
+    assert run(capsys, "equiv", p, p, "-n", "10") == (0, "yes\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_many_shift_indices_in_bounded_time_and_memory(capsys):
+    # s{1..14} has a table at each of its 2^14 right indices, and n times
+    # it has the table of n at each: equal tables are one int (held apart,
+    # the 2 KiB tables took a 77 MiB peak here)
+    s14 = "s{" + ",".join(map(str, range(1, 15))) + "}"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run(capsys, "equiv", f"n {s14}", f"{s14} n", "-n", "14")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (1, "no\n", "")
+    assert elapsed < 2.0 and peak < 12 << 20, (elapsed, peak)
+
+
 E16 = "(a|b|c|d|e|f|g|h)(i|j|k|l|n|o|p|q)(a|c|e|g|i|k|n|p)"
 
 

@@ -763,7 +763,7 @@ def test_edge_frames_match_the_reference_walk(e, proposition):
 
 
 @pytest.mark.parametrize(
-    "text, muls, adds, table_lifts",
+    "text, products, sums, table_lifts",
     [
         ("~a", 0, 0, 0),
         ("a ~b", 1, 0, 1),
@@ -776,31 +776,38 @@ def test_edge_frames_match_the_reference_walk(e, proposition):
         ("a b + a", 0, 0, 0),
     ],
 )
-def test_valuation_does_only_the_arithmetic_the_text_writes(text, muls, adds, table_lifts, monkeypatch):
+def test_valuation_does_only_the_arithmetic_the_text_writes(text, products, sums, table_lifts, monkeypatch):
     # a sum or product starts from its first part: no unit is lifted, and
-    # no empty operator is added or identity multiplied
-    from boolweyl import lang
+    # no empty operator is added or identity multiplied.  Operators are MY
+    # tables throughout: no term-set product, sum or basis change runs
+    from boolweyl import bweyl, lang
 
     e = parse_text(text)
     ctx = infer_context([e])
     calls = Counter()
 
-    def counting(name):
-        real = getattr(lang, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def call(*args):
             calls[name] += 1
-            calls["table lifts"] += name == "_lift" and isinstance(args[0], int)
+            calls["table lifts"] += name == "operator_tables" and isinstance(args[0], int)
             return real(*args)
 
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    for name in ("op_mul", "op_add", "_lift"):
-        monkeypatch.setattr(lang, name, counting(name))
-    value = valuation(e, ctx)
+    def refuse(*args):
+        raise AssertionError("term-set arithmetic in the walk")
+
+    counting(lang, "table_product")
+    counting(lang, "table_sum")
+    counting(bweyl, "operator_tables")
+    for name in ("op_mul", "op_add", "convert_op_basis"):
+        monkeypatch.setattr(bweyl, name, refuse)
+    value = lang._value(e, ctx)
     monkeypatch.undo()
-    assert (calls["op_mul"], calls["op_add"], calls["table lifts"]) == (muls, adds, table_lifts)
-    assert lang.as_operator(value) == reference_eval_quantum(e, ctx)
+    assert (calls["table_product"], calls["table_sum"], calls["table lifts"]) == (products, sums, table_lifts)
+    assert bweyl.tables_operator(bweyl.operator_tables(value), ctx.n) == reference_eval_quantum(e, ctx)
 
 
 def test_is_classical():
@@ -1015,11 +1022,23 @@ def distinct_block_pairs(p, q, low):
     return len(blocks)
 
 
+def entails_operators(p, q):
+    """lang's decision on the MY tables of two operators in a Y basis."""
+    from boolweyl.bweyl import _left_tables
+    from boolweyl.lang import _entails
+
+    return _entails(_left_tables(p), _left_tables(q), p.n)
+
+
+def my_operator(n, tables):
+    """The MY operator of tables {b: g}."""
+    return OpCoeffs(n, "MY", ((a, b) for b, g in tables.items() for a in iter_bits(g)))
+
+
 def test_block_route_matches_full_matrices_on_xy_pairs():
     # the derivatives of both operands touch the coordinates in `touched`;
     # the left indices are drawn over all of [n]
     from boolweyl.bweyl import diagonal_block_rows
-    from boolweyl.lang import _entails
 
     rng = random.Random(17)
     counts = Counter()
@@ -1035,7 +1054,7 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
 
         q = draw(rng.randint(1, 4))
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
-        got = _entails(p, q)
+        got = entails_operators(p, q)
         assert got == (solve_right(to_matrix(q), to_matrix(p)) is not None), (p, q)
         sides = [side for side, _, _ in diagonal_block_rows(p, q)]
         cover = 0
@@ -1059,19 +1078,20 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # eliminate several blocks of side smaller than the whole.  Only the
     # decisions count: the witnesses go through the same blocks
     from boolweyl import lang
-    from boolweyl.bweyl import diagonal_block_rows
+    from boolweyl.bweyl import table_block_rows
 
     assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
     calls = []  # (distinct block pairs, blocks eliminated, their side) per call
 
-    def counting_blocks(p, q):
-        blocks = list(diagonal_block_rows(p, q))
+    def counting_blocks(dim, pt, qt):
+        blocks = list(table_block_rows(dim, pt, qt))
         if sys._getframe(1).f_code is lang._entails.__code__:
+            p, q = my_operator(dim, pt), my_operator(dim, qt)
             distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
             calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
         return iter(blocks)
 
-    monkeypatch.setattr(lang, "diagonal_block_rows", counting_blocks)
+    monkeypatch.setattr(lang, "table_block_rows", counting_blocks)
     for seed in range(8):
         result = checks.check_entailment(n, 25, random.Random(seed))
         assert result.ok, result.detail
@@ -1085,13 +1105,13 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     # blocks before the failing one whole, and of that one only the rows up
     # to the first that reduces into the p-hat half
     from boolweyl import lang
-    from boolweyl.bweyl import diagonal_block_rows
+    from boolweyl.bweyl import diagonal_block_rows, table_block_rows
     from boolweyl.gf2lin import _echelon
 
     reads = []  # [side, rows read] per block handed to the elimination
 
-    def counting_rows(p, q):
-        for side, rows, place in diagonal_block_rows(p, q):
+    def counting_rows(dim, pt, qt):
+        for side, rows, place in table_block_rows(dim, pt, qt):
             read = [side, 0]
             reads.append(read)
 
@@ -1102,7 +1122,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
 
             yield side, counted(), place
 
-    monkeypatch.setattr(lang, "diagonal_block_rows", counting_rows)
+    monkeypatch.setattr(lang, "table_block_rows", counting_rows)
     rng = random.Random(29)
     counts = Counter()
     for trial in range(400):
@@ -1118,7 +1138,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         q = draw(rng.randint(1, 4))
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         reads.clear()
-        got = lang._entails(p, q)
+        got = entails_operators(p, q)
         blocks = [(side, list(rows)) for side, rows, _ in diagonal_block_rows(p, q)]
         if got:
             assert reads == [[side, side] for side, _ in blocks], (p, q)
@@ -1138,7 +1158,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         p = OpCoeffs(n, "XY", [(0, full)])
         q = OpCoeffs(n, "XY", [(full, full)])
         reads.clear()
-        assert not lang._entails(p, q)
+        assert not entails_operators(p, q)
         assert reads == [[1 << n, 1]]
 
 
