@@ -97,9 +97,9 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in iter_bits(mask))
 
 
-# mask_str's labels, each followed by a comma: 1-8 from the low byte, 9-16
-# from the high; built from strings, as deriving them from the position
-# tables costs about 1 ms more per import
+# the labels of mask_str and ring_text, each followed by a comma: 1-8 from
+# the low byte, 9-16 from the high; built from strings, as deriving them from
+# the position tables costs about 1 ms more per import
 _LOW_LABELS = _byte_table([f"{p}," for p in range(1, 9)])
 _HIGH_LABELS = _byte_table([f"{p}," for p in range(9, 17)])
 
@@ -291,15 +291,29 @@ def k_cover_parity(cover_sets: Iterable[int], a: int, k: int, n: int) -> int:
     return (cur >> a) & 1
 
 
+_CHUNK = (1 << 256) - 1  # the coefficients of one chunk of 256 masks
+
+
 def ring_text(f: RingElem) -> str:
-    """Human-readable sum of monomials, e.g. "x{1} + x{1,2}"."""
+    """Human-readable sum of monomials, e.g. "x{1} + x{1,2}".
+
+    The masks of the 256-mask chunk h share their high byte h, so the
+    chunk's literals are one join of the low labels, with the high labels
+    in the separator; chunk 0 drops the low labels' trailing comma.
+    """
     letter = f.basis.lower()
+    bits = f.bits
     parts = []
-    for a in f.support():
-        if a == 0 and f.basis in ("X", "W"):
-            parts.append("1")
-        else:
-            parts.append(letter + mask_str(a))
+    if bits & 1 and f.basis != "M":
+        parts.append("1")
+        bits ^= 1
+    for h in range((bits.bit_length() + 255) >> 8):
+        chunk = (bits >> (h << 8)) & _CHUNK
+        if chunk:
+            high = _HIGH_LABELS[h][:-1] + "}"
+            labels = map(_LOW_LABELS.__getitem__, iter_bits(chunk))
+            text = letter + "{" + (high + " + " + letter + "{").join(labels) + high
+            parts.append(text.replace(",}", "}") if h == 0 else text)
     return " + ".join(parts) if parts else "0"
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from boolweyl import ring
+from boolweyl import lang, ring
 from boolweyl.bweyl import OpCoeffs, op_add, op_mul
 from boolweyl.diffops import apply_coeffs
 from boolweyl.ring import (
@@ -328,6 +328,48 @@ def test_ring_text_matches_per_term_spelling():
             masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
             f = ring_from_support(n, basis, masks)
             assert ring_text(f) == old_ring_text(f)
+    # chunk edges: every element at n = 2 and 3; each one-mask element at n = 9,
+    # the constant alone and chunks whose only label is the high part, as x{9};
+    # at n = 16 masks in chunks 0, 17 and 255 alone, and every mask
+    for basis in ring.RING_BASES:
+        elems = [RingElem(n, basis, bits) for n in (2, 3) for bits in range(1 << (1 << n))]
+        elems += [RingElem(9, basis, 1 << a) for a in range(1 << 9)]
+        for low in ({0, 255}, {1, 128, 254}):
+            masks = {c << 8 | b for c in (0, 17, 255) for b in low}
+            masks |= {c << 8 | rng.getrandbits(8) for c in (0, 17, 255) for _ in range(40)}
+            elems.append(ring_from_support(16, basis, masks))
+        elems.append(RingElem(16, basis, (1 << (1 << 16)) - 1))
+        for f in elems:
+            assert ring_text(f) == old_ring_text(f)
+
+
+def test_ring_text_parses_back_through_the_language():
+    rng = random.Random(93)
+    elems = []
+    for basis in ring.RING_BASES:
+        for n in (1, 2, 3, 8, 9, 13):
+            elems += [RingElem(n, basis, rng.getrandbits(1 << n)) for _ in range(5)]
+        masks = {0, (1 << 16) - 1} | {rng.getrandbits(16) for _ in range(100)}
+        elems.append(ring_from_support(16, basis, masks))
+    for f in elems:
+        e = lang.parse_text(ring_text(f))
+        assert lang.valuation(e, lang.infer_context([e], f.n)) == convert_ring_basis(f, "M")
+
+
+def test_ring_text_spells_no_term_on_its_own(monkeypatch):
+    # one join per 256-mask chunk: no mask_str call, one iter_bits per chunk
+    def refuse(mask):
+        raise AssertionError(f"ring_text spelled mask {mask} on its own")
+
+    calls = []
+    iter_bits = ring.iter_bits
+    monkeypatch.setattr(ring, "mask_str", refuse)
+    monkeypatch.setattr(ring, "iter_bits", lambda bits: calls.append(1) or iter_bits(bits))
+    for basis in ring.RING_BASES:
+        calls.clear()
+        text = ring_text(RingElem(16, basis, (1 << (1 << 16)) - 1))
+        assert text.count(" + ") == (1 << 16) - 1
+        assert len(calls) <= 256
 
 
 def test_dimension_bounds():
