@@ -1,10 +1,13 @@
 """Quantum Boolean operator algebras in six spanning bases.
 
-An operator on the Boolean ring is stored as a sparse set of index
-pairs: a term (a, b) stands for one monomial operator whose left factor
-is a ring monomial (m^a, x^a or w^a) and whose right factor is a product
-of derivatives (y^b = prod of d_i, i in b) or of shifts (s^b).  The six
-bases are tagged MY, XY, WY, MS, XS, WS.
+A term (a, b) of an operator on the Boolean ring stands for one monomial
+operator whose left factor is a ring monomial (m^a, x^a or w^a) and whose
+right factor is a product of derivatives (y^b = prod of d_i, i in b) or
+of shifts (s^b).  The six bases are tagged MY, XY, WY, MS, XS, WS.  An
+operator is stored packed by right index, as rows {b: g}: g is the 2^n-bit
+ring element, in the left basis, of the left indices of the terms (a, b).
+The MY rows are the language's MY tables, whose one product is
+table_product, by d_i g = (s_i g) d_i + (d_i g) for a table g.
 
 Multiplication never leaves coefficient space: each basis with an M or X
 left index has a closed-form structural rule.  Writing terms of the left
@@ -27,12 +30,13 @@ and packed over the other.  With below(s) the packed indicator of the
 submasks of s (bit t set iff t is a subset of s):
 
     MY   if a + c is a subset of b: acc[a] ^= below((a+c) & ~d) << d
-    MS   if c == a + b: acc[a] ^= 1 << (b + d)
+    MS   if c == a + b: acc[b + d] ^= 1 << a
     XS   if a & b & c == 0: acc[b + d] ^= below(b & c) << (a | (c & ~b))
     XY   if b & d is a subset of c: for every r subset of b & c & ~a & ~d,
          acc[(b & ~c) | d | r] ^= below(r) << (a | (c & ~b))
 
-MY and MS are keyed by the left index, XS and XY by the right.  In XS,
+MS, XS and XY are keyed by the right index, so their accumulators are the
+product's rows; MY is keyed by the left, and transposed.  In XS,
 the left index a | (c - k) ignores the bits of k inside a, so when
 a & b & c != 0 each left index is hit 2^|a & b & c| times and the pair
 cancels.  In XY, the right index (b - k1) | d fixes k1, which must
@@ -42,10 +46,6 @@ already holds a & b & c; then r = (b & c) - k1, and the k2 between k1
 and b & c give the left indices a | (c & ~b) | t for every t subset of r.
 The literal rules stay as oracles: structural_coeff_c here, and the
 battery's monomial-product-forms check for all four.
-
-The language's walk packs MY terms over the left index instead, as MY
-tables {b: g}, g the 2^n-bit M table of the coefficient of y^b; its one
-product is table_product, by d_i g = (s_i g) d_i + (d_i g) for a table g.
 
 to_matrix is the semantic anchor: every element maps to the matrix of
 the operator it denotes on M-basis coordinates, its rows written from
@@ -64,21 +64,21 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial, reduce
-from operator import xor
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter, xor
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2lin import Gf2Matrix
 from .ring import (
     _LOW_BITS,
     _block_mask,
     _convert_bits,
-    _superset_sum_bits,
     check_dim,
     check_mask,
     indices_from_mask,
     iter_bits,
     mask_from_indices,
     mask_str,
+    mask_texts,
     require_same_dim,
     submasks,
 )
@@ -89,110 +89,131 @@ OP_BASES = ("MY", "XY", "WY", "MS", "XS", "WS")
 Term = tuple[int, int]
 
 
-class OpCoeffs(Value):
-    """Operator coefficients: sparse set of (left, right) index pairs, given
-    as any iterable and stored as a frozenset."""
+class Rows(dict):
+    """An operator's rows {right index: packed left}: hashed by its items, read-only."""
 
-    __slots__ = ("n", "basis", "terms")
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return Rows, (dict(self),)
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("operator rows cannot change")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+
+class OpCoeffs(Value):
+    """Operator coefficients in one basis, packed by right index: rows maps
+    each right index b to the packed int of the left indices a of the terms
+    (a, b), and no row is zero.  Given a dict, it is read as these rows
+    (zero rows dropped); any other iterable is read as (left, right) pairs."""
+
+    __slots__ = ("n", "basis", "rows")
     n: int
     basis: str
-    terms: frozenset[Term]
+    rows: Rows
 
-    def __init__(self, n: int, basis: str, terms: Iterable[Term]) -> None:
-        terms = frozenset(terms)
+    def __init__(self, n: int, basis: str, rows: dict[int, int] | Iterable[Term]) -> None:
         check_dim(n)
         if basis not in OP_BASES:
             raise ValueError(f"unknown operator basis {basis!r}")
-        top = 1 << n
-        for a, b in terms:
-            if not (0 <= a < top and 0 <= b < top):
-                check_mask(a, n)
+        size = 1 << n
+        if not isinstance(rows, dict):  # (left, right) pairs; a repeated pair counts once
+            terms, rows = rows, {}
+            for a, b in terms:
+                if type(a) is not int or not 0 <= a < size:
+                    check_mask(a, n)
+                rows[b] = rows.get(b, 0) | 1 << a
+        for b, lefts in rows.items():
+            if type(b) is not int or type(lefts) is not int or not 0 <= b < size or lefts < 0 or lefts >> size:
                 check_mask(b, n)
+                raise ValueError(f"row {b} out of range for n={n}")
+        rows = Rows(filter(itemgetter(1), rows.items()) if 0 in rows.values() else rows)
         _set_n(self, n)
         _set_basis(self, basis)
-        _set_terms(self, terms)
+        _set_rows(self, rows)
 
-    def sorted_terms(self) -> list[Term]:
-        """Terms in the canonical order: ascending on (left, right)."""
-        return sorted(self.terms)
+    @property
+    def terms(self) -> frozenset[Term]:
+        """The (left, right) index pairs of the terms, read from the rows."""
+        return frozenset(_pairs(self.rows))
 
     def __str__(self) -> str:
         return op_text(self)
 
 
-_set_n, _set_basis, _set_terms = setters(OpCoeffs)
+_set_n, _set_basis, _set_rows = setters(OpCoeffs)
+
+
+def _pairs(rows: Mapping[int, int]) -> list[Term]:
+    """The (left, right) pairs of rows {right: packed left}."""
+    return [(a, b) for b, lefts in rows.items() for a in iter_bits(lefts)]
+
+
+def _transpose(rows: Mapping[int, int]) -> dict[int, int]:
+    """{i: packed j} as {j: packed i}: rows by right index as rows by left index, and back."""
+    out: dict[int, int] = {}
+    get = out.get
+    for i, js in rows.items():
+        bit = 1 << i
+        for j in iter_bits(js):
+            out[j] = get(j, 0) | bit
+    return out
 
 
 def op_identity(n: int, basis: str = "XY") -> OpCoeffs:
     """The identity operator written in the given basis."""
     check_dim(n)
-    if basis[0] == "M":
-        # 1 = sum of all point indicators
-        return OpCoeffs(n, basis, ((a, 0) for a in range(1 << n)))
-    return OpCoeffs(n, basis, {(0, 0)})
+    # in M, 1 = the sum of all point indicators
+    return OpCoeffs(n, basis, {0: (1 << (1 << n)) - 1 if basis[0] == "M" else 1})
 
 
 def op_monomial(n: int, basis: str, a: int, b: int) -> OpCoeffs:
-    check_mask(a, n)
-    check_mask(b, n)
-    return OpCoeffs(n, basis, {(a, b)})
+    return OpCoeffs(n, basis, [(a, b)])
 
 
 def op_add(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
-    """Sum: symmetric difference of term sets, in the left operand's basis."""
+    """Sum: XOR of rows, in the left operand's basis."""
     require_same_dim(f, g)
-    g = convert_op_basis(g, f.basis)
-    return OpCoeffs(f.n, f.basis, f.terms ^ g.terms)
-
-
-def _pack_index(terms: Iterable[Term], axis: int) -> dict[int, int]:
-    """Per value of the other index, the packed vector of index `axis`
-    (0 left, 1 right) of the terms."""
-    groups: dict[int, int] = {}
-    for term in terms:
-        other = term[1 - axis]
-        groups[other] = groups.get(other, 0) ^ (1 << term[axis])
-    return groups
-
-
-def _unpack(groups: dict[int, int], axis: int) -> frozenset[Term]:
-    """The terms of packed vectors of index `axis` keyed by the other index:
-    the inverse of _pack_index."""
-    if axis == 0:
-        return frozenset((i, other) for other, bits in groups.items() for i in iter_bits(bits))
-    return frozenset((other, i) for other, bits in groups.items() for i in iter_bits(bits))
-
-
-def _convert_index(
-    terms: frozenset[Term], axis: int, convert: Callable[[int], int]
-) -> frozenset[Term]:
-    """Apply convert to the packed vectors of index `axis` of the terms."""
-    groups = _pack_index(terms, axis)
-    return _unpack({other: convert(bits) for other, bits in groups.items()}, axis)
+    rows = dict(f.rows)
+    for b, lefts in convert_op_basis(g, f.basis).rows.items():
+        rows[b] = rows.get(b, 0) ^ lefts
+    return OpCoeffs(f.n, f.basis, rows)
 
 
 def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
     """Rewrite f in the target basis; the operator it denotes is unchanged.
 
-    The left index converts through the ring basis changes applied per
-    fixed right index; the right index converts between Y and S through
-    a superset sum per fixed left index (y^b = sum of s^a over a subset
-    of b, and the same formula back).
+    The left index converts by a ring basis change of each distinct row;
+    the right index converts between Y and S by a superset sum over the
+    right indices (y^b = sum of s^c over c subset of b, and back).
     """
     if target not in OP_BASES:
         raise ValueError(f"unknown operator basis {target!r}")
     if target == f.basis:
         return f
-    size = 1 << f.n
-    terms = f.terms
+    rows = f.rows
     if f.basis[0] != target[0]:
-        terms = _convert_index(
-            terms, 0, lambda bits: _convert_bits(bits, size, f.basis[0], target[0])
-        )
+        size, frm, to = 1 << f.n, f.basis[0], target[0]
+        new = {lefts: _convert_bits(lefts, size, frm, to) for lefts in set(rows.values())}
+        rows = {b: new[lefts] for b, lefts in rows.items()}
     if f.basis[1] != target[1]:
-        # Y <-> S is a superset sum on the right index, both directions
-        terms = _convert_index(terms, 1, lambda bits: _superset_sum_bits(bits, size))
-    return OpCoeffs(f.n, target, terms)
+        rows = _superset_sum_rows(rows, f.n)
+    return OpCoeffs(f.n, target, rows)
+
+
+def _superset_sum_rows(rows: Mapping[int, int], n: int) -> dict[int, int]:
+    """out[c] = XOR of rows[b] over the b superset of c, a pass per coordinate."""
+    rows = dict(rows)
+    for i in range(n):
+        bit = 1 << i
+        for b in [b for b in rows if b & bit]:
+            rows[b ^ bit] = rows.get(b ^ bit, 0) ^ rows[b]
+    return rows
 
 
 def _below(s: int) -> int:
@@ -204,14 +225,6 @@ def _below(s: int) -> int:
         bits |= bits << low
         s ^= low
     return bits
-
-
-def _left_tables(f: OpCoeffs) -> dict[int, int]:
-    """{b: g} over the right indices b of f: g is the M-basis table of the
-    ring element of the left coefficients of f's terms with right index b,
-    so that f is the sum of g * P^b, P^b the shift or derivative power of b."""
-    size = 1 << f.n
-    return {b: _convert_bits(left, size, f.basis[0], "M") for b, left in _pack_index(f.terms, 0).items()}
 
 
 # --- operators as MY tables ----------------------------------------------------
@@ -308,20 +321,14 @@ def table_product(f: int | dict[int, int], g: int | dict[int, int], tables: Tabl
     return out
 
 
-def tables_operator(f: dict[int, int], n: int) -> OpCoeffs:
-    """The XY operator of MY tables: one M -> X pass per distinct table."""
-    x_of = {t: _convert_bits(t, 1 << n, "M", "X") for t in set(f.values())}
-    return OpCoeffs(n, "XY", _unpack({b: x_of[t] for b, t in f.items()}, 0))
-
-
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     """Matrix of the operator on M-basis coordinates."""
     size = 1 << f.n
     shift = f.basis[1] == "S"
     nbytes = (size + 7) >> 3
     parts = [
-        (b if shift else _below(b), ~b, left.to_bytes(nbytes, "little"))
-        for b, left in _left_tables(f).items()
+        (b if shift else _below(b), ~b, _convert_bits(left, size, f.basis[0], "M").to_bytes(nbytes, "little"))
+        for b, left in f.rows.items()
     ]
     return Gf2Matrix(list(_block_rows(parts, nbytes, min(size, 8), shift)))
 
@@ -333,15 +340,6 @@ def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
         t = (bits ^ (bits >> delta)) & points
         bits ^= t ^ (t << delta)
     return bits
-
-
-def diagonal_block_rows(p: OpCoeffs, q: OpCoeffs) -> Iterator[tuple[int, Iterator[int], Callable]]:
-    """table_block_rows of two operators in Y bases (MY, XY or WY), from
-    their MY tables."""
-    require_same_dim(p, q)
-    if p.basis[1] != "Y" or q.basis[1] != "Y":
-        raise ValueError(f"diagonal_block_rows needs Y bases, not {p.basis} and {q.basis}")
-    return table_block_rows(p.n, _left_tables(p), _left_tables(q))
 
 
 def table_block_rows(
@@ -468,8 +466,8 @@ def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:
     return count
 
 
-def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
-    acc: dict[int, int] = {}
+def _mul_my(f: list[Term], g: list[Term]) -> dict[int, int]:
+    acc: dict[int, int] = {}  # packed right indices by left index
     for a, b in f:
         row = 0
         for c, d in g:
@@ -477,10 +475,10 @@ def _mul_my(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
             if not ac & ~b:
                 row ^= _below(ac & ~d) << d
         acc[a] = acc.get(a, 0) ^ row
-    return _unpack(acc, 1)
+    return _transpose(acc)
 
 
-def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+def _mul_xy(f: list[Term], g: list[Term]) -> dict[int, int]:
     acc: dict[int, int] = {}
     for a, b in f:
         for c, d in g:
@@ -491,23 +489,22 @@ def _mul_xy(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
             for r in submasks(b & c & ~a & ~d):
                 key = base | r
                 acc[key] = acc.get(key, 0) ^ (_below(r) << shift)
-    return _unpack(acc, 0)
+    return acc
 
 
-def _mul_ms(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+def _mul_ms(f: list[Term], g: list[Term]) -> dict[int, int]:
     by_left: dict[int, list[int]] = {}
     for c, d in g:
         by_left.setdefault(c, []).append(d)
     acc: dict[int, int] = {}
     for a, b in f:
-        row = 0
+        bit = 1 << a
         for d in by_left.get(a ^ b, ()):
-            row ^= 1 << (b ^ d)
-        acc[a] = acc.get(a, 0) ^ row
-    return _unpack(acc, 1)
+            acc[b ^ d] = acc.get(b ^ d, 0) ^ bit
+    return acc
 
 
-def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
+def _mul_xs(f: list[Term], g: list[Term]) -> dict[int, int]:
     acc: dict[int, int] = {}
     for a, b in f:
         for c, d in g:
@@ -515,7 +512,7 @@ def _mul_xs(f: frozenset[Term], g: frozenset[Term]) -> frozenset[Term]:
                 continue
             key = b ^ d
             acc[key] = acc.get(key, 0) ^ (_below(b & c) << (a | (c & ~b)))
-    return _unpack(acc, 0)
+    return acc
 
 
 def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
@@ -533,7 +530,7 @@ def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
         kernel = _mul_my if left == "M" else _mul_xy
     else:
         kernel = _mul_ms if left == "M" else _mul_xs
-    return OpCoeffs(f.n, basis, kernel(f.terms, g.terms))
+    return OpCoeffs(f.n, basis, kernel(_pairs(f.rows), _pairs(g.rows)))
 
 
 def op_power(f: OpCoeffs, k: int) -> OpCoeffs:
@@ -609,33 +606,30 @@ def normal_order(word: Sequence[Factor], n: int) -> OpCoeffs:
 # --- text and JSON forms -----------------------------------------------------
 
 
-def _term_text(basis: str, a: int, b: int) -> str:
-    left, right = basis
-    parts = []
-    if a or left == "M":
-        parts.append(left.lower() + mask_str(a))
-    if b:
-        parts.append(right.lower() + mask_str(b))
-    return "".join(parts) if parts else "1"
-
-
 def op_text(f: OpCoeffs) -> str:
-    """Canonical text form, e.g. "x{1,2}y{1} + x{1,2}y{1,2}"."""
-    if not f.terms:
-        return "0"
-    return " + ".join(_term_text(f.basis, a, b) for a, b in f.sorted_terms())
+    """Canonical text form, e.g. "x{1,2}y{1} + x{1,2}y{1,2}": the terms
+    ascending on (left, right), written per left index with the right
+    labels of each 256-mask chunk in one join (see ring.ring_text)."""
+    left, right = f.basis.lower()
+    parts = []
+    for a, rights in sorted(_transpose(f.rows).items()):
+        prefix = left + mask_str(a) if a or left == "m" else ""
+        if rights & 1:
+            parts.append(prefix or "1")
+        parts += mask_texts(rights & ~1, prefix + right + "{")
+    return " + ".join(parts) if parts else "0"
 
 
 def op_to_json(f: OpCoeffs) -> dict:
-    """JSON form: term index pairs as sorted 1-based index arrays."""
-    return {
-        "n": f.n,
-        "basis": f.basis,
-        "terms": [
-            [list(indices_from_mask(a)), list(indices_from_mask(b))]
-            for a, b in f.sorted_terms()
-        ],
-    }
+    """JSON form: term index pairs as sorted 1-based index arrays, ascending
+    on (left, right).  The terms that share an index share its array, so a
+    dense operator builds one list per term, not three."""
+    right_ix = {b: list(indices_from_mask(b)) for b in f.rows}
+    terms = []
+    for a, rights in sorted(_transpose(f.rows).items()):
+        ix = list(indices_from_mask(a))
+        terms += [[ix, right_ix[b]] for b in iter_bits(rights)]
+    return {"n": f.n, "basis": f.basis, "terms": terms}
 
 
 def op_from_json(data: dict) -> OpCoeffs:

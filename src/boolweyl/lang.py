@@ -63,11 +63,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 from .bweyl import (
     OpCoeffs,
     Tables,
+    _transpose,
+    convert_op_basis,
     operator_tables,
     table_block_rows,
     table_product,
     table_sum,
-    tables_operator,
 )
 from .gf2lin import ColumnSolver, Gf2Matrix
 from .ring import (
@@ -487,7 +488,7 @@ def _mono_mask(mono: Mono, n: int) -> int:
 def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
     """The XY operator of a valuation: a proposition multiplies by its truth function."""
     if isinstance(value, RingElem):
-        return tables_operator(operator_tables(convert_ring_basis(value, "M").bits), value.n)
+        return OpCoeffs(value.n, "XY", {0: convert_ring_basis(value, "X").bits})
     return value
 
 
@@ -553,7 +554,7 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
     value = _value(e, ctx)
     if isinstance(value, int):
         return RingElem(ctx.n, "M", value)
-    return tables_operator(value, ctx.n)
+    return convert_op_basis(OpCoeffs(ctx.n, "MY", value), "XY")
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
@@ -664,14 +665,13 @@ def normalize(e: Expr, ctx: VarContext) -> Expr:
     in position order.  Idempotent, and equivalent to the input.
     """
     op = eval_quantum(e, ctx)
-    terms = sorted(op.terms, reverse=True)
-    if not terms:
+    if not op.rows:
         return Zero()
     parts: list[Expr] = []
-    for a, b in terms:
-        factors: list[Expr] = [Var(ctx.names[i]) for i in iter_bits(a)]
-        factors += [TildeVar(ctx.names[i]) for i in iter_bits(b)]
-        parts.append(make_prod(factors))
+    for a, rights in sorted(_transpose(op.rows).items(), reverse=True):
+        plain = [Var(ctx.names[i]) for i in iter_bits(a)]
+        for b in reversed(iter_bits(rights)):
+            parts.append(make_prod(plain + [TildeVar(ctx.names[i]) for i in iter_bits(b)]))
     return make_sum(parts)
 
 

@@ -47,7 +47,7 @@ def check_dim(n: int) -> None:
 
 
 def check_mask(a: int, n: int) -> None:
-    if not 0 <= a < (1 << n):
+    if type(a) is not int or not 0 <= a < (1 << n):
         raise ValueError(f"mask {a} out of range for n={n}")
 
 
@@ -164,7 +164,7 @@ class RingElem(Value):
         check_dim(n)
         if basis not in RING_BASES:
             raise ValueError(f"unknown ring basis {basis!r}")
-        if not 0 <= bits < (1 << (1 << n)):
+        if type(bits) is not int or not 0 <= bits < (1 << (1 << n)):
             raise ValueError("coefficient vector out of range")
         _set_n(self, n)
         _set_basis(self, basis)
@@ -294,26 +294,27 @@ def k_cover_parity(cover_sets: Iterable[int], a: int, k: int, n: int) -> int:
 _CHUNK = (1 << 256) - 1  # the coefficients of one chunk of 256 masks
 
 
-def ring_text(f: RingElem) -> str:
-    """Human-readable sum of monomials, e.g. "x{1} + x{1,2}".
-
-    The masks of the 256-mask chunk h share their high byte h, so the
-    chunk's literals are one join of the low labels, with the high labels
-    in the separator; chunk 0 drops the low labels' trailing comma.
-    """
-    letter = f.basis.lower()
-    bits = f.bits
-    parts = []
-    if bits & 1 and f.basis != "M":
-        parts.append("1")
-        bits ^= 1
+def mask_texts(bits: int, start: str) -> Iterator[str]:
+    """The literals start + labels + "}" of the masks of bits, ascending,
+    one string per 256-mask chunk: its masks share their high byte, so it is
+    one join of the low labels with the high labels in the separator."""
     for h in range((bits.bit_length() + 255) >> 8):
         chunk = (bits >> (h << 8)) & _CHUNK
         if chunk:
             high = _HIGH_LABELS[h][:-1] + "}"
             labels = map(_LOW_LABELS.__getitem__, iter_bits(chunk))
-            text = letter + "{" + (high + " + " + letter + "{").join(labels) + high
-            parts.append(text.replace(",}", "}") if h == 0 else text)
+            text = start + (high + " + " + start).join(labels) + high
+            yield text.replace(",}", "}") if h == 0 else text
+
+
+def ring_text(f: RingElem) -> str:
+    """Human-readable sum of monomials, e.g. "x{1} + x{1,2}"."""
+    bits = f.bits
+    parts = []
+    if bits & 1 and f.basis != "M":
+        parts.append("1")
+        bits ^= 1
+    parts += mask_texts(bits, f.basis.lower() + "{")
     return " + ".join(parts) if parts else "0"
 
 

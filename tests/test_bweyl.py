@@ -28,10 +28,11 @@ from boolweyl.diffops import (
     derivative_matrix,
     derivative_power_matrix,
     multiplication_matrix,
+    rep_matrix,
     shift_power_matrix,
 )
 from boolweyl.gf2lin import Gf2Matrix, identity, mat_add, mat_mul, zero_matrix
-from boolweyl.ring import iter_bits, ring_from_support, ring_monomial, submasks
+from boolweyl.ring import ring_from_support, ring_monomial, submasks
 
 
 def oracle_equal(f: OpCoeffs, g: OpCoeffs) -> bool:
@@ -107,12 +108,28 @@ def test_to_matrix_basics():
         assert to_matrix(op_identity(3, basis)) == identity(8)
 
 
-def reference_blocks(ops, low):
+def rep_matrix_sum(f: OpCoeffs) -> Gf2Matrix:
+    """f's matrix on M-basis coordinates from diffops.rep_matrix alone: the sum
+    over its terms, w^a read as the sum of x^c over c subset of a, and the
+    X-left sum, which acts on X-basis coordinates, conjugated by the subset
+    sum z (row b of z: the points below b) to act on M-basis ones."""
+    left, right = f.basis
+    size = 1 << f.n
+    out = zero_matrix(size)
+    for a, b in f.terms:
+        for c in submasks(a) if left == "W" else (a,):
+            out = mat_add(out, rep_matrix("M" if left == "M" else "X", right, c, b, f.n))
+    if left == "M":
+        return out
+    z = Gf2Matrix(sum(1 << c for c in submasks(b)) for b in range(size))
+    return mat_mul(z, mat_mul(out, z))
+
+
+def reference_blocks(matrices, low):
     """The distinct tuples of diagonal blocks, cut from the full matrices: the
     block of coset z holds the rows and columns of the points r with
     r & ~low == z, in ascending order; first occurrences in the order of z."""
-    n = ops[0].n
-    full = [to_matrix(f) for f in ops]
+    n = matrices[0].side.bit_length() - 1
     blocks = {}
     for z in range(1 << n):
         if z & low:
@@ -124,7 +141,7 @@ def reference_blocks(ops, low):
                     sum(((m.rows[r] >> c) & 1) << j for j, c in enumerate(points)) for r in points
                 )
             )
-            for m in full
+            for m in matrices
         )
         blocks.setdefault(key)
     return list(blocks)
@@ -140,7 +157,14 @@ def reference_block_rows(blocks):
     ]
 
 
+def block_rows(p: OpCoeffs, q: OpCoeffs):
+    """table_block_rows of two operators, from their MY rows."""
+    return bweyl.table_block_rows(p.n, convert_op_basis(p, "MY").rows, convert_op_basis(q, "MY").rows)
+
+
 def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
+    # the blocks and their placement against matrices built by diffops alone,
+    # on operators drawn in all six bases
     rng = random.Random(23)
     seen = Counter()
     for trial in range(300):
@@ -149,28 +173,26 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         if trial % 5 == 0:
             touched = rng.getrandbits(n)
         p, q = (
-            convert_op_basis(
-                OpCoeffs(
-                    n,
-                    rng.choice(OP_BASES),
-                    frozenset(
-                        (rng.getrandbits(n), rng.getrandbits(n) & touched)
-                        for _ in range(rng.randint(0, 5))
-                    ),
+            OpCoeffs(
+                n,
+                rng.choice(OP_BASES),
+                frozenset(
+                    (rng.getrandbits(n), rng.getrandbits(n) & touched)
+                    for _ in range(rng.randint(0, 5))
                 ),
-                "XY",
             )
             for _ in range(2)
         )
         low = 0
         for f in (p, q):
-            for _, b in f.terms:
+            for b in convert_op_basis(f, "MY").rows:
                 low |= b
         # widened by the lowest coordinates outside it to at least three
         while low.bit_count() < min(n, 3):
             low |= ~low & (low + 1)
-        blocks = reference_blocks((p, q), low)
-        streamed = list(bweyl.diagonal_block_rows(p, q))
+        full = (rep_matrix_sum(p), rep_matrix_sum(q))
+        blocks = reference_blocks(full, low)
+        streamed = list(block_rows(p, q))
         got = [(side, list(rows)) for side, rows, _ in streamed]
         assert got == reference_block_rows(blocks), (p, q)
         # placed on every coset that shares it, each p block rebuilds p-hat:
@@ -178,7 +200,7 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         placed = [0] * (1 << n)
         for (side, _, place), (_, rows) in zip(streamed, got):
             place([row & ((1 << side) - 1) for row in rows], placed)
-        assert placed == list(to_matrix(p).rows), (p, q)
+        assert placed == list(full[0].rows), (p, q)
         seen[len(blocks) > 1] += 1
         seen["duplicates"] += len(blocks) < 1 << (n - low.bit_count())
         seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
@@ -187,32 +209,23 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
 
 
 def test_to_matrix_is_the_one_block_of_all_coordinates():
-    p = convert_op_basis(OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)]), "XY")
-    q = convert_op_basis(OpCoeffs(4, "MS", [(0b0110, 0b1111)]), "XY")
+    p = OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
+    q = OpCoeffs(4, "MS", [(0b0110, 0b1111)])
     rows = [(to_matrix(q).rows[r] << 16) | to_matrix(p).rows[r] for r in range(16)]
-    assert [(side, list(got)) for side, got, _ in bweyl.diagonal_block_rows(p, q)] == [(16, rows)]
+    assert [(side, list(got)) for side, got, _ in block_rows(p, q)] == [(16, rows)]
     # at n <= 2 the one block has fewer than 8 rows
     for n in (1, 2):
         d = OpCoeffs(n, "XY", [(0, 1)])
         one = op_identity(n)
         side = 1 << n
         rows = [(to_matrix(one).rows[r] << side) | to_matrix(d).rows[r] for r in range(side)]
-        assert [(s, list(got)) for s, got, _ in bweyl.diagonal_block_rows(d, one)] == [(side, rows)]
+        assert [(s, list(got)) for s, got, _ in block_rows(d, one)] == [(side, rows)]
     # one right index, widened to three coordinates: two equal blocks of side 8
     g = OpCoeffs(4, "XY", [(0, 0b0100)])
     one = op_identity(4)
     block = to_matrix(OpCoeffs(3, "XY", [(0, 0b100)]))
     rows = [(1 << (r + 8)) | block.rows[r] for r in range(8)]
-    assert [(side, list(got)) for side, got, _ in bweyl.diagonal_block_rows(g, one)] == [(8, rows)]
-
-
-def test_diagonal_block_rows_refuses_shift_bases():
-    p = OpCoeffs(3, "XY", [(0, 1)])
-    for basis in ("MS", "XS", "WS"):
-        q = convert_op_basis(p, basis)
-        for pair in ((p, q), (q, p)):
-            with pytest.raises(ValueError, match="Y bases"):
-                next(bweyl.diagonal_block_rows(*pair))
+    assert [(side, list(got)) for side, got, _ in block_rows(g, one)] == [(8, rows)]
 
 
 # --- structural coefficient -----------------------------------------------------
@@ -610,11 +623,6 @@ def test_op_mul_dense_pairs_match_matrix_product():
         assert to_matrix(op_mul(f, g)) == mat_mul(to_matrix(f), to_matrix(g))
 
 
-def my_operator(n, tables):
-    """The MY operator of tables {b: g}: the terms (a, b), a in g's support."""
-    return OpCoeffs(n, "MY", ((a, b) for b, g in tables.items() for a in iter_bits(g)))
-
-
 def random_tables(rng, tables):
     """MY tables of one of three shapes, held by `tables`: a truth table
     alone (an int), more right indices than half of 2^n with one- or
@@ -644,11 +652,11 @@ def test_table_product_matches_op_mul_on_random_pairs():
         f, g = random_tables(rng, tables), random_tables(rng, tables)
         got = bweyl.table_product(f, g, tables)
         assert all(got.values())
-        fm, gm = (my_operator(n, bweyl.operator_tables(v)) for v in (f, g))
-        assert my_operator(n, got) == op_mul(fm, gm), (n, f, g)
+        fm, gm = (OpCoeffs(n, "MY", bweyl.operator_tables(v)) for v in (f, g))
+        assert OpCoeffs(n, "MY", got) == op_mul(fm, gm), (n, f, g)
         fx, gx = convert_op_basis(fm, "XY"), convert_op_basis(gm, "XY")
         if len(fx.terms) * len(gx.terms) <= 5000:
-            assert bweyl.tables_operator(got, n) == op_mul(fx, gx), (n, f, g)
+            assert convert_op_basis(OpCoeffs(n, "MY", got), "XY") == op_mul(fx, gx), (n, f, g)
             seen["XY"] += 1
         for v in (f, g):
             seen["many indices"] += isinstance(v, dict) and 2 * len(v) > 1 << n
@@ -671,7 +679,7 @@ def test_monomial_product_forms_catches_xs_kernel_mutants(monkeypatch):
         for a, b in f:
             for c, d in g:
                 acc[b ^ d] = acc.get(b ^ d, 0) ^ (_below(b & c) << (a | (c & ~b)))
-        return bweyl._unpack(acc, 0)
+        return acc
 
     def wrong_shift(f, g):  # the left index shifted by a | c
         acc = {}
@@ -679,7 +687,7 @@ def test_monomial_product_forms_catches_xs_kernel_mutants(monkeypatch):
             for c, d in g:
                 if not a & b & c:
                     acc[b ^ d] = acc.get(b ^ d, 0) ^ (_below(b & c) << (a | c))
-        return bweyl._unpack(acc, 0)
+        return acc
 
     for n in (2, 3):
         assert checks.check_monomial_product_forms(n, 25, random.Random(0)).status == "PASS"
@@ -883,8 +891,10 @@ def test_text_form_matches_per_bit_spelling():
             terms = {(0, 0), (full, full), (0, full), (full, 0)}
             terms |= {(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)}
             f = OpCoeffs(n, basis, terms)
-            want = " + ".join(old_term_text(basis, a, b) for a, b in f.sorted_terms())
+            want = " + ".join(old_term_text(basis, a, b) for a, b in sorted(f.terms))
             assert op_text(f) == want
+            want = [[list(indices_from_mask(a)), list(indices_from_mask(b))] for a, b in sorted(f.terms)]
+            assert op_to_json(f)["terms"] == want
 
 
 def test_json_round_trip():
@@ -895,8 +905,10 @@ def test_json_round_trip():
 
 
 def test_sorted_terms_order():
+    # the text and JSON forms list the terms ascending on (left, right)
     f = OpCoeffs(2, "XY", [(2, 1), (1, 3), (1, 0)])
-    assert f.sorted_terms() == [(1, 0), (1, 3), (2, 1)]
+    assert op_text(f) == "x{1} + x{1}y{1,2} + x{2}y{1}"
+    assert op_to_json(f)["terms"] == [[[1], []], [[1], [1, 2]], [[2], [1]]]
 
 
 def test_text_round_trips_through_expression_parser():

@@ -386,6 +386,18 @@ def test_dense_operator_equivalence_in_bounded_time(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_dense_operator_text_in_bounded_time(capsys):
+    # P at n = 10 prints 1,047,552 XY terms, 29,340,160 bytes: written per
+    # left index from the packed rows, the bytes that the term-by-term writer
+    # printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", dense_operator(10), "-n", "10")
+    elapsed = time.perf_counter() - start
+    assert (code, err, len(out)) == (0, "", 29340160)
+    assert hashlib.sha256(out.encode()).hexdigest() == "4f3d9d5c7c2f83a9b577693f65bb6151fc95449fab6d2165cd4000baaec0ce0c"
+    assert elapsed < 3.0, elapsed
+
+
 def test_many_shift_indices_in_bounded_time_and_memory(capsys):
     # s{1..14} has a table at each of its 2^14 right indices, and n times
     # it has the table of n at each: equal tables are one int (held apart,

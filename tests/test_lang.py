@@ -804,10 +804,12 @@ def test_valuation_does_only_the_arithmetic_the_text_writes(text, products, sums
     counting(bweyl, "operator_tables")
     for name in ("op_mul", "op_add", "convert_op_basis"):
         monkeypatch.setattr(bweyl, name, refuse)
+    monkeypatch.setattr(lang, "convert_op_basis", refuse)
     value = lang._value(e, ctx)
     monkeypatch.undo()
     assert (calls["table_product"], calls["table_sum"], calls["table lifts"]) == (products, sums, table_lifts)
-    assert bweyl.tables_operator(bweyl.operator_tables(value), ctx.n) == reference_eval_quantum(e, ctx)
+    operator = OpCoeffs(ctx.n, "MY", bweyl.operator_tables(value))
+    assert convert_op_basis(operator, "XY") == reference_eval_quantum(e, ctx)
 
 
 def test_is_classical():
@@ -1022,23 +1024,22 @@ def distinct_block_pairs(p, q, low):
     return len(blocks)
 
 
+def my_rows(f):
+    """The MY rows of an operator in a Y basis: its MY tables {b: g}."""
+    return convert_op_basis(f, "MY").rows
+
+
 def entails_operators(p, q):
     """lang's decision on the MY tables of two operators in a Y basis."""
-    from boolweyl.bweyl import _left_tables
     from boolweyl.lang import _entails
 
-    return _entails(_left_tables(p), _left_tables(q), p.n)
-
-
-def my_operator(n, tables):
-    """The MY operator of tables {b: g}."""
-    return OpCoeffs(n, "MY", ((a, b) for b, g in tables.items() for a in iter_bits(g)))
+    return _entails(my_rows(p), my_rows(q), p.n)
 
 
 def test_block_route_matches_full_matrices_on_xy_pairs():
     # the derivatives of both operands touch the coordinates in `touched`;
     # the left indices are drawn over all of [n]
-    from boolweyl.bweyl import diagonal_block_rows
+    from boolweyl.bweyl import table_block_rows
 
     rng = random.Random(17)
     counts = Counter()
@@ -1056,7 +1057,7 @@ def test_block_route_matches_full_matrices_on_xy_pairs():
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         got = entails_operators(p, q)
         assert got == (solve_right(to_matrix(q), to_matrix(p)) is not None), (p, q)
-        sides = [side for side, _, _ in diagonal_block_rows(p, q)]
+        sides = [side for side, _, _ in table_block_rows(n, my_rows(p), my_rows(q))]
         cover = 0
         for a, b in p.terms | q.terms:
             cover |= b
@@ -1086,7 +1087,7 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     def counting_blocks(dim, pt, qt):
         blocks = list(table_block_rows(dim, pt, qt))
         if sys._getframe(1).f_code is lang._entails.__code__:
-            p, q = my_operator(dim, pt), my_operator(dim, qt)
+            p, q = OpCoeffs(dim, "MY", pt), OpCoeffs(dim, "MY", qt)
             distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
             calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
         return iter(blocks)
@@ -1105,7 +1106,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     # blocks before the failing one whole, and of that one only the rows up
     # to the first that reduces into the p-hat half
     from boolweyl import lang
-    from boolweyl.bweyl import diagonal_block_rows, table_block_rows
+    from boolweyl.bweyl import table_block_rows
     from boolweyl.gf2lin import _echelon
 
     reads = []  # [side, rows read] per block handed to the elimination
@@ -1139,7 +1140,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         reads.clear()
         got = entails_operators(p, q)
-        blocks = [(side, list(rows)) for side, rows, _ in diagonal_block_rows(p, q)]
+        blocks = [(side, list(rows)) for side, rows, _ in table_block_rows(n, my_rows(p), my_rows(q))]
         if got:
             assert reads == [[side, side] for side, _ in blocks], (p, q)
             continue

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from boolweyl.bweyl import OpCoeffs
+from boolweyl.bweyl import OpCoeffs, Rows
 from boolweyl.checks import CheckResult
 from boolweyl.gf2lin import Gf2Matrix
 from boolweyl.lang import Mono, One, Prod, Sum, TildeVar, Var, VarContext, Zero
@@ -22,7 +22,7 @@ PARTS = (Var("a"), TildeVar("b"), Mono("x", (1, 2)))
 VALUES = [
     (RingElem(2, "X", 5), (2, "X", 5), "RingElem(n=2, basis='X', bits=5)"),
     (Gf2Matrix((1, 2)), ((1, 2),), "Gf2Matrix(rows=(1, 2))"),
-    (OpCoeffs(1, "XY", {(0, 1)}), (1, "XY", frozenset({(0, 1)})), "OpCoeffs(n=1, basis='XY', terms=frozenset({(0, 1)}))"),
+    (OpCoeffs(1, "XY", {1: 1}), (1, "XY", Rows({1: 1})), "OpCoeffs(n=1, basis='XY', rows={1: 1})"),
     (VarContext(("a", "b")), (("a", "b"),), "VarContext(names=('a', 'b'))"),
     (Zero(), (), "Zero()"),
     (One(), (), "One()"),
@@ -111,6 +111,7 @@ def test_pickle_and_copy_give_back_an_equal_value(value):
         (lambda: RingElem(1, "Q", -1), "unknown ring basis 'Q'"),
         (lambda: RingElem(1, "M", 16), "coefficient vector out of range"),
         (lambda: RingElem(1, "M", -1), "coefficient vector out of range"),
+        (lambda: RingElem(2, "X", 0.5), "coefficient vector out of range"),
         (lambda: Gf2Matrix(()), "side must be a power of two, got 0"),
         (lambda: Gf2Matrix((0, 0, 0)), "side must be a power of two, got 3"),
         (lambda: Gf2Matrix((1, 4)), "row out of range for matrix side"),
@@ -119,6 +120,12 @@ def test_pickle_and_copy_give_back_an_equal_value(value):
         (lambda: OpCoeffs(1, "QQ", {(9, 9)}), "unknown operator basis 'QQ'"),
         (lambda: OpCoeffs(1, "XY", {(2, 0)}), "mask 2 out of range for n=1"),
         (lambda: OpCoeffs(1, "XY", {(0, -1)}), "mask -1 out of range for n=1"),
+        (lambda: OpCoeffs(2, "XY", [(0.5, 1)]), "mask 0.5 out of range for n=2"),
+        (lambda: OpCoeffs(2, "XY", {1: 0.5}), "row 1 out of range for n=2"),
+        (lambda: OpCoeffs(2, "XY", {0.5: 1}), "mask 0.5 out of range for n=2"),
+        (lambda: OpCoeffs(2, "XY", {4: 1}), "mask 4 out of range for n=2"),
+        (lambda: OpCoeffs(1, "XY", {0: 0b100}), "row 0 out of range for n=1"),
+        (lambda: OpCoeffs(1, "XY", {0: -1}), "row 0 out of range for n=1"),
         (lambda: VarContext(("a", "a")), "variable names must be distinct"),
         (lambda: VarContext(()), "dimension must be in [1, 16], got 0"),
         (lambda: Family(0, {(9, 9)}), "dimension must be in [1, 16], got 0"),
@@ -133,10 +140,28 @@ def test_validation_messages(make, message):
 
 
 def test_a_frozenset_argument_is_kept_as_is():
-    terms, members, plain = frozenset({(0, 1)}), frozenset({(1, 0)}), frozenset({1})
-    assert OpCoeffs(1, "XY", terms).terms is terms
+    members, plain = frozenset({(1, 0)}), frozenset({1})
     assert Family(1, members).members is members
     assert FamilyN(1, plain).members is plain
+
+
+def test_operator_rows_are_read_from_a_mapping_and_cannot_change():
+    # a mapping is rows {right: packed left}, zero rows dropped; anything else
+    # is (left, right) pairs, a repeated pair counted once
+    rows = {2: 0b10, 1: 0}
+    f = OpCoeffs(2, "XY", rows)
+    rows[3] = 1
+    assert f == OpCoeffs(2, "XY", [(1, 2), (1, 2)]) == OpCoeffs(2, "XY", {(1, 2)})
+    assert f.rows == {2: 0b10} and f.terms == {(1, 2)}
+    for change in (
+        lambda: f.rows.__setitem__(0, 1),
+        lambda: f.rows.pop(2),
+        lambda: f.rows.update({0: 1}),
+        lambda: f.rows.clear(),
+    ):
+        with pytest.raises(TypeError, match="operator rows cannot change"):
+            change()
+    assert f.rows == {2: 0b10}
 
 
 def test_sequence_fields_are_stored_as_tuples():
