@@ -183,9 +183,12 @@ def make_prod(parts: Sequence[Expr]) -> Expr:
     return Prod(tuple(parts))
 
 
+_ZERO, _ONE = Zero(), One()  # values are immutable: every tree may share them
+
+
 def _not(e: Expr) -> Expr:
     """The '!' sugar: !e = e + 1."""
-    return Sum((e, One()))
+    return Sum((e, _ONE))
 
 
 # --- lexer --------------------------------------------------------------------
@@ -256,26 +259,35 @@ def _set_elements(body: str, offset: int) -> tuple[int, ...]:
     return tuple(sorted(elements))
 
 
-def tokenize(src: str) -> list[Token]:
-    """Token stream for the expression grammar; whitespace separates."""
-    tokens: list[Token] = []
+def _lex(src: str) -> list[tuple]:
+    """The token stream as plain (kind, text, pos, value) tuples, ending in EOF.
+
+    The whole text is lexed first, so a lexing error anywhere wins over a
+    parse error before it."""
+    tokens = []
     for m in _TOKEN.finditer(src.rstrip()):
-        symbol, letter, body, close, word, other = m.groups()
-        if symbol:
-            tokens.append(Token(_SYMBOL_KINDS[symbol], symbol, m.start(1)))
-        elif letter:
+        group = m.lastindex  # the one alternative that matched
+        if group == 1:
+            symbol = m[1]
+            tokens.append((_SYMBOL_KINDS[symbol], symbol, m.start(1), None))
+        elif group == 4:
             start = m.start(2)
-            if not close:
+            if not m[4]:
                 raise LexError("unterminated set literal", start + 1)
-            value = (letter, _set_elements(body, start + 2))
-            tokens.append(Token("MONO", src[start : m.end()], start, value))
-        elif word and (word[0].isalpha() or word[0] == "_"):
-            tokens.append(Token("IDENT", word, m.start(5)))
+            value = (m[2], _set_elements(m[3], start + 2))
+            tokens.append(("MONO", src[start : m.end()], start, value))
+        elif group == 5 and (m[5][0].isalpha() or m[5][0] == "_"):
+            tokens.append(("IDENT", m[5], m.start(5), None))
         else:
-            pos = m.start(5 if word else 6)
+            pos = m.start(group)
             raise LexError(f"illegal character {src[pos]!r}", pos)
-    tokens.append(Token("EOF", "", len(src)))
+    tokens.append(("EOF", "", len(src), None))
     return tokens
+
+
+def tokenize(src: str) -> list[Token]:
+    """The token stream of _lex as Tokens; parse_text parses the plain tuples."""
+    return [Token._make(t) for t in _lex(src)]
 
 
 # --- parser -------------------------------------------------------------------
@@ -303,26 +315,31 @@ def _fold(levels: list[list[Expr]], level: int) -> list[Expr]:
     return levels[level]
 
 
-def parse(tokens: Sequence[Token]) -> Expr:
+def parse(tokens: Sequence[tuple]) -> Expr:
     """Parse a token stream into an expression tree, in one loop.
 
-    Each open parenthesis has a frame: the number of '!' pending before
-    it, and the open operand lists of the four levels.  An operator folds
-    the levels below its own into it; ')' folds every level, and the value,
-    under the saved '!'s, is the next factor of the enclosing frame.  EOF
-    closes the root frame.
+    The tokens are Tokens or plain (kind, text, pos, value) tuples, read
+    by position.  Each open parenthesis has a frame: the number of '!'
+    pending before it, and the open operand lists of the four levels.  An
+    operator folds the levels below its own into it; ')' folds every
+    level, and the value, under the saved '!'s, is the next factor of the
+    enclosing frame.  EOF closes the root frame.  Each leaf is built once
+    per parse, and every occurrence of it is that one object.
     """
     tokens = list(tokens)
-    if not tokens or tokens[-1].kind != "EOF":
-        end = tokens[-1].pos + len(tokens[-1].text) if tokens else 0
-        tokens.append(Token("EOF", "", end))
+    if not tokens or tokens[-1][0] != "EOF":
+        end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 0
+        tokens.append(("EOF", "", end, None))
     stream = iter(tokens)
+    # the leaves so far (a node is never false): a variable by name, a tilde
+    # variable by '~' and name, a monomial literal by its (letter, indices)
+    leaves: dict[str | tuple, Expr] = {}
     frames: list[tuple[int, list[list[Expr]]]] = []  # the enclosing frames
     bangs, levels = 0, [[], [], [], []]
     operand = True  # an operand is due: at the start, after '(', '!' or an operator
     while True:
         tok = next(stream)
-        kind = tok.kind
+        kind = tok[0]
         if not operand and kind not in _FACTOR_STARTS:  # else a juxtaposed factor follows
             if kind in _OPERATORS:
                 _fold(levels, _OPERATORS[kind])
@@ -330,11 +347,13 @@ def parse(tokens: Sequence[Token]) -> Expr:
                 continue
             if kind != ("RPAREN" if frames else "EOF"):
                 message = f"expected RPAREN, found {kind}" if frames else f"unexpected token {kind}"
-                raise ParseError(message, tok.pos)
+                raise ParseError(message, tok[2])
             expr = _COMBINE[0](_fold(levels, 0))
             if not frames:
                 return expr
             bangs, levels = frames.pop()
+        elif kind == "IDENT":
+            expr = leaves.get(tok[1]) or leaves.setdefault(tok[1], Var(tok[1]))
         elif kind == "BANG":
             bangs, operand = bangs + 1, True
             continue
@@ -343,21 +362,19 @@ def parse(tokens: Sequence[Token]) -> Expr:
             bangs, levels, operand = 0, [[], [], [], []], True
             continue
         elif kind == "ZERO":
-            expr = Zero()
+            expr = _ZERO
         elif kind == "ONE":
-            expr = One()
-        elif kind == "IDENT":
-            expr = Var(tok.text)
+            expr = _ONE
         elif kind == "MONO":
-            assert tok.value is not None
-            expr = Mono(*tok.value)
+            expr = leaves.get(tok[3]) or leaves.setdefault(tok[3], Mono(*tok[3]))
         elif kind == "TILDE":
             name = next(stream)
-            if name.kind != "IDENT":
-                raise ParseError(f"expected IDENT, found {name.kind}", name.pos)
-            expr = TildeVar(name.text)
+            if name[0] != "IDENT":
+                raise ParseError(f"expected IDENT, found {name[0]}", name[2])
+            key = "~" + name[1]
+            expr = leaves.get(key) or leaves.setdefault(key, TildeVar(name[1]))
         else:
-            raise ParseError(f"unexpected token {kind}", tok.pos)
+            raise ParseError(f"unexpected token {kind}", tok[2])
         for _ in range(bangs):
             expr = _not(expr)
         levels[3].append(expr)
@@ -365,7 +382,8 @@ def parse(tokens: Sequence[Token]) -> Expr:
 
 
 def parse_text(src: str) -> Expr:
-    return parse(tokenize(src))
+    """The expression tree of a text: parse of the whole text's lexed tuples."""
+    return parse(_lex(src))
 
 
 def format_expr(e: Expr) -> str:
@@ -438,14 +456,28 @@ class VarContext(Value):
 (_set_names,) = setters(VarContext)
 
 
-def _walk(e: Expr):
-    """Each node of the tree, in pre-order; iterative."""
-    stack = [e]
+def _scan(exprs: Iterable[Expr]) -> tuple[dict[str, None], int, bool]:
+    """The variable names in first-occurrence order, the largest monomial
+    index, and whether a tilde variable or a y or s literal appears: one
+    pre-order walk of the trees in turn, with an explicit stack."""
+    names: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
+    max_index, operator = 0, False
+    stack = list(exprs)[::-1]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Sum, Prod)):
-            stack.extend(reversed(node.parts))
+        node = pop()
+        cls = type(node)  # the node classes are not subclassed
+        if cls is Sum or cls is Prod:
+            push(node.parts[::-1])
+        elif cls is Var:
+            names[node.name] = None
+        elif cls is TildeVar:
+            names[node.name], operator = None, True
+        elif cls is Mono:
+            operator = operator or node.kind in ("y", "s")
+            if node.indices:
+                max_index = max(max_index, node.indices[-1])
+    return names, max_index, operator
 
 
 def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
@@ -454,14 +486,7 @@ def infer_context(exprs: Iterable[Expr], n: int | None = None) -> VarContext:
     The dimension grows to cover the largest monomial-literal index;
     padding positions get fresh names x<i>.
     """
-    names: dict[str, None] = {}  # insertion-ordered set: first occurrence wins
-    max_index = 0
-    for e in exprs:
-        for node in _walk(e):
-            if isinstance(node, (Var, TildeVar)):
-                names.setdefault(node.name)
-            elif isinstance(node, Mono) and node.indices:
-                max_index = max(max_index, node.indices[-1])
+    names, max_index, _ = _scan(exprs)
     want = max(len(names), max_index, 1)
     if n is not None:
         if n < want:
@@ -501,6 +526,7 @@ def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
     size = 1 << n
     tables = Tables(n)
     true = tables.true
+    var_tables: dict[str, int] = {}  # each variable's table, made at its first occurrence
 
     end = object()  # what next() gives once a frame's parts are used up
     # a frame per open Sum or Prod: its parts left, its value (None before the
@@ -510,23 +536,30 @@ def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
     parts, value, multiplies = iter((e,)), None, False
     while True:
         node = next(parts, end)
-        if node is end:  # the frame closes: its value is a part of the frame below
+        cls = type(node)  # the node classes are not subclassed
+        if cls is Var:
+            v = var_tables.get(node.name)
+            if v is None:  # the points at which the variable's bit is set
+                v = true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
+                var_tables[node.name] = v
+        elif cls is Sum or cls is Prod:
+            frames.append((parts, value, multiplies))
+            parts, value, multiplies = iter(node.parts), None, cls is Prod
+            continue
+        elif node is end:  # the frame closes: its value is a part of the frame below
             if value is None:  # no parts: the unit
                 value = true if multiplies else 0
             if not frames:
                 return value
             v = value
             parts, value, multiplies = frames.pop()
-        elif isinstance(node, Zero):
+        elif cls is Zero:
             v = 0
-        elif isinstance(node, One):
+        elif cls is One:
             v = true
-        elif isinstance(node, Var):
-            # the points at which the variable's bit is set
-            v = true ^ _block_mask(size, 1 << (ctx.position(node.name) - 1))
-        elif isinstance(node, TildeVar):
+        elif cls is TildeVar:
             v = {1 << (ctx.position(node.name) - 1): true}
-        elif isinstance(node, Mono):
+        elif cls is Mono:
             mask = _mono_mask(node, n)
             if node.kind == "y":
                 v = {mask: true}
@@ -534,15 +567,11 @@ def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
                 v = dict.fromkeys(submasks(mask), true)
             else:
                 v = _convert_bits(1 << mask, size, node.kind.upper(), "M")
-        elif isinstance(node, (Sum, Prod)):
-            frames.append((parts, value, multiplies))
-            parts, value, multiplies = iter(node.parts), None, isinstance(node, Prod)
-            continue
         else:
             raise TypeError(f"not an expression: {node!r}")
         if value is None:
             value = v
-        elif isinstance(value, int) and isinstance(v, int):
+        elif type(value) is int and type(v) is int:
             value = value & v if multiplies else value ^ v
         else:
             value = (table_product if multiplies else table_sum)(value, v, tables)
@@ -576,12 +605,7 @@ def eval_quantum(e: Expr, ctx: VarContext) -> OpCoeffs:
 
 def is_classical(e: Expr) -> bool:
     """True when the expression stays in the proposition language."""
-    for node in _walk(e):
-        if isinstance(node, TildeVar):
-            return False
-        if isinstance(node, Mono) and node.kind in ("y", "s"):
-            return False
-    return True
+    return not _scan((e,))[2]
 
 
 # --- equivalence and entailment -----------------------------------------------

@@ -405,6 +405,124 @@ def test_parse_agrees_with_reference_parser():
     assert seen == set(kinds)
 
 
+def lexer_test_texts():
+    """The texts of test_tokenize_agrees_with_reference_lexer, drawn alike."""
+    rng = random.Random("tokenize-differential")
+    corpus = LEX_PINNED + ["".join(rng.choices(LEX_ALPHABET, k=rng.randint(1, 10))) for _ in range(50_000)]
+    corpus += ["".join(random_lexeme(rng) for _ in range(rng.randint(1, 8))) for _ in range(50_000)]
+    return corpus
+
+
+def parser_test_texts():
+    """The texts of test_parse_agrees_with_reference_parser, drawn alike: each
+    with the position of the token that test drops from it, or None."""
+    rng = random.Random("parse-differential")
+    texts = [(text, None) for text in PARSE_PINNED]
+    for i in range(4000):
+        text = random_text(rng, rng.randint(1, 4), rng.randint(0, 5), quantum=i % 2 == 1)
+        texts.append((text, rng.randrange(len(tokenize(text)) - 1)))
+    for _ in range(6000):
+        texts.append((" ".join(rng.choices(GRAMMAR_PIECES, k=rng.randint(1, 12))), None))
+    return texts
+
+
+def front_end_outcome(route, src):
+    """The tree of a text, or the lexing or parse error's class, message and offset."""
+    try:
+        return route(src)
+    except LexError as err:
+        return type(err), str(err), err.offset
+    except ParseError as err:
+        return type(err), str(err), err.pos
+
+
+def test_plain_tuples_and_tokens_parse_alike():
+    # parse_text parses the plain tuples of _lex; parse(tokenize(s)) the Tokens made from them
+    from boolweyl.lang import _lex
+
+    parsed = parser_test_texts()
+    seen = Counter()
+    for text in lexer_test_texts() + [text for text, _ in parsed]:
+        outcome = front_end_outcome(parse_text, text)
+        assert outcome == front_end_outcome(lambda s: parse(tokenize(s)), text), text
+        seen[outcome[0].__name__ if isinstance(outcome, tuple) else "tree"] += 1
+    assert set(seen) == {"tree", "LexError", "ParseError"}
+    dropped = 0
+    for text, drop in parsed:
+        if drop is not None:
+            plain, tokens = _lex(text), tokenize(text)
+            assert all(type(t) is tuple for t in plain)
+            got = parse_outcome(parse, plain[:drop] + plain[drop + 1 :])
+            assert got == parse_outcome(parse, tokens[:drop] + tokens[drop + 1 :]), text
+            dropped += 1
+    assert dropped == 4000
+
+
+@pytest.mark.parametrize(("text", "offset"), (("a ) $", 4), ("(a $", 3), ("~~a $", 4)))
+def test_a_lexing_error_wins_over_an_earlier_parse_error(text, offset):
+    with pytest.raises(LexError, match=re.escape(f"illegal character '$' at offset {offset}")) as err:
+        parse_text(text)
+    assert err.value.offset == offset
+
+
+def dnf_text(disjuncts):
+    """A DNF over the 13 variables a..l, n: three literals per disjunct, the first negated."""
+    v = "abcdefghijkln"
+    return " | ".join(f"!{v[i % 13]} & {v[(i * 5 + 1) % 13]} & {v[(i * 7 + 2) % 13]}" for i in range(disjuncts))
+
+
+def test_the_front_end_makes_no_token(monkeypatch, capsys):
+    from boolweyl import cli, lang
+
+    text = dnf_text(2000)
+    tree = parse(tokenize(text))
+    assert cli.main(["eval", text]) == 0
+    printed = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a Token was made")
+
+    monkeypatch.setattr(lang, "Token", refuse)
+    assert parse_text(text) == tree
+    assert cli.main(["eval", text]) == 0
+    assert capsys.readouterr() == printed
+
+
+def test_the_walk_places_each_variable_once(monkeypatch):
+    from boolweyl import lang
+
+    e = parse_text(dnf_text(2000))
+    ctx = infer_context([e])
+    assert ctx.n == 13
+    calls = []
+    position = VarContext.position
+
+    def counting(self, name):
+        calls.append(name)
+        return position(self, name)
+
+    monkeypatch.setattr(VarContext, "position", counting)
+    value = lang._value(e, ctx)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(ctx.names)
+    assert value == lang._value(e, ctx)
+    # the first disjunct, !a & b & c, implies the DNF
+    first = lang._value(parse_text("!a & b & c"), ctx)
+    assert first & ~value == 0 and first != 0
+
+
+def test_each_leaf_is_built_once_per_parse():
+    nodes = list(reference_walk(parse_text("a b a | !a")))
+    a = [node for node in nodes if node == Var("a")]
+    ones = [node for node in nodes if node == One()]
+    assert len(a) == 3 and len({id(node) for node in a}) == 1
+    assert len(ones) == 4 and len({id(node) for node in ones}) == 1
+    nodes = list(reference_walk(parse_text("~a x{2,1} ~a x{1,2} a")))
+    assert len({id(node) for node in nodes if isinstance(node, TildeVar)}) == 1
+    assert len({id(node) for node in nodes if isinstance(node, Mono)}) == 1
+    assert Var("a") in nodes and TildeVar("a") in nodes
+
+
 def test_sugar_trees_hold_each_operand_once():
     p, q = Var("p"), Prod((Var("a"), Var("b")))
     assert parse_text("p | a b") == parse_text("!(!p & !(a b))")
@@ -556,6 +674,85 @@ def test_infer_context_rejects_many_names_in_linear_time():
 def test_infer_context_pads_around_taken_names():
     assert infer_context([parse_text("x2 b x2")], n=4).names == ("x2", "b", "x3", "x4")
     assert infer_context([parse_text("x3")], n=3).names == ("x3", "x2", "x3_")
+
+
+def reference_walk(e):
+    """Each node of the tree, in pre-order: the generator walk that infer_context used."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Sum, Prod)):
+            stack.extend(reversed(node.parts))
+
+
+def reference_infer_context(exprs, n=None):
+    """The generator-walk infer_context that the explicit-stack loop replaced, kept as its reference."""
+    names = {}
+    max_index = 0
+    for e in exprs:
+        for node in reference_walk(e):
+            if isinstance(node, (Var, TildeVar)):
+                names.setdefault(node.name)
+            elif isinstance(node, Mono) and node.indices:
+                max_index = max(max_index, node.indices[-1])
+    want = max(len(names), max_index, 1)
+    if n is not None:
+        if n < want:
+            raise EvalError(f"explicit n={n} too small; expression needs n>={want}")
+        want = n
+    while len(names) < want:
+        filler = f"x{len(names) + 1}"
+        while filler in names:
+            filler += "_"
+        names.setdefault(filler)
+    return VarContext(names)
+
+
+def reference_is_classical(e):
+    return not any(
+        isinstance(node, TildeVar) or isinstance(node, Mono) and node.kind in ("y", "s")
+        for node in reference_walk(e)
+    )
+
+
+def context_outcome(infer, exprs, n):
+    try:
+        ctx = infer(exprs, n)
+    except EvalError as err:
+        return str(err)
+    return ctx.names, ctx.n
+
+
+def with_monos(rng, e):
+    """The tree with about a quarter of its leaves replaced by random monomial literals."""
+    if isinstance(e, (Sum, Prod)):
+        return type(e)(tuple(with_monos(rng, part) for part in e.parts))
+    if rng.random() < 0.25:
+        return Mono(rng.choice("mxwys"), tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 3)))))
+    return e
+
+
+def test_infer_context_agrees_with_reference():
+    # the explicit stack must visit the trees, and each tree's parts, in order
+    rng = random.Random("infer-context-reference")
+    names = ("a", "b", "c", "x2", "x3", "x4_", "é")
+    outcomes = Counter()
+    for _ in range(3000):
+        exprs = [
+            with_monos(rng, checks.random_expr(rng, names, rng.randint(0, 4), quantum=rng.random() < 0.5))
+            for _ in range(rng.randint(1, 3))
+        ]
+        n = rng.choice((None, rng.randint(1, 10)))
+        outcome = context_outcome(infer_context, exprs, n)
+        assert outcome == context_outcome(reference_infer_context, exprs, n), (exprs, n)
+        outcomes[type(outcome)] += 1
+        assert [is_classical(e) for e in exprs] == [reference_is_classical(e) for e in exprs]
+    assert outcomes[str] > 100 and outcomes[tuple] > 1000
+    for text in ("(" * 100_000 + "a" + ")" * 100_000, "(a " * 100_000 + "a" + ")" * 100_000, "!" * 100_000 + "a"):
+        exprs = [parse_text(text)]
+        for n in (None, 1, 2):
+            assert context_outcome(infer_context, exprs, n) == context_outcome(reference_infer_context, exprs, n)
 
 
 # --- valuations -----------------------------------------------------------------
