@@ -48,23 +48,23 @@ The literal rules stay as oracles: structural_coeff_c here, and the
 battery's monomial-product-forms check for all four.
 
 to_matrix is the semantic anchor: every element maps to the matrix of
-the operator it denotes on M-basis coordinates, its rows written from
+the operator it denotes on M-basis coordinates, each row written from
 closed forms, and multiplication of coefficients must match
 multiplication of matrices bit for bit.  The products of generator
 matrices in diffops are the oracle these rows are checked against.
-table_block_rows writes the same rows from MY tables one diagonal block
-at a time, each block's rows of two operators side by side, built only
-as far as they are read; with all of [n] as block coordinates its one
-block is the two matrices of to_matrix.  It also places a matrix solved
-block by block back on M-basis coordinates, so a witness needs no full
-matrix.
+table_block_rows writes the same rows from MY tables with a row builder
+of its own, one diagonal block at a time, each block's rows of two
+operators side by side, built only as far as they are read; with all of
+[n] as block coordinates its one block is the two matrices of to_matrix,
+with which it shares no row code.  It also places a matrix solved block
+by block back on M-basis coordinates, so a witness needs no full matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial, reduce
-from operator import itemgetter, xor
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2lin import Gf2Matrix
@@ -290,11 +290,10 @@ def table_product(f: int | dict[int, int], g: int | dict[int, int], tables: Tabl
     c inside b - d, of (f_b . s^c d^(b-c) g_d) d^(c | d).  The b run down a
     binary trie of f's right indices, highest coordinate first, and a branch
     that takes coordinate i derives with _derive, so each node derives once;
-    a leaf ANDs its f_b into each table of its derivative of g."""
+    a leaf ANDs its f_b into each table of its derivative of g, XORed into the sum at once."""
     f, g, true = operator_tables(f), operator_tables(g), tables.true
     keys = sorted(f)
     out: dict[int, int] = {}
-    more: dict[int, list[int]] = {}  # the later parts of a key of out
     stack = [(0, len(keys), tables.n - 1, g)] if f else []  # keys[lo:hi] agree above i
     while stack:
         lo, hi, i, h = stack.pop()
@@ -309,28 +308,32 @@ def table_product(f: int | dict[int, int], g: int | dict[int, int], tables: Tabl
             h = _derive(h, j, tables)
         fb = f[keys[lo]]
         for c, t in h.items():
-            t = t if fb is true else fb if t is true else tables.hold(fb & t)
-            if t and c in out:
-                more.setdefault(c, []).append(t)
-            elif t:
-                out[c] = t
-    for c, ts in more.items():
-        t = reduce(xor, ts, out.pop(c))
-        if t:
-            out[c] = tables.hold(t)
+            t = t if fb is true else fb if t is true else fb & t
+            if c in out:
+                t ^= out.pop(c)
+            if t:
+                out[c] = tables.hold(t)
     return out
 
 
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
-    """Matrix of the operator on M-basis coordinates."""
+    """Matrix of the operator on M-basis coordinates, written row by row:
+    multiplication by g is diagonal there, so for each row {b: g} and each
+    bit r of g's M table, row r of s^b (the point r + b) or of d^b (the
+    submasks of b shifted by r & ~b) is XORed into row r."""
     size = 1 << f.n
-    shift = f.basis[1] == "S"
-    nbytes = (size + 7) >> 3
-    parts = [
-        (b if shift else _below(b), ~b, _convert_bits(left, size, f.basis[0], "M").to_bytes(nbytes, "little"))
-        for b, left in f.rows.items()
-    ]
-    return Gf2Matrix(list(_block_rows(parts, nbytes, min(size, 8), shift)))
+    left, derives = f.basis[0], f.basis[1] == "Y"
+    rows = [0] * size
+    for b, g in f.rows.items():
+        g = _convert_bits(g, size, left, "M")
+        if derives:
+            below, outside = _below(b), ~b
+            for r in iter_bits(g):
+                rows[r] ^= below << (r & outside)
+        else:
+            for r in iter_bits(g):
+                rows[r] ^= 1 << (r ^ b)
+    return Gf2Matrix(rows)
 
 
 def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
@@ -417,33 +420,20 @@ def table_block_rows(
         cosets.append(k)
         if len(cosets) == 1 and any(part != zero for part in key[:p_count]):
             parts = [(form, outside, part) for (form, outside, _), part in zip(tables, key) if part != zero]
-            yield side, _block_rows(parts, width, min(side, 8), shift=False), partial(place, cosets)
+            yield side, _block_rows(parts, width, min(side, 8)), partial(place, cosets)
 
 
-def _block_rows(
-    parts: list[tuple[int, int, bytes]], width: int, chunk_side: int, shift: bool
-) -> Iterator[int]:
-    """The rows of the sum of g * P^b over the parts (form, ~b, bytes of g),
-    P^b the shift or derivative power of b, 8 rows per byte of the tables
-    (fewer when there are fewer rows).
-
-    Multiplication by g is diagonal on M coordinates, so row r of P^b is
-    XORed into row r for every bit r of g.  Those rows have closed forms:
-    row r of s^b is the point r + b (form = b), and row r of d^b the points
-    (r - b) | t for every t subset of b, i.e. the submasks of b (form, one
-    packed table) shifted by r & ~b.
-    """
+def _block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: int) -> Iterator[int]:
+    """The rows of the sum of g d^b over the parts (form, ~b, bytes of g),
+    form the submasks of b shifted to the part's half of the augmented row,
+    8 rows per byte of the tables (fewer when there are fewer rows): for
+    every bit r of g, form shifted by r & ~b, row r of d^b, is XORed into row r."""
     for k in range(width):
         base = k << 3
         rows = [0] * chunk_side
         for form, outside, part in parts:
             byte = part[k]
-            if not byte:
-                continue
-            if shift:
-                for t in _LOW_BITS[byte]:
-                    rows[t] ^= 1 << ((base + t) ^ form)
-            else:
+            if byte:
                 for t in _LOW_BITS[byte]:
                     rows[t] ^= form << ((base + t) & outside)
         yield from rows

@@ -58,7 +58,7 @@ a full matrix.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .bweyl import (
     OpCoeffs,
@@ -194,13 +194,6 @@ def _not(e: Expr) -> Expr:
 # --- lexer --------------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-    value: tuple[str, tuple[int, ...]] | None = None
-
-
 _SYMBOL_KINDS = {
     "->": "ARROW",
     "+": "PLUS",
@@ -259,8 +252,9 @@ def _set_elements(body: str, offset: int) -> tuple[int, ...]:
     return tuple(sorted(elements))
 
 
-def _lex(src: str) -> list[tuple]:
-    """The token stream as plain (kind, text, pos, value) tuples, ending in EOF.
+def tokenize(src: str) -> list[tuple]:
+    """The lexer: the token stream as plain (kind, text, pos, value) tuples,
+    ending in EOF, which parse reads.
 
     The whole text is lexed first, so a lexing error anywhere wins over a
     parse error before it."""
@@ -283,11 +277,6 @@ def _lex(src: str) -> list[tuple]:
             raise LexError(f"illegal character {src[pos]!r}", pos)
     tokens.append(("EOF", "", len(src), None))
     return tokens
-
-
-def tokenize(src: str) -> list[Token]:
-    """The token stream of _lex as Tokens; parse_text parses the plain tuples."""
-    return [Token._make(t) for t in _lex(src)]
 
 
 # --- parser -------------------------------------------------------------------
@@ -318,13 +307,14 @@ def _fold(levels: list[list[Expr]], level: int) -> list[Expr]:
 def parse(tokens: Sequence[tuple]) -> Expr:
     """Parse a token stream into an expression tree, in one loop.
 
-    The tokens are Tokens or plain (kind, text, pos, value) tuples, read
-    by position.  Each open parenthesis has a frame: the number of '!'
-    pending before it, and the open operand lists of the four levels.  An
-    operator folds the levels below its own into it; ')' folds every
-    level, and the value, under the saved '!'s, is the next factor of the
-    enclosing frame.  EOF closes the root frame.  Each leaf is built once
-    per parse, and every occurrence of it is that one object.
+    The tokens are (kind, text, pos, value) tuples, as tokenize gives them,
+    read by position; a stream without EOF gets one just past its last
+    token.  Each open parenthesis has a frame: the number of '!' pending
+    before it, and the open operand lists of the four levels.  An operator
+    folds the levels below its own into it; ')' folds every level, and the
+    value, under the saved '!'s, is the next factor of the enclosing frame.
+    EOF closes the root frame.  Each leaf is built once per parse, and
+    every occurrence of it is that one object.
     """
     tokens = list(tokens)
     if not tokens or tokens[-1][0] != "EOF":
@@ -382,8 +372,8 @@ def parse(tokens: Sequence[tuple]) -> Expr:
 
 
 def parse_text(src: str) -> Expr:
-    """The expression tree of a text: parse of the whole text's lexed tuples."""
-    return parse(_lex(src))
+    """The expression tree of a text: parse of the whole text's tokens."""
+    return parse(tokenize(src))
 
 
 def format_expr(e: Expr) -> str:

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +52,6 @@ from boolweyl.lang import (
     parse_text,
     rewrite_rule_instance,
     REWRITE_RULE_NAMES,
-    Token,
     tokenize,
     valuation,
 )
@@ -62,7 +62,7 @@ from boolweyl.ring import RingElem, convert_ring_basis, iter_bits, mask_from_ind
 
 
 def kinds(src):
-    return [t.kind for t in tokenize(src)]
+    return [t[0] for t in tokenize(src)]
 
 
 def test_tokenize_basic():
@@ -86,9 +86,9 @@ def test_tokenize_error_offset():
 
 def test_tokenize_mono_literals():
     toks = tokenize("x{1,2}y{}")
-    assert [t.kind for t in toks] == ["MONO", "MONO", "EOF"]
-    assert toks[0].value == ("x", (1, 2))
-    assert toks[1].value == ("y", ())
+    assert [t[0] for t in toks] == ["MONO", "MONO", "EOF"]
+    assert toks[0][3] == ("x", (1, 2))
+    assert toks[1][3] == ("y", ())
     with pytest.raises(LexError):
         tokenize("x{1,")
     with pytest.raises(LexError):
@@ -100,7 +100,16 @@ def test_tokenize_refuses_a_set_element_too_long_to_convert():
     digits = "1" * (sys.get_int_max_str_digits() + 1)
     with pytest.raises(LexError, match="^set element too long at offset 4$"):
         tokenize("a x{1, " + digits + "}")
-    assert tokenize("x{50000}")[0].value == ("x", (50000,))
+    assert tokenize("x{50000}")[0][3] == ("x", (50000,))
+
+
+class Token(NamedTuple):
+    """A token of the reference lexer and parser; it equals the plain tuple."""
+
+    kind: str
+    text: str
+    pos: int
+    value: tuple[str, tuple[int, ...]] | None = None
 
 
 _REFERENCE_SYMBOLS = {
@@ -171,7 +180,7 @@ def reference_tokenize(src):
 def lex_outcome(lexer, src):
     """Each token's (kind, text, pos, value), or the error's class, message and offset."""
     try:
-        return [(t.kind, t.text, t.pos, t.value) for t in lexer(src)]
+        return [tuple(t) for t in lexer(src)]
     except LexError as err:
         return type(err), str(err), err.offset
 
@@ -285,7 +294,7 @@ class _ReferenceParser:
     """The recursive-descent parser that `parse` replaced, kept as its reference."""
 
     def __init__(self, tokens):
-        self.tokens = list(tokens)
+        self.tokens = [Token._make(t) for t in tokens]
         if not self.tokens or self.tokens[-1].kind != "EOF":
             self.tokens.append(Token("EOF", "", self.tokens[-1].pos if self.tokens else 0))
         self.i = 0
@@ -399,7 +408,7 @@ def test_parse_agrees_with_reference_parser():
     seen = set()
     for tokens in streams:
         outcome = parse_outcome(parse, tokens)
-        assert outcome == parse_outcome(reference_parse, tokens), [t.text for t in tokens]
+        assert outcome == parse_outcome(reference_parse, tokens), [t[1] for t in tokens]
         message = outcome[1] if isinstance(outcome, tuple) else "tree"
         seen.update(kind for kind in kinds if message.startswith(kind))
     assert seen == set(kinds)
@@ -437,23 +446,21 @@ def front_end_outcome(route, src):
 
 
 def test_plain_tuples_and_tokens_parse_alike():
-    # parse_text parses the plain tuples of _lex; parse(tokenize(s)) the Tokens made from them
-    from boolweyl.lang import _lex
-
+    # parse_text parses the plain tuples of tokenize; the reference front end
+    # lexes and parses Tokens
     parsed = parser_test_texts()
     seen = Counter()
     for text in lexer_test_texts() + [text for text, _ in parsed]:
         outcome = front_end_outcome(parse_text, text)
-        assert outcome == front_end_outcome(lambda s: parse(tokenize(s)), text), text
+        assert outcome == front_end_outcome(lambda s: reference_parse(reference_tokenize(s)), text), text
         seen[outcome[0].__name__ if isinstance(outcome, tuple) else "tree"] += 1
     assert set(seen) == {"tree", "LexError", "ParseError"}
     dropped = 0
     for text, drop in parsed:
         if drop is not None:
-            plain, tokens = _lex(text), tokenize(text)
-            assert all(type(t) is tuple for t in plain)
-            got = parse_outcome(parse, plain[:drop] + plain[drop + 1 :])
-            assert got == parse_outcome(parse, tokens[:drop] + tokens[drop + 1 :]), text
+            plain = tokenize(text)
+            stream = plain[:drop] + plain[drop + 1 :]
+            assert parse_outcome(parse, stream) == parse_outcome(reference_parse, stream), text
             dropped += 1
     assert dropped == 4000
 
@@ -471,21 +478,11 @@ def dnf_text(disjuncts):
     return " | ".join(f"!{v[i % 13]} & {v[(i * 5 + 1) % 13]} & {v[(i * 7 + 2) % 13]}" for i in range(disjuncts))
 
 
-def test_the_front_end_makes_no_token(monkeypatch, capsys):
-    from boolweyl import cli, lang
-
+def test_the_front_end_makes_no_token():
     text = dnf_text(2000)
-    tree = parse(tokenize(text))
-    assert cli.main(["eval", text]) == 0
-    printed = capsys.readouterr()
-
-    def refuse(*args):
-        raise AssertionError("a Token was made")
-
-    monkeypatch.setattr(lang, "Token", refuse)
-    assert parse_text(text) == tree
-    assert cli.main(["eval", text]) == 0
-    assert capsys.readouterr() == printed
+    tokens = tokenize(text)
+    assert all(type(t) is tuple for t in tokens)
+    assert parse_text(text) == parse(tokens)
 
 
 def test_the_walk_places_each_variable_once(monkeypatch):
@@ -1007,6 +1004,25 @@ def test_valuation_does_only_the_arithmetic_the_text_writes(text, products, sums
     assert (calls["table_product"], calls["table_sum"], calls["table lifts"]) == (products, sums, table_lifts)
     operator = OpCoeffs(ctx.n, "MY", bweyl.operator_tables(value))
     assert convert_op_basis(operator, "XY") == reference_eval_quantum(e, ctx)
+
+
+def test_the_table_product_sums_as_it_goes():
+    # (P)(P) with P = (a|...|i)(1+~a)...(1+~i) at n = 9: nearly every leaf of
+    # the product meets a derivative index already summed, so sums deferred
+    # to the end would hold one entry per leaf and index (2.5 MiB)
+    from boolweyl import lang
+
+    names = "abcdefghi"
+    p = "(" + "|".join(names) + ")" + "".join(f"(1+~{v})" for v in names)
+    e = parse_text(f"({p})({p})")
+    ctx = infer_context([e], 9)
+    tracemalloc.start()
+    try:
+        lang._value(e, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 19, peak  # 1.5 MiB
 
 
 def test_is_classical():
