@@ -2,15 +2,19 @@
 
 Exit codes: 0 for success (and entailment/equivalence "yes"), 1 for an
 entailment or equivalence "no", 2 for usage, parse or evaluation errors.
+
+The command line is read against one table, `COMMANDS` (each command's
+handler, summary, operands and options), by `read_argv`, with no parser
+library: it accepts the forms that the standard library's argument
+parser accepted, with the same meaning, and writes its usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
 from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
@@ -38,6 +42,8 @@ def _parse_operands(*args: str):
 def _print_value(value, fmt: str) -> None:
     """A ring element or an operator, as its text (its str) or as JSON."""
     if fmt == "json":
+        import json  # loaded only here: most calls write no JSON
+
         print(json.dumps(ring_to_json(value) if isinstance(value, RingElem) else op_to_json(value)))
     else:
         print(value)
@@ -129,62 +135,132 @@ def cmd_crosscheck(args) -> int:
     return 0 if tally["FAIL"] == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="boolweyl",
-        description="Exact algebra of Boolean functions and their differential operators over GF(2).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, *operands, **defaults):
-        p = sub.add_parser(name, help=summary)
-        for operand in operands:
-            p.add_argument(operand)
-        p.add_argument("-n", type=int, default=None, help="dimension (default: inferred)")
-        p.set_defaults(func=func, **defaults)
-        return p
-
-    def coefficients(p, basis_required=False):
-        # coefficients in a basis have no graph form: only matrices print as DOT
-        p.add_argument(
-            "--basis",
-            required=basis_required,
-            help="output basis: M/X/W for ring elements, MY/XY/WY/MS/XS/WS for operators",
-        )
-        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-
-    coefficients(command("eval", cmd_eval, "evaluate an expression ('-' reads stdin)", "expr"))
-    coefficients(command("mul", cmd_mul, "multiply two operator expressions", "lhs", "rhs"))
+# An option is (spelling, metavar, default, kind, help): kind is int, str, bool
+# for a flag, or the tuple of its choices; a default of ... makes it required.
+HELP = ("-h/--help", "", False, bool, "show this help and exit")
+N = ("-n", "N", None, int, "dimension (default: inferred)")
+BASIS = ("--basis", "BASIS", None, str, "output basis: M/X/W (ring elements), MY/XY/WY/MS/XS/WS (operators)")
+TO_BASIS = ("--basis", "BASIS", ..., str, BASIS[4])
+# coefficients in a basis have no graph form: only matrices print as DOT
+FORMAT = ("--format", "{text,json}", "text", ("text", "json"), "output format")
+GRAPH = ("--format", "{text,json,dot}", "text", ("text", "json", "dot"), "output format")
+WITNESS = ("--witness", "", False, bool, "print a witness matrix on yes")
+BATTERY = (
+    ("--n", "N", 3, int, "largest dimension (default 3)"),
+    ("--samples", "SAMPLES", 25, int, "samples per check (default 25)"),
+    ("--seed", "SEED", 0, int, "seed of the samples (default 0)"),
+)
+# name: (handler, summary, operands, options, fixed fields of the namespace)
+COMMANDS = {
+    "eval": (cmd_eval, "evaluate an expression ('-' reads stdin)", ("expr",), (N, BASIS, FORMAT), {}),
+    "mul": (cmd_mul, "multiply two operator expressions", ("lhs", "rhs"), (N, BASIS, FORMAT), {}),
     # the same operation as eval, with the basis spelled out
-    coefficients(
-        command("convert", cmd_eval, "rewrite an expression in another basis", "expr"),
-        basis_required=True,
-    )
-
-    p = command("entail", cmd_entail, "decide entailment p |- q", "p", "q")
-    p.add_argument("--witness", action="store_true", help="print a witness matrix on yes")
-    command("equiv", cmd_equiv, "decide equivalence of two expressions", "p", "q")
-    p = command("matrix", cmd_matrix, "matrix of an operator expression", "expr")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text", help="output format")
-    command("dot", cmd_matrix, "graph of an operator matrix in DOT form", "expr", format="dot")
-
-    p = sub.add_parser("crosscheck", help="run the invariant battery")
-    p.add_argument("--n", type=int, default=3, help="largest dimension (default 3)")
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_crosscheck)
-
-    return parser
+    "convert": (cmd_eval, "rewrite an expression in another basis", ("expr",), (N, TO_BASIS, FORMAT), {}),
+    "entail": (cmd_entail, "decide entailment p |- q", ("p", "q"), (N, WITNESS), {}),
+    "equiv": (cmd_equiv, "decide equivalence of two expressions", ("p", "q"), (N,), {}),
+    "matrix": (cmd_matrix, "matrix of an operator expression", ("expr",), (N, GRAPH), {}),
+    "dot": (cmd_matrix, "graph of an operator matrix in DOT form", ("expr",), (N,), {"format": "dot"}),
+    "crosscheck": (cmd_crosscheck, "run the invariant battery", (), BATTERY, {}),
+}
+COMMAND = ("command", "", None, tuple(COMMANDS), "")  # the first operand, read as a choice
+SUMMARY = "Exact algebra of Boolean functions and their differential operators over GF(2)."
+TOP = {"-h": HELP, "--help": HELP}  # the only options before the command
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a word that is an operand, not an option
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call and reused: parse_args leaves the parser unchanged
-    return build_parser()
+def _exit(name, message=None):
+    """A usage error exits 2; with no message, the help is printed and exits 0."""
+    _, summary, operands, options, _ = COMMANDS[name] if name else (None, SUMMARY, (), (), None)
+    prog = f"boolweyl {name}" if name else "boolweyl"
+    parts = [f"{o[0]} {o[1]}".rstrip() for o in options]
+    parts = [part if o[2] is ... else f"[{part}]" for part, o in zip(parts, options)] + list(operands)
+    usage = " ".join(("usage:", prog, "[-h]", *(parts if name else ["{%s} ..." % ",".join(COMMANDS)])))
+    if message is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
+    rows = [(c, COMMANDS[c][1]) for c in COMMANDS] if name is None else [(o, "") for o in operands]
+    rows += [(f"{o[0]} {o[1]}".replace("/", ", ").rstrip(), o[4]) for o in (*options, HELP)]
+    # one column for every help, past the widest option (--format {text,json,dot}); no terminal is asked
+    print(usage, "", summary, "", *(f"  {left:<26}{text}".rstrip() for left, text in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _classify(name, table, word):
+    """None for an operand, else (its option or None if unknown, the value written into the word)."""
+    if word in table:
+        return table[word], None
+    if len(word) < 2 or word[0] != "-" or word == "--":
+        return None
+    if word[1] == "-":  # --name, --name=value, or a prefix of a long option
+        spelling, eq, value = word.partition("=")
+        hits = [spelling] if spelling in table else [s for s in table if s.startswith(spelling)]
+        value = value if eq else None
+    else:  # -n5 or -n=5
+        hits, value = [word[:2]] if word[:2] in table else [], word[2:].removeprefix("=")
+    if len(hits) > 1:
+        _exit(name, f"ambiguous option: {word} could match {', '.join(hits)}")
+    if hits:
+        return table[hits[0]], value
+    return None if _NEGATIVE_NUMBER.match(word) or " " in word else (None, None)
+
+
+def _value(name, option, value):
+    """The value of an option from its text: a bare flag is True; -h/--help prints the help."""
+    spelling, _, _, kind, _ = option
+    if kind is bool and value is not None:
+        _exit(name, f"argument {spelling}: ignored explicit argument {value!r}")
+    if option is HELP:
+        _exit(name)
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _exit(name, f"argument {spelling}: invalid int value: {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        choices = ", ".join(map(repr, kind))
+        _exit(name, f"argument {spelling}: invalid choice: {value!r} (choose from {choices})")
+    return True if kind is bool else value
+
+
+def read_argv(argv):
+    """The namespace that the command's handler reads; a usage error exits 2, and help 0."""
+    at = 0  # up to the command, -h/--help is the only option
+    while at < len(argv) and (kind := _classify(None, TOP, argv[at])) is not None:
+        if kind[0] is HELP:
+            _value(None, *kind)  # prints the help, or refuses a value written into it
+        at += 1
+    if at == len(argv):
+        _exit(None, "the following arguments are required: command")
+    surplus, name = list(argv[:at]), _value(None, COMMAND, argv[at])
+    handler, _, operands, options, fixed = COMMANDS[name]
+    table = {**TOP, **{option[0]: option for option in options}}
+    words = argv[at + 1 :]
+    end = words.index("--") if "--" in words else len(words)
+    # Every word is classified before any is read, so an ambiguous prefix is reported first.
+    # The first "--" and the end of the words are classed "--": neither is an option's value.
+    kinds = [_classify(name, table, word) for word in words[:end]] + ["--"] + [None] * len(words)
+    fields, given, at = {option[0].lstrip("-"): option[2] for option in options}, [], 0
+    while at < len(words):
+        word, kind, at = words[at], kinds[at], at + 1
+        if kind is None or kind != "--" and kind[0] is None:
+            (given if kind is None and len(given) < len(operands) else surplus).append(word)
+        elif kind != "--":
+            option, value = kind
+            if value is None and option[3] is not bool:  # the value is the next word
+                if kinds[at] is not None:
+                    _exit(name, f"argument {option[0]}: expected one argument")
+                value, at = words[at], at + 1
+            fields[option[0].lstrip("-")] = _value(name, option, value)
+    missing = [*operands[len(given) :], *(o[0] for o in options if fields[o[0].lstrip("-")] is ...)]
+    if missing:
+        _exit(name, f"the following arguments are required: {', '.join(missing)}")
+    if surplus:
+        _exit(None, f"unrecognized arguments: {' '.join(surplus)}")
+    return SimpleNamespace(command=name, func=handler, **fields, **dict(zip(operands, given)), **fixed)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = read_argv(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit

@@ -1,5 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
+import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -527,9 +529,19 @@ def call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the vector
+        except SystemExit as exc:  # a usage error, or help
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv, *flags):
+    """Exit code, stdout and stderr of one `python [flags] -m boolweyl.cli argv` process."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "boolweyl.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 REPEATED_CALLS = (
@@ -548,21 +560,212 @@ REPEATED_CALLS = (
 )
 
 
-def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
-    cli._parser.cache_clear()
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    reused = [call(argv) for argv in REPEATED_CALLS * 2]
-    assert len(builds) == 1
-    fresh = []
-    for argv in REPEATED_CALLS * 2:
-        cli._parser.cache_clear()
-        fresh.append(call(argv))
-    assert reused == fresh
-    assert [code for code, _, _ in reused[: len(REPEATED_CALLS)]] == [
+def test_repeated_main_calls_match_fresh_processes():
+    # main keeps nothing between calls: a second pass in the same process, and
+    # one fresh interpreter per call (argv=None, read from sys.argv), answer alike
+    passes = [[call(argv) for argv in REPEATED_CALLS] for _ in range(2)]
+    assert passes[0] == passes[1]
+    for argv, (code, out, _) in zip(REPEATED_CALLS, passes[0]):
+        assert run_process(argv)[:2] == (code, out), argv
+    assert [code for code, _, _ in passes[0]] == [
         0, 2, 2, 0, 0, 2, 0, 0, 1, 2, 2, 0,
     ]
+
+
+@pytest.mark.parametrize("command", ("entail", "mul", "equiv"))
+def test_a_second_double_dash_is_an_operand(command):
+    # the first "--" ends the options, so the second is the text of the last operand
+    want = (2, "", "error: illegal character '-' at offset 0\n")
+    assert call([command, "a", "--", "--"]) == want
+    assert run_process([command, "a", "--", "--"]) == want
+
+
+def reference_parser():
+    """The command line as an argparse parser: the oracle that `cli.read_argv` is checked against."""
+    parser = argparse.ArgumentParser(
+        prog="boolweyl",
+        description="Exact algebra of Boolean functions and their differential operators over GF(2).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, summary, *operands, **defaults):
+        p = sub.add_parser(name, help=summary)
+        for operand in operands:
+            p.add_argument(operand)
+        p.add_argument("-n", type=int, default=None, help="dimension (default: inferred)")
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    def coefficients(p, basis_required=False):
+        p.add_argument(
+            "--basis",
+            required=basis_required,
+            help="output basis: M/X/W for ring elements, MY/XY/WY/MS/XS/WS for operators",
+        )
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+
+    coefficients(command("eval", cli.cmd_eval, "evaluate an expression ('-' reads stdin)", "expr"))
+    coefficients(command("mul", cli.cmd_mul, "multiply two operator expressions", "lhs", "rhs"))
+    coefficients(
+        command("convert", cli.cmd_eval, "rewrite an expression in another basis", "expr"),
+        basis_required=True,
+    )
+
+    p = command("entail", cli.cmd_entail, "decide entailment p |- q", "p", "q")
+    p.add_argument("--witness", action="store_true", help="print a witness matrix on yes")
+    command("equiv", cli.cmd_equiv, "decide equivalence of two expressions", "p", "q")
+    p = command("matrix", cli.cmd_matrix, "matrix of an operator expression", "expr")
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text", help="output format")
+    command("dot", cli.cmd_matrix, "graph of an operator matrix in DOT form", "expr", format="dot")
+
+    p = sub.add_parser("crosscheck", help="run the invariant battery")
+    p.add_argument("--n", type=int, default=3, help="largest dimension (default 3)")
+    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cli.cmd_crosscheck)
+
+    return parser
+
+
+# Words of the differential vectors.  None is "--", whose reads differ
+# between argparse versions; neither is "-hx" (argparse 3.13 prints the help,
+# 3.10-3.12 refuse the "x").
+DIFFERENTIAL_WORDS = (
+    "a", "a b", "-", "-n", "3", "-1", "x", "-n3", "-n=4", "--basis", "M", "--basis=QQ", "--format", "json",
+    "dot", "--form", "--for=json", "--witness", "--wit", "--n", "--samples", "--seed", "--s", "->", "-a",
+    "-x y", "--bogus", "-h", "--help", "--he", "--witness=1", "-1.5", "-n 5", "",
+)
+DIFFERENTIAL_OPTIONS = (
+    ["-n", "3"], ["-n", "-1"], ["-n3"], ["-n=4"], ["--basis", "M"], ["--basis=QQ"], ["--format", "json"],
+    ["--format", "dot"], ["--form", "json"], ["--for=json"], ["--witness"], ["--wit"], ["--n", "3"],
+    ["--samples", "3"], ["--seed", "-1"], ["--s", "3"],
+)
+
+
+def differential_argv(rng):
+    """A command (or "evl"), operands, options with their values and a few loose words, shuffled."""
+    command = rng.choice((*cli.COMMANDS, "evl"))
+    units = [[rng.choice(("a", "a b", "-", "x", "-1", "-x y"))] for _ in range(ARITY.get(command, 0))]
+    units += [rng.choice(DIFFERENTIAL_OPTIONS) for _ in range(rng.randrange(3))]
+    units += [[rng.choice(DIFFERENTIAL_WORDS)] for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    rng.shuffle(units)
+    argv = [word for unit in units for word in unit]
+    argv.insert(0 if rng.random() < 0.9 else rng.randrange(len(argv) + 1), command)
+    return argv
+
+
+def read_outcome(read, argv):
+    """("parsed", the namespace's fields), ("usage", None) or ("help", None); what the read prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "parsed", vars(read(argv))
+        except SystemExit as exc:
+            return {0: "help", 2: "usage"}[exc.code], None
+
+
+def test_reader_agrees_with_the_argparse_reference():
+    reference = reference_parser()
+    rng = random.Random("argv-differential")
+    outcomes = collections.Counter()
+    for _ in range(6000):
+        argv = differential_argv(rng)
+        assert "--" not in argv
+        want = read_outcome(reference.parse_args, argv)
+        assert read_outcome(cli.read_argv, argv) == want, argv
+        outcomes[want[0]] += 1
+    assert outcomes["parsed"] >= 0.2 * sum(outcomes.values())
+    assert outcomes["help"] and outcomes["usage"]
+
+
+TOP_USAGE = "usage: boolweyl [-h] {eval,mul,convert,entail,equiv,matrix,dot,crosscheck} ...\n"
+EVAL_USAGE = "usage: boolweyl eval [-h] [-n N] [--basis BASIS] [--format {text,json}] expr\n"
+CROSSCHECK_USAGE = "usage: boolweyl crosscheck [-h] [--n N] [--samples SAMPLES] [--seed SEED]\n"
+COMMAND_CHOICES = "'eval', 'mul', 'convert', 'entail', 'equiv', 'matrix', 'dot', 'crosscheck'"
+DASH_OPERAND = (2, "", "error: illegal character '-' at offset 0\n")
+# argv: (exit code, stdout, stderr), the usage errors as argparse wrote them
+PINNED_CALLS = {
+    (): (2, "", TOP_USAGE + "boolweyl: error: the following arguments are required: command\n"),
+    ("evl", "a"): (
+        2, "", TOP_USAGE + f"boolweyl: error: argument command: invalid choice: 'evl' (choose from {COMMAND_CHOICES})\n"
+    ),
+    ("entail", "a"): (
+        2,
+        "",
+        "usage: boolweyl entail [-h] [-n N] [--witness] p q\n"
+        "boolweyl entail: error: the following arguments are required: q\n",
+    ),
+    ("convert", "a"): (
+        2,
+        "",
+        "usage: boolweyl convert [-h] [-n N] --basis BASIS [--format {text,json}] expr\n"
+        "boolweyl convert: error: the following arguments are required: --basis\n",
+    ),
+    ("eval", "a", "--format", "dot"): (
+        2, "", EVAL_USAGE + "boolweyl eval: error: argument --format: invalid choice: 'dot' (choose from 'text', 'json')\n"
+    ),
+    ("eval", "a", "-n", "x"): (2, "", EVAL_USAGE + "boolweyl eval: error: argument -n: invalid int value: 'x'\n"),
+    ("eval", "a", "-n"): (2, "", EVAL_USAGE + "boolweyl eval: error: argument -n: expected one argument\n"),
+    ("crosscheck", "--s", "1"): (
+        2, "", CROSSCHECK_USAGE + "boolweyl crosscheck: error: ambiguous option: --s could match --samples, --seed\n"
+    ),
+    # every word is classified first: the ambiguous prefix, not --seed's missing value
+    ("crosscheck", "--seed", "--s"): (
+        2, "", CROSSCHECK_USAGE + "boolweyl crosscheck: error: ambiguous option: --s could match --samples, --seed\n"
+    ),
+    ("eval", "a", "b"): (2, "", TOP_USAGE + "boolweyl: error: unrecognized arguments: b\n"),
+    ("eval", "a", "--witness=1"): (2, "", TOP_USAGE + "boolweyl: error: unrecognized arguments: --witness=1\n"),
+    # the accepted forms
+    ("eval", "a", "-n5"): (0, "x{1}\n", ""),
+    ("eval", "a", "--basis", "X", "--basis", "M"): (0, "m{1}\n", ""),
+    ("eval", "a", "--basis", "-x y"): (2, "", "error: unknown basis '-x y'\n"),
+    ("eval", "a", "-n", "-1"): (2, "", "error: explicit n=-1 too small; expression needs n>=1\n"),
+    ("entail", "a b", "a", "--wit"): (0, "yes\n0000\n0000\n0000\n0001\n", ""),
+    # the first "--" ends the options: every later word is an operand
+    ("entail", "a", "--", "--"): DASH_OPERAND,
+    ("mul", "a", "--", "--"): DASH_OPERAND,
+    ("equiv", "a", "--", "--"): DASH_OPERAND,
+    ("eval", "--", "-n"): DASH_OPERAND,
+    ("eval", "-n", "2", "--", "a b"): (0, "x{1,2}\n", ""),
+    ("eval", "a", "--", "-n", "2"): (2, "", TOP_USAGE + "boolweyl: error: unrecognized arguments: -n 2\n"),
+    ("crosscheck", "--", "--s"): (2, "", TOP_USAGE + "boolweyl: error: unrecognized arguments: --s\n"),
+    ("eval", "-n", "--", "a"): (2, "", EVAL_USAGE + "boolweyl eval: error: argument -n: expected one argument\n"),
+    ("--", "eval", "a"): (
+        2, "", TOP_USAGE + f"boolweyl: error: argument command: invalid choice: '--' (choose from {COMMAND_CHOICES})\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_CALLS)
+def test_pinned_answers(argv):
+    assert call(list(argv)) == PINNED_CALLS[argv]
+
+
+@pytest.mark.parametrize("argv", (["-h"], ["--he"], ["--bogus", "--help", "evl"], *([c, "-h"] for c in cli.COMMANDS)))
+def test_help_is_written_from_the_table(argv, monkeypatch):
+    name = argv[0] if argv[0] in cli.COMMANDS else None
+    _, summary, operands, options, _ = cli.COMMANDS[name] if name else (None, cli.SUMMARY, (), (), None)
+    code, out, err = call(argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == (call([name, options[0][0]])[2] if name else TOP_USAGE).splitlines()[0]  # an error's usage
+    assert lines[1:4] == ["", summary, ""]
+    # one line per command (at the top) or operand, then one per option, with its help
+    rows = [(command, spec[1]) for command, spec in cli.COMMANDS.items()] if name is None else [(o, "") for o in operands]
+    rows += [(f"{o[0]} {o[1]}".replace("/", ", ").strip(), o[4]) for o in (*options, cli.HELP)]
+    assert len(lines) == 4 + len(rows)
+    for line, (left, text) in zip(lines[4:], rows):
+        assert line.startswith(f"  {left}") and line.endswith(text), line
+    monkeypatch.setenv("COLUMNS", "20")  # the layout is fixed, whatever the terminal
+    assert call(argv) == (0, out, "")
+
+
+def test_a_call_loads_no_parser_library_and_no_json():
+    # -X importtime lists every module the call imports; -S leaves out site's
+    code, out, err = run_process(["eval", "a b + a"], "-S", "-X", "importtime")
+    assert (code, out) == (0, "x{1} + x{1,2}\n")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")}
+    assert "boolweyl.lang" in loaded
+    assert not loaded & {"argparse", "json", "gettext", "locale", "shutil"}
 
 
 # A proposition "a | b" and an operator "a ~b + 1" through every route that
@@ -737,7 +940,7 @@ def test_cli_fuzz_exit_codes(command, exprs, exact_arity, flags, stdin):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejects the vector
+            except SystemExit as exc:  # a usage error
                 code = exc.code
     finally:
         sys.stdin = saved_stdin
