@@ -7,6 +7,7 @@ The command line is read against one table, `COMMANDS` (each command's
 handler, summary, operands and options), by `read_argv`, with no parser
 library: it accepts the forms that the standard library's argument
 parser accepted, with the same meaning, and writes its usage errors.
+`main` answers one call in process; `entry` runs it as a whole process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import re
 import sys
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
 from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
@@ -260,8 +262,9 @@ def read_argv(argv):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = read_argv(sys.argv[1:] if argv is None else argv)
     try:
+        # help is printed inside the guard too: its reader may have gone
+        args = read_argv(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
@@ -274,5 +277,35 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """Run `main` as the whole process: `python -m boolweyl.cli` and the `boolweyl` script.
+
+    A closed standard stream reads and writes as os.devnull.  Both output
+    streams are flushed, and one that refuses its output exits 2.  Then
+    `os._exit` ends the process with no interpreter teardown, which would
+    only free what the exiting process gives back anyway.  An exception
+    that escapes `main` takes the normal path: its traceback, and exit 1.
+    """
+    for name, mode in (("stdin", "r"), ("stdout", "w"), ("stderr", "w")):
+        if getattr(sys, name) is None:  # its descriptor was closed
+            setattr(sys, name, open(os.devnull, mode))
+    try:
+        # a wrapper script can leave a read-only file on a closed descriptor 2,
+        # and such a descriptor refuses even an empty write
+        os.write(sys.stderr.fileno(), b"")
+    except OSError:
+        sys.stderr = open(os.devnull, "w")
+    try:
+        code = main()
+    except SystemExit as exc:  # help, or a usage error
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # e.g. the reader closed the pipe
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import argparse
+import ast
 import collections
 import contextlib
 import hashlib
@@ -534,13 +535,16 @@ def call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv, *flags):
-    """Exit code, stdout and stderr of one `python [flags] -m boolweyl.cli argv` process."""
+def run_process(argv, *flags, redirect=None):
+    """Exit code, stdout and stderr of one `python [flags] -m boolweyl.cli argv` process,
+    started by sh with the redirection `redirect` (such as `<&-`) when one is given."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "boolweyl.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is buffered, as in a user's call, unless flags hold -u
+    cmd = [sys.executable, *flags, "-m", "boolweyl.cli", *argv]
+    if redirect is not None:
+        cmd = ["sh", "-c", f'exec "$@" {redirect}', "sh", *cmd]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -578,6 +582,83 @@ def test_a_second_double_dash_is_an_operand(command):
     want = (2, "", "error: illegal character '-' at offset 0\n")
     assert call([command, "a", "--", "--"]) == want
     assert run_process([command, "a", "--", "--"]) == want
+
+
+@pytest.mark.parametrize(
+    "closed, null, argv, code",
+    (
+        ("<&-", "</dev/null", ["eval", "-"], 2),
+        (">&-", ">/dev/null", ["eval", "a"], 0),
+        ("2>&-", "2>/dev/null", ["eval", "a +"], 2),
+        # a descriptor 2 open for reading only, as a wrapper script can leave it
+        ("2</dev/null", "2>/dev/null", ["eval", "a +"], 2),
+    ),
+)
+def test_a_closed_standard_stream_answers_as_dev_null(closed, null, argv, code):
+    answer = run_process(argv, redirect=closed)
+    assert answer == run_process(argv, redirect=null)
+    assert answer[0] == code and "Traceback" not in answer[1] + answer[2]
+
+
+@pytest.mark.parametrize("flags", ((), ("-u",)), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (["--help"], ["eval", "--help"], ["eval", "a"]))
+def test_output_into_a_pipe_closed_before_the_start(argv, flags):
+    # buffered, the write fails at the last flush; unbuffered, at the first print
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "boolweyl.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("argv", (["matrix", "a ~b", "-n", "9"], ["--help"], ["eval", "--help"]))
+def test_process_output_arrives_whole_through_a_pipe(argv):
+    # the process ends with os._exit, so what is still buffered must be flushed first
+    answer = run_process(argv)
+    assert answer == call(argv)
+    assert len(answer[1]) > (262_000 if argv[0] == "matrix" else 100)
+
+
+def test_an_exception_escaping_main_prints_its_traceback():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys\n"
+        "from boolweyl import cli\n"
+        "def boom(args):\n"
+        "    print('partial')\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.COMMANDS['eval'] = (boom, *cli.COMMANDS['eval'][1:])\n"
+        "sys.argv = ['boolweyl', 'eval', 'a']\n"
+        "cli.entry()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "partial\n")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: boom\n")
+
+
+def test_the_script_and_the_module_run_one_entry_point():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        scripts = f.read().partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    [(module, name)] = [line.split('"')[1].split(":") for line in scripts.splitlines() if line.strip()]
+    assert (module, getattr(cli, name)) == ("boolweyl.cli", cli.entry)
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    [block] = [node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    {name}()"
 
 
 def reference_parser():
