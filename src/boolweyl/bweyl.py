@@ -65,9 +65,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gf2lin import Gf2Matrix
 from .ring import (
     _LOW_BITS,
     _block_mask,
@@ -83,6 +82,9 @@ from .ring import (
     submasks,
 )
 from .value import Value, setters
+
+if TYPE_CHECKING:  # gf2lin is imported where a matrix is made
+    from .gf2lin import Gf2Matrix
 
 OP_BASES = ("MY", "XY", "WY", "MS", "XS", "WS")
 
@@ -236,9 +238,9 @@ class Tables:
 
     __slots__ = ("n", "true", "_held", "_moves")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, true: int) -> None:
         self.n = n
-        self.true = (1 << (1 << n)) - 1  # the table of 1
+        self.true = true  # the table of 1, (1 << 2^n) - 1: the walk's own object, tested by identity
         self._held = {self.true: self.true}
         self._moves: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -321,6 +323,8 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
     multiplication by g is diagonal there, so for each row {b: g} and each
     bit r of g's M table, row r of s^b (the point r + b) or of d^b (the
     submasks of b shifted by r & ~b) is XORed into row r."""
+    from . import gf2lin
+
     size = 1 << f.n
     left, derives = f.basis[0], f.basis[1] == "Y"
     rows = [0] * size
@@ -333,7 +337,7 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
         else:
             for r in iter_bits(g):
                 rows[r] ^= 1 << (r ^ b)
-    return Gf2Matrix(rows)
+    return gf2lin.Gf2Matrix(rows)
 
 
 def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:

@@ -18,8 +18,6 @@ import sys
 from types import SimpleNamespace
 from typing import NoReturn
 
-from .bweyl import convert_op_basis, op_to_json, to_matrix, OP_BASES
-from .gf2lin import matrix_dot_lines, matrix_json_chunks, matrix_text_lines
 from .lang import (
     LangError,
     Prod,
@@ -36,17 +34,23 @@ from .ring import MAX_DIM, RING_BASES, RingElem, convert_ring_basis, ring_to_jso
 
 
 def _parse_operands(*args: str):
-    """The parsed operands; stdin is read once, and every '-' is its text."""
-    stdin = sys.stdin.read() if "-" in args else ""
+    """The parsed operands; stdin is read once, and every '-' is its text.
+    A stdin that refuses reading (open for writing only) reads as os.devnull."""
+    stdin = ""
+    if "-" in args:
+        try:
+            stdin = sys.stdin.read()
+        except OSError:
+            pass
     return [parse_text(stdin if arg == "-" else arg) for arg in args]
 
 
-def _print_value(value, fmt: str) -> None:
-    """A ring element or an operator, as its text (its str) or as JSON."""
+def _print_value(value, fmt: str, to_json) -> None:
+    """A ring element or an operator, as its text (its str) or as JSON (to_json's document)."""
     if fmt == "json":
         import json  # loaded only here: most calls write no JSON
 
-        print(json.dumps(ring_to_json(value) if isinstance(value, RingElem) else op_to_json(value)))
+        print(json.dumps(to_json(value)))
     else:
         print(value)
 
@@ -66,21 +70,26 @@ def cmd_eval(args) -> int:
     if basis in RING_BASES:
         if not proposition:
             raise LangError("operator expression cannot convert to a ring basis")
-        _print_value(convert_ring_basis(value, basis), args.format)
-    elif basis in OP_BASES:
-        _print_value(convert_op_basis(as_operator(value), basis), args.format)
-    else:
+        _print_value(convert_ring_basis(value, basis), args.format, ring_to_json)
+        return 0
+    from . import bweyl  # only an operator path loads bweyl
+
+    if basis not in bweyl.OP_BASES:
         raise LangError(f"unknown basis {basis!r}")
+    _print_value(bweyl.convert_op_basis(as_operator(value), basis), args.format, bweyl.op_to_json)
     return 0
 
 
 def cmd_mul(args) -> int:
     lhs, rhs = _parse_operands(args.lhs, args.rhs)
     ctx = infer_context([lhs, rhs], args.n)
+    from . import bweyl
+
     basis = args.basis if args.basis is not None else "XY"
-    if basis not in OP_BASES:
+    if basis not in bweyl.OP_BASES:
         raise LangError(f"basis {basis!r} does not name an operator basis")
-    _print_value(convert_op_basis(eval_quantum(Prod((lhs, rhs)), ctx), basis), args.format)
+    product = bweyl.convert_op_basis(eval_quantum(Prod((lhs, rhs)), ctx), basis)
+    _print_value(product, args.format, bweyl.op_to_json)
     return 0
 
 
@@ -91,7 +100,9 @@ def cmd_entail(args) -> int:
     yes = witness is not None if args.witness else entails_quantum(p, q, ctx)
     print("yes" if yes else "no")
     if witness is not None:
-        _print_lines(matrix_text_lines(witness))
+        from . import gf2lin
+
+        _print_lines(gf2lin.matrix_text_lines(witness))
     return 0 if yes else 1
 
 
@@ -106,14 +117,16 @@ def cmd_equiv(args) -> int:
 def cmd_matrix(args) -> int:
     [expr] = _parse_operands(args.expr)
     ctx = infer_context([expr], args.n)
-    m = to_matrix(eval_quantum(expr, ctx))
+    from . import bweyl, gf2lin
+
+    m = bweyl.to_matrix(eval_quantum(expr, ctx))
     if args.format == "dot":
-        _print_lines(matrix_dot_lines(m))
+        _print_lines(gf2lin.matrix_dot_lines(m))
     elif args.format == "json":
-        sys.stdout.writelines(matrix_json_chunks(m))
+        sys.stdout.writelines(gf2lin.matrix_json_chunks(m))
         print()
     else:
-        _print_lines(matrix_text_lines(m))
+        _print_lines(gf2lin.matrix_text_lines(m))
     return 0
 
 
@@ -170,6 +183,16 @@ TOP = {"-h": HELP, "--help": HELP}  # the only options before the command
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a word that is an operand, not an option
 
 
+def _write_error(text: str) -> None:
+    """Write a usage or error message.  The call exits 2 whether or not it
+    arrives: a stderr that refuses it (a pipe closed early) is left as it is."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _exit(name, message=None):
     """A usage error exits 2; with no message, the help is printed and exits 0."""
     _, summary, operands, options, _ = COMMANDS[name] if name else (None, SUMMARY, (), (), None)
@@ -178,7 +201,7 @@ def _exit(name, message=None):
     parts = [part if o[2] is ... else f"[{part}]" for part, o in zip(parts, options)] + list(operands)
     usage = " ".join(("usage:", prog, "[-h]", *(parts if name else ["{%s} ..." % ",".join(COMMANDS)])))
     if message is not None:
-        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+        _write_error(f"{usage}\n{prog}: error: {message}\n")
         raise SystemExit(2)
     rows = [(c, COMMANDS[c][1]) for c in COMMANDS] if name is None else [(o, "") for o in operands]
     rows += [(f"{o[0]} {o[1]}".replace("/", ", ").rstrip(), o[4]) for o in (*options, HELP)]
@@ -269,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except ValueError as exc:  # LangError included
-        print(f"error: {exc}", file=sys.stderr)
+        _write_error(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
         # the reader closed the pipe (e.g. `| head`): drop the rest of the output

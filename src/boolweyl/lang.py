@@ -58,19 +58,8 @@ a full matrix.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
-from .bweyl import (
-    OpCoeffs,
-    Tables,
-    _transpose,
-    convert_op_basis,
-    operator_tables,
-    table_block_rows,
-    table_product,
-    table_sum,
-)
-from .gf2lin import ColumnSolver, Gf2Matrix
 from .ring import (
     RingElem,
     _block_mask,
@@ -82,6 +71,10 @@ from .ring import (
     submasks,
 )
 from .value import Value, setters
+
+if TYPE_CHECKING:  # bweyl and gf2lin are imported where they are used: a proposition needs neither
+    from .bweyl import OpCoeffs
+    from .gf2lin import Gf2Matrix
 
 
 class LangError(ValueError):
@@ -503,7 +496,9 @@ def _mono_mask(mono: Mono, n: int) -> int:
 def as_operator(value: RingElem | OpCoeffs) -> OpCoeffs:
     """The XY operator of a valuation: a proposition multiplies by its truth function."""
     if isinstance(value, RingElem):
-        return OpCoeffs(value.n, "XY", {0: convert_ring_basis(value, "X").bits})
+        from . import bweyl
+
+        return bweyl.OpCoeffs(value.n, "XY", {0: convert_ring_basis(value, "X").bits})
     return value
 
 
@@ -514,8 +509,8 @@ def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
     table_product combine.  A sum or product starts from its first part."""
     n = ctx.n
     size = 1 << n
-    tables = Tables(n)
-    true = tables.true
+    true = (1 << size) - 1  # the table of 1
+    tables = None  # what the operators share: made at the first operator sum or product
     var_tables: dict[str, int] = {}  # each variable's table, made at its first occurrence
 
     end = object()  # what next() gives once a frame's parts are used up
@@ -564,7 +559,11 @@ def _value(e: Expr, ctx: VarContext) -> int | dict[int, int]:
         elif type(value) is int and type(v) is int:
             value = value & v if multiplies else value ^ v
         else:
-            value = (table_product if multiplies else table_sum)(value, v, tables)
+            if tables is None:  # Tables must hold this walk's true: table_product tests identity
+                from . import bweyl
+
+                tables = bweyl.Tables(n, true)
+            value = (bweyl.table_product if multiplies else bweyl.table_sum)(value, v, tables)
 
 
 def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
@@ -573,7 +572,9 @@ def valuation(e: Expr, ctx: VarContext) -> RingElem | OpCoeffs:
     value = _value(e, ctx)
     if isinstance(value, int):
         return RingElem(ctx.n, "M", value)
-    return convert_op_basis(OpCoeffs(ctx.n, "MY", value), "XY")
+    from . import bweyl
+
+    return bweyl.convert_op_basis(bweyl.OpCoeffs(ctx.n, "MY", value), "XY")
 
 
 def eval_classical(e: Expr, ctx: VarContext) -> RingElem:
@@ -607,7 +608,9 @@ def equivalent(p: Expr, q: Expr, ctx: VarContext) -> bool:
     MY is a basis, and a proposition denotes multiplication by its truth
     table, so two propositions are compared on their truth tables.
     """
-    return operator_tables(_value(p, ctx)) == operator_tables(_value(q, ctx))
+    from . import bweyl
+
+    return bweyl.operator_tables(_value(p, ctx)) == bweyl.operator_tables(_value(q, ctx))
 
 
 def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool:
@@ -625,9 +628,11 @@ def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool
     """
     if isinstance(pv, int) and isinstance(qv, int):
         return pv & ~qv == 0
+    from . import bweyl, gf2lin
+
     return all(
-        ColumnSolver(side, rows).solvable()
-        for side, rows, _ in table_block_rows(n, operator_tables(pv), operator_tables(qv))
+        gf2lin.ColumnSolver(side, rows).solvable()
+        for side, rows, _ in bweyl.table_block_rows(n, bweyl.operator_tables(pv), bweyl.operator_tables(qv))
     )
 
 
@@ -655,17 +660,19 @@ def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
     both, so each distinct block of it is solved once, on the blocks that
     decide the entailment, and placed on every coset that shares it.
     """
+    from . import bweyl, gf2lin
+
     solved = []
-    pt, qt = operator_tables(_value(p, ctx)), operator_tables(_value(q, ctx))
-    for side, rows, place in table_block_rows(ctx.n, pt, qt):
-        block = ColumnSolver(side, rows).solve()
+    pt, qt = bweyl.operator_tables(_value(p, ctx)), bweyl.operator_tables(_value(q, ctx))
+    for side, rows, place in bweyl.table_block_rows(ctx.n, pt, qt):
+        block = gf2lin.ColumnSolver(side, rows).solve()
         if block is None:
             return None
         solved.append((place, block.rows))
     r = [0] * (1 << ctx.n)
     for place, block in solved:  # placed once every coset has joined its block
         place(block, r)
-    return Gf2Matrix(r)
+    return gf2lin.Gf2Matrix(r)
 
 
 # --- normalization ------------------------------------------------------------
@@ -678,14 +685,10 @@ def normalize(e: Expr, ctx: VarContext) -> Expr:
     pair; inside a term, plain variables precede tilde variables, each
     in position order.  Idempotent, and equivalent to the input.
     """
-    op = eval_quantum(e, ctx)
-    if not op.rows:
-        return Zero()
     parts: list[Expr] = []
-    for a, rights in sorted(_transpose(op.rows).items(), reverse=True):
+    for a, b in sorted(eval_quantum(e, ctx).terms, reverse=True):
         plain = [Var(ctx.names[i]) for i in iter_bits(a)]
-        for b in reversed(iter_bits(rights)):
-            parts.append(make_prod(plain + [TildeVar(ctx.names[i]) for i in iter_bits(b)]))
+        parts.append(make_prod(plain + [TildeVar(ctx.names[i]) for i in iter_bits(b)]))
     return make_sum(parts)
 
 

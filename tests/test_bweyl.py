@@ -654,7 +654,7 @@ def test_table_product_matches_op_mul_on_random_pairs():
     seen = Counter()
     for trial in range(2400):
         n = 1 + trial % 6
-        tables = bweyl.Tables(n)
+        tables = bweyl.Tables(n, (1 << (1 << n)) - 1)
         f, g = random_tables(rng, tables), random_tables(rng, tables)
         got = bweyl.table_product(f, g, tables)
         assert all(got.values())

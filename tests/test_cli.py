@@ -122,8 +122,7 @@ def test_entail_at_n16_builds_no_full_matrix(capsys, monkeypatch):
 
     from boolweyl import bweyl
 
-    for module in (bweyl, cli):
-        monkeypatch.setattr(module, "to_matrix", refuse)
+    monkeypatch.setattr(bweyl, "to_matrix", refuse)
     assert run(capsys, "entail", "~a a", "1", "-n", "16") == (0, "yes\n", "")
     assert run(capsys, "entail", "~a a", "~b", "-n", "16") == (1, "no\n", "")
 
@@ -535,17 +534,18 @@ def call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(argv, *flags, redirect=None):
+def run_process(argv, *flags, redirect=None, stderr=subprocess.PIPE):
     """Exit code, stdout and stderr of one `python [flags] -m boolweyl.cli argv` process,
-    started by sh with the redirection `redirect` (such as `<&-`) when one is given."""
+    started by sh with the redirection `redirect` (such as `<&-`) when one is given.
+    Given a descriptor for stderr, the process writes there, and its stderr reads ''."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("PYTHONUNBUFFERED", None)  # stdout is buffered, as in a user's call, unless flags hold -u
     cmd = [sys.executable, *flags, "-m", "boolweyl.cli", *argv]
     if redirect is not None:
         cmd = ["sh", "-c", f'exec "$@" {redirect}', "sh", *cmd]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
-    return proc.returncode, proc.stdout, proc.stderr
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=stderr, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr or ""
 
 
 REPEATED_CALLS = (
@@ -584,6 +584,10 @@ def test_a_second_double_dash_is_an_operand(command):
     assert run_process([command, "a", "--", "--"]) == want
 
 
+# stderr on a pipe whose reader closed before the start, which no sh redirection makes
+EARLY_CLOSED_PIPE = "2>pipe"
+
+
 @pytest.mark.parametrize(
     "closed, null, argv, code",
     (
@@ -592,10 +596,22 @@ def test_a_second_double_dash_is_an_operand(command):
         ("2>&-", "2>/dev/null", ["eval", "a +"], 2),
         # a descriptor 2 open for reading only, as a wrapper script can leave it
         ("2</dev/null", "2>/dev/null", ["eval", "a +"], 2),
+        # a descriptor 0 open for writing only: reading it fails
+        ("0>/dev/null", "</dev/null", ["eval", "-"], 2),
+        # the error message meets the closed pipe
+        (EARLY_CLOSED_PIPE, "2>/dev/null", ["eval", "a +"], 2),
     ),
 )
 def test_a_closed_standard_stream_answers_as_dev_null(closed, null, argv, code):
-    answer = run_process(argv, redirect=closed)
+    if closed == EARLY_CLOSED_PIPE:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            answer = run_process(argv, stderr=write)
+        finally:
+            os.close(write)
+    else:
+        answer = run_process(argv, redirect=closed)
     assert answer == run_process(argv, redirect=null)
     assert answer[0] == code and "Traceback" not in answer[1] + answer[2]
 
@@ -838,6 +854,54 @@ def test_help_is_written_from_the_table(argv, monkeypatch):
         assert line.startswith(f"  {left}") and line.endswith(text), line
     monkeypatch.setenv("COLUMNS", "20")  # the layout is fixed, whatever the terminal
     assert call(argv) == (0, out, "")
+
+
+# Beyond the package, value, ring and lang, which every call loads (cli runs
+# as __main__), an operator adds bweyl, and a matrix, a witness or an
+# operator entailment gf2lin too; a proposition's eval, convert and entail
+# load neither, and neither does a call that fails to parse.  Only the
+# battery loads the oracle modules.
+OPERATOR = {"boolweyl.bweyl"}
+MATRIX = {"boolweyl.bweyl", "boolweyl.gf2lin"}
+LOADED_BEYOND_THE_FRONT_END = {
+    ("eval", "a b + a"): set(),
+    ("eval", "a b", "--basis", "M", "--format", "json"): set(),
+    ("eval", "a", "--basis", "XY"): OPERATOR,  # a basis outside the ring bases
+    ("eval", "a", "--basis", "Q"): OPERATOR,
+    ("eval", "a ~b"): OPERATOR,
+    ("eval", "a +"): set(),
+    ("mul", "a", "b"): OPERATOR,
+    ("mul", "a", "~b", "--format", "json"): OPERATOR,
+    ("mul", "a", "b +"): set(),
+    ("convert", "a b", "--basis", "W"): set(),
+    ("convert", "~a", "--basis", "MS"): OPERATOR,
+    ("convert", "a +", "--basis", "W"): set(),
+    ("entail", "a b", "a"): set(),
+    ("entail", "a b", "a", "--witness"): MATRIX,
+    ("entail", "~a a", "1"): MATRIX,
+    ("entail", "a", "~a +"): set(),
+    ("equiv", "a b", "b a"): OPERATOR,
+    ("equiv", "~a", "a"): OPERATOR,
+    ("equiv", "a +", "a"): set(),
+    ("matrix", "a"): MATRIX,
+    ("matrix", "~a", "--format", "json"): MATRIX,
+    ("matrix", "a +"): set(),
+    ("dot", "a"): MATRIX,
+    ("dot", "~a b"): MATRIX,
+    ("dot", "a +"): set(),
+    ("crosscheck", "--n", "1", "--samples", "1"): {*MATRIX, "boolweyl.checks", "boolweyl.diffops", "boolweyl.setfam"},
+    ("crosscheck", "--n", "x"): set(),
+}
+
+
+def test_each_call_loads_only_the_modules_its_command_runs():
+    assert {argv[0] for argv in LOADED_BEYOND_THE_FRONT_END} == set(cli.COMMANDS)
+    front_end = {"boolweyl", "boolweyl.value", "boolweyl.ring", "boolweyl.lang"}
+    for argv, beyond in LOADED_BEYOND_THE_FRONT_END.items():
+        code, _, err = run_process(list(argv), "-S", "-X", "importtime")
+        loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")}
+        assert {name for name in loaded if name.startswith("boolweyl")} == front_end | beyond, argv
+        assert code == call(list(argv))[0], argv
 
 
 def test_a_call_loads_no_parser_library_and_no_json():

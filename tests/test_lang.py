@@ -993,17 +993,39 @@ def test_valuation_does_only_the_arithmetic_the_text_writes(text, products, sums
     def refuse(*args):
         raise AssertionError("term-set arithmetic in the walk")
 
-    counting(lang, "table_product")
-    counting(lang, "table_sum")
+    counting(bweyl, "table_product")
+    counting(bweyl, "table_sum")
     counting(bweyl, "operator_tables")
     for name in ("op_mul", "op_add", "convert_op_basis"):
         monkeypatch.setattr(bweyl, name, refuse)
-    monkeypatch.setattr(lang, "convert_op_basis", refuse)
     value = lang._value(e, ctx)
     monkeypatch.undo()
     assert (calls["table_product"], calls["table_sum"], calls["table lifts"]) == (products, sums, table_lifts)
     operator = OpCoeffs(ctx.n, "MY", bweyl.operator_tables(value))
     assert convert_op_basis(operator, "XY") == reference_eval_quantum(e, ctx)
+
+
+def test_the_walk_hands_its_table_of_1_to_the_tables(monkeypatch):
+    # Tables is made at the walk's first operator sum or product, after the
+    # walk has made its table of 1; it holds that object, which the table
+    # product and the interning test by identity.  At n = 4 the table of 1,
+    # 2^16 - 1, is no cached small int
+    from boolweyl import bweyl, lang
+
+    made = []
+
+    class Recording(bweyl.Tables):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(bweyl, "Tables", Recording)
+    value = lang._value(parse_text("~a + 1"), VarContext("abcd"))
+    [tables] = made
+    assert value == {0: 0xFFFF, 1: 0xFFFF}
+    assert all(t is tables.true for t in value.values())
 
 
 def test_the_table_product_sums_as_it_goes():
@@ -1291,7 +1313,7 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # distinct diagonal blocks, cut here from the full matrices, and many
     # eliminate several blocks of side smaller than the whole.  Only the
     # decisions count: the witnesses go through the same blocks
-    from boolweyl import lang
+    from boolweyl import bweyl, lang
     from boolweyl.bweyl import table_block_rows
 
     assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
@@ -1305,7 +1327,7 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
             calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
         return iter(blocks)
 
-    monkeypatch.setattr(lang, "table_block_rows", counting_blocks)
+    monkeypatch.setattr(bweyl, "table_block_rows", counting_blocks)
     for seed in range(8):
         result = checks.check_entailment(n, 25, random.Random(seed))
         assert result.ok, result.detail
@@ -1318,7 +1340,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     # a "yes" reads every row of every distinct block; a "no" reads the
     # blocks before the failing one whole, and of that one only the rows up
     # to the first that reduces into the p-hat half
-    from boolweyl import lang
+    from boolweyl import bweyl
     from boolweyl.bweyl import table_block_rows
     from boolweyl.gf2lin import _echelon
 
@@ -1336,7 +1358,7 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
 
             yield side, counted(), place
 
-    monkeypatch.setattr(lang, "table_block_rows", counting_rows)
+    monkeypatch.setattr(bweyl, "table_block_rows", counting_rows)
     rng = random.Random(29)
     counts = Counter()
     for trial in range(400):
