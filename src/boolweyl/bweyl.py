@@ -48,10 +48,11 @@ The literal rules stay as oracles: structural_coeff_c here, and the
 battery's monomial-product-forms check for all four.
 
 to_matrix is the semantic anchor: every element maps to the matrix of
-the operator it denotes on M-basis coordinates, each row written from
-closed forms, and multiplication of coefficients must match
-multiplication of matrices bit for bit.  The products of generator
-matrices in diffops are the oracle these rows are checked against.
+the operator it denotes on M-basis coordinates, made by coordinate moves
+on the operator's 4^n-bit table (row by row from closed forms when it has
+few terms), and multiplication of coefficients must match multiplication
+of matrices bit for bit.  The products of generator matrices in diffops
+are the oracle it is checked against.
 table_block_rows writes the same rows from MY tables with a row builder
 of its own, one diagonal block at a time, each block's rows of two
 operators side by side, built only as far as they are read; with all of
@@ -63,7 +64,7 @@ by block back on M-basis coordinates, so a witness needs no full matrix.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -134,10 +135,7 @@ class OpCoeffs(Value):
             if type(b) is not int or type(lefts) is not int or not 0 <= b < size or lefts < 0 or lefts >> size:
                 check_mask(b, n)
                 raise ValueError(f"row {b} out of range for n={n}")
-        rows = Rows(filter(itemgetter(1), rows.items()) if 0 in rows.values() else rows)
-        _set_n(self, n)
-        _set_basis(self, basis)
-        _set_rows(self, rows)
+        _trusted(n, basis, rows, self)
 
     @property
     def terms(self) -> frozenset[Term]:
@@ -149,6 +147,15 @@ class OpCoeffs(Value):
 
 
 _set_n, _set_basis, _set_rows = setters(OpCoeffs)
+
+
+def _trusted(n: int, basis: str, rows: Mapping[int, int], f: OpCoeffs | None = None) -> OpCoeffs:
+    """The operator (f, once checked) of rows valid by construction: zero rows dropped, no check."""
+    f = object.__new__(OpCoeffs) if f is None else f
+    _set_n(f, n)
+    _set_basis(f, basis)
+    _set_rows(f, Rows(filter(itemgetter(1), rows.items()) if 0 in rows.values() else rows))
+    return f
 
 
 def _pairs(rows: Mapping[int, int]) -> list[Term]:
@@ -184,7 +191,7 @@ def op_add(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
     rows = dict(f.rows)
     for b, lefts in convert_op_basis(g, f.basis).rows.items():
         rows[b] = rows.get(b, 0) ^ lefts
-    return OpCoeffs(f.n, f.basis, rows)
+    return _trusted(f.n, f.basis, rows)
 
 
 def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
@@ -205,7 +212,7 @@ def convert_op_basis(f: OpCoeffs, target: str) -> OpCoeffs:
         rows = {b: new[lefts] for b, lefts in rows.items()}
     if f.basis[1] != target[1]:
         rows = _superset_sum_rows(rows, f.n)
-    return OpCoeffs(f.n, target, rows)
+    return _trusted(f.n, target, rows)
 
 
 def _superset_sum_rows(rows: Mapping[int, int], n: int) -> dict[int, int]:
@@ -319,13 +326,21 @@ def table_product(f: int | dict[int, int], g: int | dict[int, int], tables: Tabl
 
 
 def to_matrix(f: OpCoeffs) -> Gf2Matrix:
-    """Matrix of the operator on M-basis coordinates, written row by row:
-    multiplication by g is diagonal there, so for each row {b: g} and each
-    bit r of g's M table, row r of s^b (the point r + b) or of d^b (the
+    """Matrix of the operator on M-basis coordinates.  With at least one term
+    per 2^11 bits of the operator's table it is made on the table: in MS the
+    term m^a s^b is the entry (a, a + b), so the table is taken to MS and
+    transposed, and column bit i is flipped on the rows with bit i set.
+    Below that, the table's 2n full passes cost more than writing it row by
+    row: multiplication by g is diagonal there, so for each row {b: g} and
+    each bit r of g's M table, row r of s^b (the point r + b) or of d^b (the
     submasks of b shifted by r & ~b) is XORed into row r."""
     from . import gf2lin
 
-    size = 1 << f.n
+    n = f.n
+    if sum(map(int.bit_count, f.rows.values())) << 11 >= 1 << 2 * n:
+        t = gf2lin._table_sums(gf2lin._table(f.rows, n), n, _table_passes(f.basis, "MS"))
+        return gf2lin.trusted_matrix(gf2lin._table_rows(_swap_coords(t, gf2lin._table_swaps(n)), n))
+    size = 1 << n
     left, derives = f.basis[0], f.basis[1] == "Y"
     rows = [0] * size
     for b, g in f.rows.items():
@@ -337,7 +352,18 @@ def to_matrix(f: OpCoeffs) -> Gf2Matrix:
         else:
             for r in iter_bits(g):
                 rows[r] ^= 1 << (r ^ b)
-    return gf2lin.Gf2Matrix(rows)
+    return gf2lin.trusted_matrix(rows)
+
+
+@lru_cache(maxsize=None)
+def _table_passes(frm: str, to: str) -> tuple[tuple[bool, bool], ...]:
+    """The butterfly passes (along the right coordinates, superset) that rewrite
+    an operator's table (its rows {b: packed a} as one gf2lin._table, the left
+    coordinates low) from basis frm to basis to: the ring basis change along
+    the left ones, through X, and between Y and S the superset sum along the
+    right ones."""
+    passes = [(False, ring == "W") for ring in (frm[0], to[0]) if ring != "X"] if frm[0] != to[0] else []
+    return tuple(passes + [(True, True)] * (frm[1] != to[1]))
 
 
 def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
@@ -524,7 +550,7 @@ def op_mul(f: OpCoeffs, g: OpCoeffs) -> OpCoeffs:
         kernel = _mul_my if left == "M" else _mul_xy
     else:
         kernel = _mul_ms if left == "M" else _mul_xs
-    return OpCoeffs(f.n, basis, kernel(_pairs(f.rows), _pairs(g.rows)))
+    return _trusted(f.n, basis, kernel(_pairs(f.rows), _pairs(g.rows)))
 
 
 def op_power(f: OpCoeffs, k: int) -> OpCoeffs:

@@ -9,9 +9,10 @@ AND + popcount-parity per row.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping
 
-from .ring import DimensionMismatch, iter_bits, mask_str
+from .ring import DimensionMismatch, _block_mask, iter_bits, mask_str
 from .value import Value, setters
 
 
@@ -47,6 +48,85 @@ class Gf2Matrix(Value):
 (_set_rows,) = setters(Gf2Matrix)
 
 
+def trusted_matrix(rows: Iterable[int]) -> Gf2Matrix:
+    """A matrix of rows valid by construction, as mat_mul and to_matrix make them: unchecked."""
+    m = object.__new__(Gf2Matrix)
+    _set_rows(m, tuple(rows))
+    return m
+
+
+# --- a square matrix of side 2^n as one table on 2n coordinates ---------------
+#
+# Its rows laid end to end are one 4^n-bit int with bit r 2^n + c set for the
+# entry (r, c): a function of 2n coordinates, the column index's low and the
+# row index's high.  A sum along coordinates is a butterfly pass per
+# coordinate, and a transpose a delta swap per pair of coordinates.
+# bweyl.to_matrix makes an operator's matrix on it.
+
+
+def _table(rows: Mapping[int, int], n: int) -> int:
+    """The table of the rows {row index: packed row} (the rest zero) of side 2^n."""
+    if n <= 6:  # a row of at most 64 bits is shifted into place
+        t = 0
+        for r, row in rows.items():
+            t |= row << (r << n)
+        return t
+    width = 1 << n >> 3  # bytes per row
+    data = b"".join([rows.get(r, 0).to_bytes(width, "little") for r in range(1 << n)])
+    return int.from_bytes(data, "little")
+
+
+def _table_rows(t: int, n: int) -> list[int]:
+    """Every row of a table, zero rows included."""
+    if n <= 6:
+        low = (1 << (1 << n)) - 1
+        return [t >> shift & low for shift in range(0, 1 << 2 * n, 1 << n)]
+    data, width = t.to_bytes(1 << 2 * n >> 3, "little"), 1 << n >> 3
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _coords(n: int, base: int) -> Iterator[tuple[int, int]]:
+    """(step, the points with its bit clear) of each of the n coordinates from
+    base on: the column index's from 0, the row index's from n."""
+    for i in range(base, base + n):
+        yield 1 << i, _block_mask.__wrapped__(1 << 2 * n, 1 << i)
+
+
+def _swaps(n: int) -> Iterator[tuple[int, int]]:
+    """The delta swaps (delta, points: see bweyl._swap_coords) that exchange
+    column coordinate i with row coordinate i, for every i (the transpose),
+    then those that flip column coordinate i where row coordinate i is set.
+    x ^ (x & y) is x & ~y, with no 4^n-bit negation."""
+    for (low, low_clear), (high, high_clear) in zip(_coords(n, 0), _coords(n, n)):
+        yield high - low, high_clear ^ (high_clear & low_clear)
+    for (low, low_clear), (high, high_clear) in zip(_coords(n, 0), _coords(n, n)):
+        yield low, low_clear ^ (low_clear & high_clear)
+
+
+# Up to n = 8, where a mask is at most 8 KiB, the masks are kept; above it
+# each is made as a pass reads it, so no more than three are held at once.
+_kept_coords = lru_cache(maxsize=None)(lambda n, base: list(_coords(n, base)))
+_kept_swaps = lru_cache(maxsize=None)(lambda n: list(_swaps(n)))
+
+
+def _table_coords(n: int, base: int) -> Iterable[tuple[int, int]]:
+    return _kept_coords(n, base) if n <= 8 else _coords(n, base)
+
+
+def _table_swaps(n: int) -> Iterable[tuple[int, int]]:
+    return _kept_swaps(n) if n <= 8 else _swaps(n)
+
+
+def _table_sums(t: int, n: int, passes: Iterable[tuple[bool, bool]]) -> int:
+    """The table summed pass by pass: each pass (along the row index's
+    coordinates, superset) is a subset or superset sum along the column
+    index's or the row index's coordinates, one butterfly pass each."""
+    for rows, superset in passes:
+        for step, clear in _table_coords(n, n if rows else 0):
+            t ^= (t >> step) & clear if superset else (t & clear) << step
+    return t
+
+
 def identity(side: int) -> Gf2Matrix:
     return Gf2Matrix(1 << i for i in range(side))
 
@@ -75,7 +155,7 @@ def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
         for k in iter_bits(arow):
             acc ^= brows[k]
         out.append(acc)
-    return Gf2Matrix(out)
+    return trusted_matrix(out)
 
 
 def mat_apply(a: Gf2Matrix, v: int) -> int:

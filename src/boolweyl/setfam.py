@@ -97,6 +97,14 @@ def fam_add(a: Family, b: Family) -> Family:
 # --- the four products, by literal enumeration -------------------------------
 
 
+def _parts_by(members: frozenset[PairedMask], side: int) -> dict[int, list[int]]:
+    """The other part of each member, listed per value of its plain (side 0) or tilde (side 1) part."""
+    index: dict[int, list[int]] = {}
+    for member in members:
+        index.setdefault(member[side], []).append(member[1 - side])
+    return index
+
+
 def circ_prod(a_fam: Family, b_fam: Family) -> Family:
     """Membership of (a1, a2): odd count of pairs (b, c), c in B, with
     c2 subset of a2, (a1, b) in A, and a2 - c2 subset of a1 + c1 subset of b."""
@@ -104,7 +112,7 @@ def circ_prod(a_fam: Family, b_fam: Family) -> Family:
     n = a_fam.n
     size = 1 << n
     out = set()
-    for a1 in range(size):
+    for a1, bs in _parts_by(a_fam.members, 0).items():  # an a1 with no (a1, b) in A counts none
         for a2 in range(size):
             count = 0
             for c1, c2 in b_fam.members:
@@ -113,8 +121,8 @@ def circ_prod(a_fam: Family, b_fam: Family) -> Family:
                 need = a1 ^ c1
                 if (a2 & ~c2) & ~need:
                     continue
-                for b in range(size):
-                    if (a1, b) in a_fam.members and need & ~b == 0:
+                for b in bs:
+                    if need & ~b == 0:
                         count ^= 1
             if count:
                 out.add((a1, a2))
@@ -193,11 +201,11 @@ def star_prod(a_fam: Family, b_fam: Family) -> Family:
     n = a_fam.n
     size = 1 << n
     out = set()
-    for a1 in range(size):
+    for a1, bs in _parts_by(a_fam.members, 0).items():  # an a1 with no (a1, b) in A counts none
         for a2 in range(size):
             count = 0
-            for b in range(size):
-                if (a1, b) in a_fam.members and (a1 ^ b, a2 ^ b) in b_fam.members:
+            for b in bs:
+                if (a1 ^ b, a2 ^ b) in b_fam.members:
                     count ^= 1
             if count:
                 out.add((a1, a2))
@@ -226,13 +234,13 @@ def ast_prod(a_fam: Family, b_fam: Family) -> Family:
     n = a_fam.n
     size = 1 << n
     out = set()
+    b_by_tilde = _parts_by(b_fam.members, 1)
     for a1 in range(size):
+        a_below = [(b, c) for b, c in a_fam.members if not b & ~a1]  # b | (d - e) == a1 needs b in a1
         for a2 in range(size):
             count = 0
-            for b, c in a_fam.members:
-                for d, v2 in b_fam.members:
-                    if v2 != c ^ a2:
-                        continue
+            for b, c in a_below:
+                for d in b_by_tilde.get(c ^ a2, ()):
                     for e in submasks(c & d):
                         if b | (d & ~e) == a1:
                             count ^= 1

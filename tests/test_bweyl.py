@@ -1,12 +1,13 @@
 """Operator algebra: basis changes, structural products, normal ordering."""
 
 import random
+import time
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from boolweyl import bweyl, checks
+from boolweyl import bweyl, checks, gf2lin, ring
 from boolweyl.bweyl import (
     OP_BASES,
     OpCoeffs,
@@ -32,7 +33,7 @@ from boolweyl.diffops import (
     shift_power_matrix,
 )
 from boolweyl.gf2lin import Gf2Matrix, identity, mat_add, mat_mul, zero_matrix
-from boolweyl.ring import ring_from_support, ring_monomial, submasks
+from boolweyl.ring import _convert_bits, iter_bits, ring_from_support, ring_monomial, submasks
 
 
 def oracle_equal(f: OpCoeffs, g: OpCoeffs) -> bool:
@@ -112,6 +113,104 @@ def test_to_matrix_basics():
     assert to_matrix(OpCoeffs(1, "XY", [(0, 1)])) == derivative_matrix(1, 1)
     for basis in OP_BASES:
         assert to_matrix(op_identity(3, basis)) == identity(8)
+
+
+def row_by_row_matrix(f: OpCoeffs) -> Gf2Matrix:
+    """to_matrix as it was first written, row by row from closed forms: for
+    each row {b: g} and each bit r of g's M table, row r of s^b (the point
+    r + b) or of d^b (the submasks of b shifted by r & ~b) is XORed into row r."""
+    size = 1 << f.n
+    left, derives = f.basis[0], f.basis[1] == "Y"
+    rows = [0] * size
+    for b, g in f.rows.items():
+        g = _convert_bits(g, size, left, "M")
+        for r in iter_bits(g):
+            rows[r] ^= _below(b) << (r & ~b) if derives else 1 << (r ^ b)
+    return Gf2Matrix(rows)
+
+
+def test_dense_xy_matrix_at_n_10_takes_under_30_ms():
+    rng = random.Random("dense n=10")
+    n = 10
+    f = OpCoeffs(n, "XY", {b: rng.getrandbits(1 << n) for b in range(1 << n)})
+    caches = (gf2lin._kept_coords, gf2lin._kept_swaps, ring._block_mask)
+    held = [cache.cache_info().currsize for cache in caches]
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        got = to_matrix(f)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.030, seconds
+    # above n = 8 no 4^n-bit mask is kept once the matrix is made
+    assert [cache.cache_info().currsize for cache in caches] == held
+    assert got == row_by_row_matrix(f)
+
+
+def test_to_matrix_takes_the_table_from_one_term_per_2048_bits(monkeypatch):
+    # each side of the size rule, in every basis: at n = 6, 7 and 8 the table
+    # holds 2^12, 2^14 and 2^16 bits, so 2, 8 and 32 terms take it
+    tabled = []
+    table = gf2lin._table
+    monkeypatch.setattr(gf2lin, "_table", lambda rows, n: tabled.append(n) or table(rows, n))
+    rng = random.Random("size rule")
+    for n, least in ((6, 2), (7, 8), (8, 32)):
+        for count in (least - 1, least):
+            for basis in OP_BASES:
+                terms = set()
+                while len(terms) < count:
+                    terms.add((rng.getrandbits(n), rng.getrandbits(n)))
+                f = OpCoeffs(n, basis, terms)
+                tabled.clear()
+                assert to_matrix(f) == rep_matrix_sum(f) == row_by_row_matrix(f), (n, basis, count)
+                assert tabled == ([n] if count == least else []), (n, basis, count)
+
+
+def table_convert(f: OpCoeffs, target: str) -> OpCoeffs:
+    """The basis change made on f's table: its rows packed, summed by the
+    passes of _table_passes and unpacked."""
+    n = f.n
+    t = gf2lin._table_sums(gf2lin._table(f.rows, n), n, bweyl._table_passes(f.basis, target))
+    return OpCoeffs(n, target, dict(enumerate(gf2lin._table_rows(t, n))))
+
+
+def test_table_basis_changes_match_the_row_route():
+    # all 30 ordered pairs of bases, on the zero operator, one row, all 2^n
+    # rows and random operators; rows narrower than a byte at n = 1 and 2,
+    # and whole bytes, packed as bytes, at n = 7
+    rng = random.Random("table basis changes")
+    pairs = [(frm, to) for frm in OP_BASES for to in OP_BASES if frm != to]
+    assert len(pairs) == 30
+    for n in range(1, 8):
+        size = 1 << n
+        ops = [
+            OpCoeffs(n, "XY", {}),
+            OpCoeffs(n, "XY", {rng.randrange(size): rng.getrandbits(size) | 1}),
+            OpCoeffs(n, "XY", {b: rng.getrandbits(size) | 1 << rng.randrange(size) for b in range(size)}),
+        ]
+        ops += [checks.random_op(rng, n) for _ in range(12 if n < 7 else 2)]
+        for f in ops:
+            assert gf2lin._table_rows(gf2lin._table(f.rows, n), n) == [f.rows.get(b, 0) for b in range(size)]
+            for frm, to in pairs:
+                g = OpCoeffs(n, frm, f.rows)
+                assert table_convert(g, to) == convert_op_basis(g, to), (n, frm, to, g)
+
+
+def test_trusted_results_equal_their_checked_rebuild():
+    # kernel, conversion and sum results skip the constructor's checks: each
+    # equals, and hashes as, the operator the checked constructor makes of it
+    rng = random.Random("trusted results")
+    for n in range(1, 6):
+        for _ in range(25):
+            f = checks.random_op(rng, n)
+            g = checks.random_op(rng, n, rng.choice(OP_BASES))
+            ops = [op_mul(f, g), op_add(f, g), op_add(f, f), convert_op_basis(g, rng.choice(OP_BASES))]
+            for h in ops:
+                rebuilt = OpCoeffs(h.n, h.basis, dict(h.rows))
+                assert h == rebuilt and hash(h) == hash(rebuilt)
+                assert type(h.rows) is bweyl.Rows and all(h.rows.values())
+            for m in (to_matrix(f), mat_mul(to_matrix(f), to_matrix(g))):
+                rebuilt = Gf2Matrix(m.rows)
+                assert m == rebuilt and hash(m) == hash(rebuilt) and type(m.rows) is tuple
 
 
 def rep_matrix_sum(f: OpCoeffs) -> Gf2Matrix:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolweyl import bweyl, checks, lang, ring
+from boolweyl import bweyl, checks, gf2lin, lang, ring
 from boolweyl.cli import main
 
 
@@ -73,6 +73,30 @@ def _superset_sum_rows_without_step_1(rows, n):
     return rows
 
 
+def _right_sum_without_step_1(orig):
+    # the table's sums with the superset sum along right coordinate 1 (the
+    # Y <-> S change) undone: each butterfly pass is an involution, and the
+    # passes commute
+    def mutant(t, n, passes):
+        t = orig(t, n, passes)
+        if (True, True) in passes:
+            step, clear = next(iter(gf2lin._table_coords(n, n)))
+            t ^= (t >> step) & clear
+        return t
+
+    return mutant
+
+
+def _flip_off_by_one_coordinate(orig):
+    # to_matrix's flip of left coordinate i keyed on right coordinate i + 1 (mod n)
+    def mutant(n):
+        left, right = list(gf2lin._table_coords(n, 0)), list(gf2lin._table_coords(n, n))
+        flips = [(step, clear ^ (clear & right[(i + 1) % n][1])) for i, (step, clear) in enumerate(left)]
+        return list(orig(n))[:n] + flips
+
+    return mutant
+
+
 def _derive_without_the_derivative_branch(g, i, tables):
     # d_i (t d^c) taken as (s_i t) d_i d^c: the term (d_i t) d^c is dropped
     return {c | 1 << i: tables.move(t, i)[0] for c, t in g.items() if not c >> i & 1}
@@ -98,13 +122,13 @@ KERNEL_MUTANTS = {
             "family-coherence",
         },
     ),
+    # to_matrix is made on the operator's table and no longer reaches _below:
+    # its rep-matrices, coordinate-application and basis-roundtrips lines
+    # went with to_matrix to the gf2lin._table_sums and gf2lin._table_swaps entries
     "_below": (
         lambda orig: lambda s: orig(s) & ~(1 << s),
         {
-            "rep-matrices",
-            "coordinate-application",
             "product-homomorphism",
-            "basis-roundtrips",
             "product-unit-associativity",
             "monomial-product-forms",
             "family-coherence",
@@ -112,13 +136,31 @@ KERNEL_MUTANTS = {
         },
     ),
     "_superset_sum_rows": (lambda orig: _superset_sum_rows_without_step_1, {"basis-roundtrips"}),
+    "gf2lin._table_sums": (
+        _right_sum_without_step_1,
+        {
+            "rep-matrices",
+            "coordinate-application",
+            "product-homomorphism",
+            "basis-roundtrips",
+            "normalize",
+            "entailment",
+        },
+    ),
+    # every matrix takes the same faulty last step, so basis-roundtrips,
+    # which compares two matrices of one operator, cannot see this one
+    "gf2lin._table_swaps": (
+        _flip_off_by_one_coordinate,
+        {"rep-matrices", "coordinate-application", "product-homomorphism", "normalize", "entailment"},
+    ),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_MUTANTS))
 def test_battery_fails_on_a_broken_kernel(monkeypatch, kernel):
     mutate, want = KERNEL_MUTANTS[kernel]
-    monkeypatch.setattr(bweyl, kernel, mutate(getattr(bweyl, kernel)))
+    module, name = (gf2lin, kernel[7:]) if kernel.startswith("gf2lin.") else (bweyl, kernel)
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     failed = {r.name: r.detail for r in checks.run_battery(n=2, samples=25, seed=0) if r.status == "FAIL"}
     assert want <= failed.keys()
     assert all(failed[name] for name in want)

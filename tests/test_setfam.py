@@ -8,7 +8,7 @@ import pytest
 from boolweyl import checks
 from boolweyl.bweyl import op_mul
 from boolweyl.diffops import apply_coeffs
-from boolweyl.ring import check_dim, mask_from_indices
+from boolweyl.ring import check_dim, mask_from_indices, require_same_dim, submasks
 from boolweyl.setfam import (
     PRODUCTS,
     Family,
@@ -265,6 +265,124 @@ def test_products_match_operator_route(kind):
             got = prod(a, b)
             want = op_to_family(op_mul(family_to_op(a, kind), family_to_op(b, kind)))
             assert got == want
+
+
+# The four products as the literal loops were first written, kept verbatim
+# as the reference of the indexed loops: each scans every index for each
+# output pair (a1, a2) and tests membership, with no index of either family.
+
+
+def reference_circ_prod(a_fam, b_fam):
+    require_same_dim(a_fam, b_fam)
+    n = a_fam.n
+    size = 1 << n
+    out = set()
+    for a1 in range(size):
+        for a2 in range(size):
+            count = 0
+            for c1, c2 in b_fam.members:
+                if c2 & ~a2:
+                    continue
+                need = a1 ^ c1
+                if (a2 & ~c2) & ~need:
+                    continue
+                for b in range(size):
+                    if (a1, b) in a_fam.members and need & ~b == 0:
+                        count ^= 1
+            if count:
+                out.add((a1, a2))
+    return Family(n, out)
+
+
+def reference_bullet_prod(a_fam, b_fam):
+    require_same_dim(a_fam, b_fam)
+    n = a_fam.n
+    size = 1 << n
+    out = set()
+    for a1 in range(size):
+        for a2 in range(size):
+            count = 0
+            for b1, b2 in a_fam.members:
+                if b1 & ~a1:
+                    continue
+                for c1, c2 in b_fam.members:
+                    if c2 & ~a2:
+                        continue
+                    target = a2 & ~c2
+                    for k2 in submasks(b2 & c1):
+                        if b1 | (c1 & ~k2) != a1:
+                            continue
+                        for k1 in submasks(k2):
+                            if b2 & ~k1 == target:
+                                count ^= 1
+            if count:
+                out.add((a1, a2))
+    return Family(n, out)
+
+
+def reference_star_prod(a_fam, b_fam):
+    require_same_dim(a_fam, b_fam)
+    n = a_fam.n
+    size = 1 << n
+    out = set()
+    for a1 in range(size):
+        for a2 in range(size):
+            count = 0
+            for b in range(size):
+                if (a1, b) in a_fam.members and (a1 ^ b, a2 ^ b) in b_fam.members:
+                    count ^= 1
+            if count:
+                out.add((a1, a2))
+    return Family(n, out)
+
+
+def reference_ast_prod(a_fam, b_fam):
+    require_same_dim(a_fam, b_fam)
+    n = a_fam.n
+    size = 1 << n
+    out = set()
+    for a1 in range(size):
+        for a2 in range(size):
+            count = 0
+            for b, c in a_fam.members:
+                for d, v2 in b_fam.members:
+                    if v2 != c ^ a2:
+                        continue
+                    for e in submasks(c & d):
+                        if b | (d & ~e) == a1:
+                            count ^= 1
+            if count:
+                out.add((a1, a2))
+    return Family(n, out)
+
+
+REFERENCE_PRODUCTS = {
+    "circ": reference_circ_prod,
+    "bullet": reference_bullet_prod,
+    "star": reference_star_prod,
+    "ast": reference_ast_prod,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+def test_products_match_the_literal_loops(kind):
+    # random families at n <= 3, from empty to every pair, and pairs that
+    # share left parts, tilde parts or both, as the indexes group them
+    prod, _ = PRODUCTS[kind]
+    reference = REFERENCE_PRODUCTS[kind]
+    rng = random.Random(f"literal-loops:{kind}")
+    seen = 0
+    for n in (1, 2, 3):
+        pairs = [(p, t) for p in range(1 << n) for t in range(1 << n)]
+        for trial in range(60):
+            cap = len(pairs) if trial % 3 else 3
+            a, b = (Family(n, rng.sample(pairs, rng.randint(0, cap))) for _ in range(2))
+            if trial % 10 == 0:
+                a = Family(n, pairs)
+            got = prod(a, b)
+            assert got == reference(a, b), (n, a, b)
+            seen += bool(got.members)
+    assert seen >= 100
 
 
 @pytest.mark.parametrize("kind", sorted(PRODUCTS))

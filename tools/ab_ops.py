@@ -4,9 +4,12 @@
 
 Loads this checkout's `src/boolweyl` and the `boolweyl` package under
 OTHER_SRC (for example the `src` of a copy of the parent commit) into one
-process, under two names, and runs the SEED operation list of WORKLOAD
-(one of perfbench's `cli`, `classical`, `quantum`, `battery`, sized for
-SECONDS) through `perfbench/worker.run_in_process`.  Each operation runs
+process, under two names, and imports every submodule of both before
+anything is timed: a module that a command loads lazily would otherwise
+compile inside its side's first timed operation.  Then it runs the SEED
+operation list of WORKLOAD (one of perfbench's `cli`, `classical`,
+`quantum`, `battery`, sized for SECONDS) through
+`perfbench/worker.run_in_process`.  Each operation runs
 on both sides in turn, the side that goes first alternating, so that load
 on the host hits both alike.  The run stops at the first operation whose
 exit code, stdout or stderr differ between the sides; otherwise it prints
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
+import pkgutil
 import statistics
 import sys
 
@@ -42,7 +46,9 @@ def main() -> int:
     sides = {}
     for side, src in (("other", other_src), ("this", HERE)):
         load(src, f"boolweyl_{side}")
-        sides[side] = importlib.import_module(f"boolweyl_{side}.cli")
+        for module in pkgutil.iter_modules(sys.modules[f"boolweyl_{side}"].__path__):
+            importlib.import_module(f"boolweyl_{side}.{module.name}")
+        sides[side] = sys.modules[f"boolweyl_{side}.cli"]
     for op in workloads.warmup(workload):
         for cli in sides.values():
             run_in_process(cli, op)
