@@ -59,6 +59,11 @@ operators side by side, built only as far as they are read; with all of
 [n] as block coordinates its one block is the two matrices of to_matrix,
 with which it shares no row code.  It also places a matrix solved block
 by block back on M-basis coordinates, so a witness needs no full matrix.
+For a decision it writes the blocks on x-monomials instead, Z M Z with
+Z[t, t'] = [t' subset of t] the subset sums: there a derivative lowers a
+monomial and a multiplication raises it, so the term of g d^b from an
+x-coefficient a of g reaches only the rows t with a inside t and t & b
+inside a.
 """
 
 from __future__ import annotations
@@ -376,7 +381,7 @@ def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
 
 
 def table_block_rows(
-    n: int, p: dict[int, int], q: dict[int, int]
+    n: int, p: dict[int, int], q: dict[int, int], coords: str = "M"
 ) -> Iterator[tuple[int, Iterator[int], Callable]]:
     """The augmented rows [q-hat | p-hat] of two operators given as MY
     tables {b: g} at dimension n, one distinct diagonal block at a time,
@@ -394,14 +399,21 @@ def table_block_rows(
     whose p block is zero is skipped.
 
     Each is (side, rows, place): rows gives (q_r << side) | p_r for r from
-    0 to side - 1, with q_r and p_r row r of the two blocks.  The rows are
-    built 8 at a time from one byte of each table, so a reader that stops
-    early leaves the rest of the block unbuilt.  place(block, out) writes
-    the rows of a side x side matrix on the block's coordinates into out,
-    the 2^n rows of a matrix on M-basis coordinates: for every coset z
-    that shares the block, row t, its swaps undone and shifted left by z,
-    is row z | u, u the t-th submask of B.  A later coset can still join a
-    block, so place is called once the generator is used up.
+    0 to side - 1, with q_r and p_r row r of the two blocks written on the
+    coordinates coords.  In "M" they are the blocks' own rows, as a witness
+    needs them.  In "X", for a decision, they are Z [q | p] diag(Z, Z) with
+    Z[t, t'] = [t' subset of t]: row t is the sum of the rows inside t, and
+    column c of each half the sum of its columns that contain c.  Z is
+    invertible, so the row space is kept, and a row's q half stays zero
+    exactly when it was; Z is unitriangular, so both decide containment
+    alike and refute it at the same row.  The rows are built 8 at a time,
+    so a reader that stops early leaves the rest of the block unbuilt.
+    place(block, out) writes the rows of a side x side matrix on the
+    block's M coordinates into out, the 2^n rows of a matrix on M-basis
+    coordinates: for every coset z that shares the block, row t, its swaps
+    undone and shifted left by z, is row z | u, u the t-th submask of B.  A
+    later coset can still join a block, so place is called once the
+    generator is used up.
     """
     size, full = 1 << n, (1 << n) - 1
     low = 0
@@ -421,14 +433,15 @@ def table_block_rows(
     rank = {c: i for i, c in enumerate(order)}
     side = 1 << dim
     nbytes = (size + 7) >> 3
-    # per (b, g), p's first: the submasks of b moved, shifted by q's offset
-    # `side`, the complement of b moved, and the bytes of g moved
+    # per (b, g), p's first, with b moved and q's offset `side`: what the
+    # writer keeps of b (for M the submasks of b shifted by the offset and
+    # the complement of b, for X b and the offset), then the bytes of g moved
     tables = []
     for gs, offset in ((p, 0), (q, side)):
         for b, left in gs.items():
-            left = _swap_coords(left, swaps)
             b = sum(1 << rank[c] for c in iter_bits(b))
-            tables.append((_below(b) << offset, ~b, left.to_bytes(nbytes, "little")))
+            data = _swap_coords(left, swaps).to_bytes(nbytes, "little")
+            tables.append((_below(b) << offset, ~b, data) if coords == "M" else (b, offset, data))
 
     def place(cosets: list[int], block: Sequence[int], out: list[int]) -> None:
         us = [0]  # the submasks of B in ascending order, by doubling
@@ -443,14 +456,15 @@ def table_block_rows(
     width = (side + 7) >> 3
     zero = bytes(width)
     p_count = len(p)
+    write = _block_rows if coords == "M" else _x_block_rows
     cosets_of: dict[tuple[bytes, ...], list[int]] = {}  # per distinct key, the slices k that share it
     for k, start in enumerate(range(0, nbytes, width)):
         key = tuple(data[start : start + width] for _, _, data in tables)
         cosets = cosets_of.setdefault(key, [])
         cosets.append(k)
         if len(cosets) == 1 and any(part != zero for part in key[:p_count]):
-            parts = [(form, outside, part) for (form, outside, _), part in zip(tables, key) if part != zero]
-            yield side, _block_rows(parts, width, min(side, 8)), partial(place, cosets)
+            parts = [(x, y, part) for (x, y, _), part in zip(tables, key) if part != zero]
+            yield side, write(parts, width, min(side, 8)), partial(place, cosets)
 
 
 def _block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: int) -> Iterator[int]:
@@ -467,6 +481,51 @@ def _block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: int
                 for t in _LOW_BITS[byte]:
                     rows[t] ^= form << ((base + t) & outside)
         yield from rows
+
+
+# entry v: the x-coefficients of the byte v, bit a the parity of the bits of
+# v below a, by doubling over the points r (each below the points r | s);
+# and the submasks of each set of the three low coordinates
+_X_BYTE = [0]
+for _r in range(8):
+    _X_BYTE += [v ^ _below(7 & ~_r) << _r for v in _X_BYTE]
+_X_BYTE, _SUBMASKS = bytes(_X_BYTE), [tuple(submasks(c)) for c in range(8)]
+
+
+def _x_block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: int) -> Iterator[int]:
+    """The rows of Z [sum of g d^b over the parts (b, offset, bytes of g)] Z,
+    Z[t, t'] = [t' subset of t]: the block on x-monomials.  g is read as its
+    x-coefficients a (bit a: the sum of g below a), and row t gets
+    below(a & ~b) << ((t & ~a) | b), shifted by the offset, from each a with
+    a subset of t and t & b subset of a.  The rows come 8 per chunk t >> 3,
+    and an a first reaches the chunk a >> 3: the coefficients in the bytes
+    [k, 2k), those of the sum of the two halves of bytes [0, 2k), are found
+    at chunk k, so a reader that stops early leaves the rest unread."""
+    by_high = {0: [(b, offset, _X_BYTE[part[0]]) for b, offset, part in parts]}
+    terms = []
+    for k in range(width):
+        for b, offset, part in parts if k & (k - 1) == 0 < k else ():  # k a power of two
+            if part[k : 2 * k] == part[:k]:
+                continue
+            bits = int.from_bytes(part[:k].translate(_X_BYTE), "little")
+            bits ^= int.from_bytes(part[k : 2 * k].translate(_X_BYTE), "little")
+            for i in range(3, k.bit_length() + 2):
+                bits ^= (bits & _block_mask(k << 3, 1 << i)) << (1 << i)
+            while bits:  # its nonzero bytes, lowest first
+                at = (bits & -bits).bit_length() - 1 & ~7
+                by_high.setdefault(k + (at >> 3), []).append((b, offset, bits >> at & 255))
+                bits &= ~(255 << at)
+        for b, offset, byte in by_high.get(k, ()):
+            for low in _LOW_BITS[byte]:
+                form = _below((k << 3 | low) & ~b) << (b + offset)
+                terms.append((k | b >> 3, k, form, low, _SUBMASKS[7 & ~(low | b)]))
+        rows = [0] * 8
+        for reach, high, form, low, subs in terms:
+            if k & reach == high:
+                form <<= (k ^ high) << 3
+                for s in subs:
+                    rows[low | s] ^= form << s
+        yield from rows[:chunk_side]
 
 
 def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:

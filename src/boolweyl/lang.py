@@ -50,9 +50,10 @@ of truth functions (classical entailment), decided on truth tables.
 With an operator on either side it is decided on the distinct diagonal
 blocks that the coordinates touched by derivatives cut out, their rows
 made from the MY tables as the elimination reads them, and each
-elimination stopping at the first row that refutes containment.  A
-witness is back-substituted on the same blocks, so no entailment builds
-a full matrix.
+elimination stopping at the first row that refutes containment.  The
+decision reads the blocks on x-monomials, where each term reaches only
+the rows it moves.  A witness is back-substituted on the M rows of the
+same blocks, so no entailment builds a full matrix.
 """
 
 from __future__ import annotations
@@ -620,7 +621,7 @@ def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool
     block diagonal on the cosets of the coordinates that the derivatives
     touch, and containment holds iff it holds in every block.  Each
     distinct pair of blocks with a nonzero block of p-hat is eliminated
-    once, on the augmented rows [q-hat | p-hat] that
+    once, on the augmented rows [q-hat | p-hat] on x-monomials that
     bweyl.table_block_rows builds from the MY tables as the elimination
     reads them.  The elimination stops at the first row that reduces into
     the p-hat half, so the first block that fails answers no, and its rows
@@ -632,7 +633,7 @@ def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool
 
     return all(
         gf2lin.ColumnSolver(side, rows).solvable()
-        for side, rows, _ in bweyl.table_block_rows(n, bweyl.operator_tables(pv), bweyl.operator_tables(qv))
+        for side, rows, _ in bweyl.table_block_rows(n, bweyl.operator_tables(pv), bweyl.operator_tables(qv), "X")
     )
 
 
@@ -657,8 +658,9 @@ def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
     """A matrix r with q-hat * r = p-hat, or None when p is not entailed.
 
     r, zero outside the pivot columns of q-hat, is block diagonal like
-    both, so each distinct block of it is solved once, on the blocks that
-    decide the entailment, and placed on every coset that shares it.
+    both, so each distinct block of it is solved once, on the M rows of the
+    blocks that decide the entailment, and placed on every coset that
+    shares it.  (On the X rows the elimination would pick other pivots.)
     """
     from . import bweyl, gf2lin
 

@@ -91,6 +91,7 @@ def test_to_matrix_matches_per_term_route(monkeypatch):
         raise AssertionError("to_matrix reached the block row builder")
 
     monkeypatch.setattr(bweyl, "_block_rows", refuse)
+    monkeypatch.setattr(bweyl, "_x_block_rows", refuse)
     monkeypatch.setattr(bweyl, "table_block_rows", refuse)
     rng = random.Random(37)
     for n in range(1, 6):
@@ -262,9 +263,30 @@ def reference_block_rows(blocks):
     ]
 
 
-def block_rows(p: OpCoeffs, q: OpCoeffs):
+def block_rows(p: OpCoeffs, q: OpCoeffs, coords: str = "M"):
     """table_block_rows of two operators, from their MY rows."""
-    return bweyl.table_block_rows(p.n, convert_op_basis(p, "MY").rows, convert_op_basis(q, "MY").rows)
+    return bweyl.table_block_rows(p.n, convert_op_basis(p, "MY").rows, convert_op_basis(q, "MY").rows, coords)
+
+
+def draw_block_pair(rng: random.Random, n: int, touched: int) -> tuple[OpCoeffs, OpCoeffs, int]:
+    """Two operators drawn in all six bases with their right indices inside
+    touched, and their block coordinates: the union of their MY right
+    indices, widened by the lowest coordinates outside it to at least three."""
+    p, q = (
+        OpCoeffs(
+            n,
+            rng.choice(OP_BASES),
+            frozenset((rng.getrandbits(n), rng.getrandbits(n) & touched) for _ in range(rng.randint(0, 5))),
+        )
+        for _ in range(2)
+    )
+    low = 0
+    for f in (p, q):
+        for b in convert_op_basis(f, "MY").rows:
+            low |= b
+    while low.bit_count() < min(n, 3):
+        low |= ~low & (low + 1)
+    return p, q, low
 
 
 def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
@@ -277,24 +299,7 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         touched = rng.getrandbits(n) & rng.getrandbits(n)
         if trial % 5 == 0:
             touched = rng.getrandbits(n)
-        p, q = (
-            OpCoeffs(
-                n,
-                rng.choice(OP_BASES),
-                frozenset(
-                    (rng.getrandbits(n), rng.getrandbits(n) & touched)
-                    for _ in range(rng.randint(0, 5))
-                ),
-            )
-            for _ in range(2)
-        )
-        low = 0
-        for f in (p, q):
-            for b in convert_op_basis(f, "MY").rows:
-                low |= b
-        # widened by the lowest coordinates outside it to at least three
-        while low.bit_count() < min(n, 3):
-            low |= ~low & (low + 1)
+        p, q, low = draw_block_pair(rng, n, touched)
         full = (rep_matrix_sum(p), rep_matrix_sum(q))
         blocks = reference_blocks(full, low)
         streamed = list(block_rows(p, q))
@@ -311,6 +316,48 @@ def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
         seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
     assert min(seen[True], seen[False], seen["duplicates"]) >= 30, seen
     assert seen["fewer than 8 rows"] >= 50, seen
+
+
+def subset_sums(rows: list[int]) -> list[int]:
+    """Z rows, Z[t, t'] = [t' subset of t]: row t the sum of the rows r inside t."""
+    out = []
+    for t in range(len(rows)):
+        acc = 0
+        for r in submasks(t):
+            acc ^= rows[r]
+        out.append(acc)
+    return out
+
+
+def superset_sums(v: int) -> int:
+    """v Z: at column c the sum of the entries of v at the columns that contain c."""
+    out = 0
+    for c in iter_bits(v):
+        for d in submasks(c):
+            out ^= 1 << d
+    return out
+
+
+def test_x_block_rows_are_the_blocks_on_x_monomials():
+    # the X rows of each distinct block are Z [q-hat | p-hat] diag(Z, Z) on
+    # the blocks cut from matrices built by diffops alone: subset sums over
+    # the rows, then superset sums over each half's columns
+    rng = random.Random(41)
+    seen = Counter()
+    for trial in range(280):
+        n = 1 + trial % 7
+        p, q, low = draw_block_pair(rng, n, (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n))
+        blocks = reference_blocks((rep_matrix_sum(p), rep_matrix_sum(q)), low)
+        want = []
+        for side, rows in reference_block_rows(blocks):
+            half = (1 << side) - 1
+            want.append((side, [superset_sums(r >> side) << side | superset_sums(r & half) for r in subset_sums(rows)]))
+        got = [(side, list(rows)) for side, rows, _ in block_rows(p, q, "X")]
+        assert got == want, (p, q)
+        seen["n <= 2"] += p.n <= 2 and bool(got)
+        seen["several blocks"] += len(got) > 1
+        seen["side >= 32"] += any(side >= 32 for side, _ in got)
+    assert min(seen.values()) >= 25 and len(seen) == 3, seen
 
 
 def test_to_matrix_is_the_one_block_of_all_coordinates():

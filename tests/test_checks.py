@@ -1,7 +1,9 @@
 """The invariant battery: its arguments, its draws, and the faults it catches."""
 
 import hashlib
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -97,6 +99,21 @@ def _flip_off_by_one_coordinate(orig):
     return mutant
 
 
+def _edited(*edits):
+    # the kernel compiled again from its own source, each (old, new) text
+    # replaced at its one occurrence
+    def mutate(orig):
+        source = textwrap.dedent(inspect.getsource(orig))
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        scope = {}
+        exec(compile(source, inspect.getsourcefile(orig), "exec"), orig.__globals__, scope)
+        return scope[orig.__name__]
+
+    return mutate
+
+
 def _derive_without_the_derivative_branch(g, i, tables):
     # d_i (t d^c) taken as (s_i t) d_i d^c: the term (d_i t) d^c is dropped
     return {c | 1 << i: tables.move(t, i)[0] for c, t in g.items() if not c >> i & 1}
@@ -136,6 +153,12 @@ KERNEL_MUTANTS = {
         },
     ),
     "_superset_sum_rows": (lambda orig: _superset_sum_rows_without_step_1, {"basis-roundtrips"}),
+    # the X rows with each term spread over the submasks of a, not of a & ~b:
+    # the decision then disagrees with _matrix_witness, which shares no row
+    # code with it.  (Dropping the reach condition t & b subset of a instead
+    # goes unseen at n = 2 on seed 0, whose 25 pairs decide alike; seeds 1
+    # and 2 see it, and so does test_x_block_rows_are_the_blocks_on_x_monomials.)
+    "_x_block_rows": (_edited(("_below((k << 3 | low) & ~b)", "_below(k << 3 | low)")), {"entailment"}),
     "gf2lin._table_sums": (
         _right_sum_without_step_1,
         {

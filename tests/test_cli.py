@@ -171,6 +171,23 @@ def test_entail_with_every_coordinate_derived_stops_at_the_refuting_rows(capsys,
     assert elapsed < 2.0 and peak < 32 << 20, (elapsed, peak)
 
 
+S12 = "s{" + ",".join(map(str, range(1, 13))) + "}"
+
+
+@pytest.mark.parametrize("p, q", [(S12, "1"), ("~a ~b", S12)])
+def test_entail_of_all_twelve_shifts_in_bounded_time(capsys, p, q):
+    # s{1..12} is the sum of the 4,096 derivatives y^b, each with the table 1.
+    # On M rows every row gets a term from each (4^12 in all); on X rows row
+    # t gets one only from the b disjoint from t (3^12)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = run(capsys, "entail", p, q, "-n", "12")
+        best = min(best, time.perf_counter() - start)
+    assert result == (0, "yes\n", "")
+    assert best < 1.0, best
+
+
 def test_entail_witness(capsys):
     code, out, _ = run(capsys, "entail", "~a a", "1", "--witness")
     assert code == 0

@@ -1312,16 +1312,18 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # draws there, most block eliminations see matrices with several
     # distinct diagonal blocks, cut here from the full matrices, and many
     # eliminate several blocks of side smaller than the whole.  Only the
-    # decisions count: the witnesses go through the same blocks
+    # decisions count, on the X rows they read: the witnesses go through the
+    # same blocks on M rows
     from boolweyl import bweyl, lang
     from boolweyl.bweyl import table_block_rows
 
     assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
     calls = []  # (distinct block pairs, blocks eliminated, their side) per call
 
-    def counting_blocks(dim, pt, qt):
-        blocks = list(table_block_rows(dim, pt, qt))
+    def counting_blocks(dim, pt, qt, coords="M"):
+        blocks = list(table_block_rows(dim, pt, qt, coords))
         if sys._getframe(1).f_code is lang._entails.__code__:
+            assert coords == "X"
             p, q = OpCoeffs(dim, "MY", pt), OpCoeffs(dim, "MY", qt)
             distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
             calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
@@ -1337,17 +1339,19 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
 
 
 def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
-    # a "yes" reads every row of every distinct block; a "no" reads the
+    # a "yes" reads every X row of every distinct block; a "no" reads the
     # blocks before the failing one whole, and of that one only the rows up
-    # to the first that reduces into the p-hat half
+    # to the first that reduces into the p-hat half.  Z is unitriangular, so
+    # that row is also the first on the M rows
     from boolweyl import bweyl
     from boolweyl.bweyl import table_block_rows
     from boolweyl.gf2lin import _echelon
 
     reads = []  # [side, rows read] per block handed to the elimination
 
-    def counting_rows(dim, pt, qt):
-        for side, rows, place in table_block_rows(dim, pt, qt):
+    def counting_rows(dim, pt, qt, coords="M"):
+        assert coords == "X"
+        for side, rows, place in table_block_rows(dim, pt, qt, coords):
             read = [side, 0]
             reads.append(read)
 
@@ -1375,15 +1379,16 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         reads.clear()
         got = entails_operators(p, q)
-        blocks = [(side, list(rows)) for side, rows, _ in table_block_rows(n, my_rows(p), my_rows(q))]
+        blocks = [(side, list(rows)) for side, rows, _ in table_block_rows(n, my_rows(p), my_rows(q), "X")]
         if got:
             assert reads == [[side, side] for side, _ in blocks], (p, q)
             continue
         *passed, (side, last) = reads
         assert passed == [[side, side] for side, _ in blocks[: len(passed)]], (p, q)
-        rows = blocks[len(passed)][1]
-        assert _echelon(rows[: last - 1], side) is not None, (p, q)
-        assert _echelon(rows[:last], side) is None, (p, q)
+        m_rows = list(list(table_block_rows(n, my_rows(p), my_rows(q)))[len(passed)][1])
+        for rows in (blocks[len(passed)][1], m_rows):
+            assert _echelon(rows[: last - 1], side) is not None, (p, q)
+            assert _echelon(rows[:last], side) is None, (p, q)
         counts["no"] += 1
         counts["fewer than the side"] += last < side
     assert counts["no"] >= 100 and counts["fewer than the side"] >= 0.8 * counts["no"], counts

@@ -13,8 +13,10 @@ operation list of WORKLOAD (one of perfbench's `cli`, `classical`,
 on both sides in turn, the side that goes first alternating, so that load
 on the host hits both alike.  The run stops at the first operation whose
 exit code, stdout or stderr differ between the sides; otherwise it prints
-one digest of all of them, and per side the throughput and the p50 and
-p90 latencies.
+one digest of all of them, per side the throughput and the p50 and p90
+latencies, and the median over the operations of each one's time ratio
+this/other.  That ratio weighs every operation alike, so a few long ones
+(the two deep-nesting `cli` calls) cannot hide a change in the rest.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ def main() -> int:
     for side, lat in seconds.items():
         p90 = statistics.quantiles(lat, n=10, method="inclusive")[8]
         print(f"{side:6} {len(lat) / sum(lat):9.1f} {statistics.median(lat) * 1e3:9.3f} {p90 * 1e3:9.3f}")
+    ratio = statistics.median(this / other for this, other in zip(seconds["this"], seconds["other"]))
+    print(f"median per-operation time ratio this/other: {ratio:.3f}")
     return 0
 
 
