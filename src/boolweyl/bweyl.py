@@ -53,17 +53,13 @@ on the operator's 4^n-bit table (row by row from closed forms when it has
 few terms), and multiplication of coefficients must match multiplication
 of matrices bit for bit.  The products of generator matrices in diffops
 are the oracle it is checked against.
-table_block_rows writes the same rows from MY tables with a row builder
-of its own, one diagonal block at a time, each block's rows of two
-operators side by side, built only as far as they are read; with all of
-[n] as block coordinates its one block is the two matrices of to_matrix,
-with which it shares no row code.  It also places a matrix solved block
-by block back on M-basis coordinates, so a witness needs no full matrix.
-For a decision it writes the blocks on x-monomials instead, Z M Z with
-Z[t, t'] = [t' subset of t] the subset sums: there a derivative lowers a
-monomial and a multiplication raises it, so the term of g d^b from an
+table_block_rows writes the matrices of two operators from their MY
+tables, one diagonal block at a time, as far as they are read and with
+no row code shared with to_matrix, on x-monomials: Z M Z with Z[t, t'] =
+[t' subset of t], the subset sums.  There a derivative lowers a monomial
+and a multiplication raises it, so the term of g d^b from an
 x-coefficient a of g reaches only the rows t with a inside t and t & b
-inside a.
+inside a.  block_witness solves a block from the echelon of its rows.
 """
 
 from __future__ import annotations
@@ -380,40 +376,30 @@ def _swap_coords(bits: int, swaps: Iterable[tuple[int, int]]) -> int:
     return bits
 
 
-def table_block_rows(
-    n: int, p: dict[int, int], q: dict[int, int], coords: str = "M"
-) -> Iterator[tuple[int, Iterator[int], Callable]]:
-    """The augmented rows [q-hat | p-hat] of two operators given as MY
-    tables {b: g} at dimension n, one distinct diagonal block at a time,
-    produced lazily.
+def table_block_rows(n: int, p: dict[int, int], q: dict[int, int]) -> Iterator[tuple[int, Iterator[int], Callable]]:
+    """The augmented rows of two operators given as MY tables {b: g} at
+    dimension n, one distinct diagonal block at a time, written lazily on
+    x-monomials.
 
     Row r of d^b has its entries at the columns c with c & ~b == r & ~b.
     So with B the union of the right indices b of p and q, widened by the
     lowest coordinates outside it to at least min(n, 3), both matrices are
     block diagonal: one block per coset z = r & ~B, of side 2^|B|.  A
-    stable partition moves B's coordinates to the low bits and keeps the
-    order of rows and columns inside a block; block z is then built from
-    the bits [z 2^|B|, (z + 1) 2^|B|) of each table, a whole number of
-    bytes (one byte, zero-padded, when n <= 2).  Blocks whose slices all agree are equal, so each
-    distinct pair is given once, in the order of its lowest z, and a pair
-    whose p block is zero is skipped.
-
-    Each is (side, rows, place): rows gives (q_r << side) | p_r for r from
-    0 to side - 1, with q_r and p_r row r of the two blocks written on the
-    coordinates coords.  In "M" they are the blocks' own rows, as a witness
-    needs them.  In "X", for a decision, they are Z [q | p] diag(Z, Z) with
-    Z[t, t'] = [t' subset of t]: row t is the sum of the rows inside t, and
-    column c of each half the sum of its columns that contain c.  Z is
-    invertible, so the row space is kept, and a row's q half stays zero
-    exactly when it was; Z is unitriangular, so both decide containment
-    alike and refute it at the same row.  The rows are built 8 at a time,
-    so a reader that stops early leaves the rest of the block unbuilt.
-    place(block, out) writes the rows of a side x side matrix on the
-    block's M coordinates into out, the 2^n rows of a matrix on M-basis
-    coordinates: for every coset z that shares the block, row t, its swaps
-    undone and shifted left by z, is row z | u, u the t-th submask of B.  A
-    later coset can still join a block, so place is called once the
-    generator is used up.
+    stable partition moves B's coordinates to the low bits; block z is then
+    built from the bits [z 2^|B|, (z + 1) 2^|B|) of each table, a whole
+    number of bytes (one, zero-padded, when n <= 2).  Each distinct pair of
+    blocks is given once, in the order of its lowest z, unless its p block
+    is zero, as (side, rows, place).  rows gives (q_r << side) | p_r, the
+    rows of Z [q | p] diag(Z, Z), Z[t, t'] = [t' subset of t]: row t is the
+    sum of the rows inside t, and column c of each half the sum of its
+    columns that contain c.  Z is invertible and unitriangular, so the rows
+    decide containment as the M rows do and refute it at the same row; they
+    are built 8 at a time, so a reader that stops early leaves the rest
+    unbuilt.  place(block, out) writes a block's rows on M coordinates into
+    out, the 2^n rows of a matrix: for every coset z that shares the block,
+    row t, its swaps undone and shifted by z, is row z | u, u the t-th
+    submask of B.  It is called once the generator is used up, as a later
+    coset can still join a block.
     """
     size, full = 1 << n, (1 << n) - 1
     low = 0
@@ -433,15 +419,12 @@ def table_block_rows(
     rank = {c: i for i, c in enumerate(order)}
     side = 1 << dim
     nbytes = (size + 7) >> 3
-    # per (b, g), p's first, with b moved and q's offset `side`: what the
-    # writer keeps of b (for M the submasks of b shifted by the offset and
-    # the complement of b, for X b and the offset), then the bytes of g moved
-    tables = []
-    for gs, offset in ((p, 0), (q, side)):
-        for b, left in gs.items():
-            b = sum(1 << rank[c] for c in iter_bits(b))
-            data = _swap_coords(left, swaps).to_bytes(nbytes, "little")
-            tables.append((_below(b) << offset, ~b, data) if coords == "M" else (b, offset, data))
+    # per (b, g), p's first: b moved, q's offset `side`, and the bytes of g moved
+    tables = [
+        (sum(1 << rank[c] for c in iter_bits(b)), offset, _swap_coords(g, swaps).to_bytes(nbytes, "little"))
+        for gs, offset in ((p, 0), (q, side))
+        for b, g in gs.items()
+    ]
 
     def place(cosets: list[int], block: Sequence[int], out: list[int]) -> None:
         us = [0]  # the submasks of B in ascending order, by doubling
@@ -456,31 +439,14 @@ def table_block_rows(
     width = (side + 7) >> 3
     zero = bytes(width)
     p_count = len(p)
-    write = _block_rows if coords == "M" else _x_block_rows
     cosets_of: dict[tuple[bytes, ...], list[int]] = {}  # per distinct key, the slices k that share it
     for k, start in enumerate(range(0, nbytes, width)):
         key = tuple(data[start : start + width] for _, _, data in tables)
         cosets = cosets_of.setdefault(key, [])
         cosets.append(k)
         if len(cosets) == 1 and any(part != zero for part in key[:p_count]):
-            parts = [(x, y, part) for (x, y, _), part in zip(tables, key) if part != zero]
-            yield side, write(parts, width, min(side, 8)), partial(place, cosets)
-
-
-def _block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: int) -> Iterator[int]:
-    """The rows of the sum of g d^b over the parts (form, ~b, bytes of g),
-    form the submasks of b shifted to the part's half of the augmented row,
-    8 rows per byte of the tables (fewer when there are fewer rows): for
-    every bit r of g, form shifted by r & ~b, row r of d^b, is XORed into row r."""
-    for k in range(width):
-        base = k << 3
-        rows = [0] * chunk_side
-        for form, outside, part in parts:
-            byte = part[k]
-            if byte:
-                for t in _LOW_BITS[byte]:
-                    rows[t] ^= form << ((base + t) & outside)
-        yield from rows
+            parts = [(b, offset, part) for (b, offset, _), part in zip(tables, key) if part != zero]
+            yield side, _x_block_rows(parts, width, min(side, 8)), partial(place, cosets)
 
 
 # entry v: the x-coefficients of the byte v, bit a the parity of the bits of
@@ -526,6 +492,41 @@ def _x_block_rows(parts: list[tuple[int, int, bytes]], width: int, chunk_side: i
                 for s in subs:
                     rows[low | s] ^= form << s
         yield from rows[:chunk_side]
+
+
+def block_witness(side: int, echelon: Mapping[int, int]) -> list[int]:
+    """The rows of the r with q r = p on a block's M coordinates that is zero
+    outside the pivot columns of q, from an echelon {leading bit: a << side |
+    b} of the block's X rows, every leading bit in the a half.
+
+    The echelon spans Z [q | p] diag(Z, Z), Z its own inverse, so q r = p
+    exactly when a (Z y) = b for each of its rows, with y = r Z.  Times
+    diag(Z, Z) it is an echelon of the M rows with the same leading bits (a
+    superset sum keeps a vector's highest set bit), so with y zero outside
+    them, x = Z y is made upwards: the row that leads at c gives y_c from b,
+    the rows of x at a's other bits and the rows of y inside c below it,
+    summed by a subset-sum butterfly run as y comes.  r = y Z.
+    """
+    low, leads = (1 << side) - 1, {p - side: row for p, row in echelon.items()}
+    r, x, part = [0] * side, [0] * side, [0] * side  # y; Z y; Z y within t's finished block
+    for c in range(side):
+        for i in iter_bits(c):  # the rows of y inside c below it: per bit of c, from the block before
+            x[c] ^= part[c - (1 << i)]
+        if c in leads:
+            y = x[c] ^ (leads[c] & low)
+            for t in iter_bits(leads[c] >> side ^ 1 << c):
+                y ^= x[t]
+            r[c] = part[c] = y
+            x[c] ^= y
+        j = 1
+        while c & j:  # c ends a block of 2j points: its first half's sums go to the second
+            for t in range(c + 1 - 2 * j, c + 1 - j):
+                part[t + j] ^= part[t]
+            j <<= 1
+    for i in range(side.bit_length() - 1):
+        step, clear = 1 << i, _block_mask(side, 1 << i)
+        r = [y ^ (y >> step) & clear for y in r]
+    return r
 
 
 def structural_coeff_c(a: int, b: int, c: int, d: int, e: int, h: int) -> int:

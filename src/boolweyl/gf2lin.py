@@ -216,20 +216,18 @@ class ColumnSolver:
         """The r that is zero outside the pivot columns, or None.
 
         Each echelon row (u, v) says u r = v.  From the lowest pivot up,
-        row c of r is v XORed with the rows of r at the lower bits of u.
+        row c of r is v XORed with the rows of r at the lower bits of u
+        that are pivots, those solved so far: r is zero at the others.
         """
         if not self.solvable():
             return None
-        side = self.side
-        low = (1 << side) - 1
-        r = [0] * side
-        for p in sorted(self._pivots):
-            row = self._pivots[p]
-            c = p - side
-            acc = row & low
-            for q in iter_bits((row >> side) ^ (1 << c)):
+        side, r, solved = self.side, [0] * self.side, 0
+        for p, row in sorted(self._pivots.items()):
+            acc = row & ((1 << side) - 1)
+            for q in iter_bits(row >> side & solved):
                 acc ^= r[q]
-            r[c] = acc
+            r[p - side] = acc
+            solved |= 1 << p - side
         return Gf2Matrix(r)
 
 

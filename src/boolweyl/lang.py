@@ -51,9 +51,9 @@ With an operator on either side it is decided on the distinct diagonal
 blocks that the coordinates touched by derivatives cut out, their rows
 made from the MY tables as the elimination reads them, and each
 elimination stopping at the first row that refutes containment.  The
-decision reads the blocks on x-monomials, where each term reaches only
-the rows it moves.  A witness is back-substituted on the M rows of the
-same blocks, so no entailment builds a full matrix.
+blocks are read on x-monomials, where each term reaches only the rows it
+moves, and a witness is solved from their echelon, so no entailment
+builds a full matrix.
 """
 
 from __future__ import annotations
@@ -633,7 +633,7 @@ def _entails(pv: int | dict[int, int], qv: int | dict[int, int], n: int) -> bool
 
     return all(
         gf2lin.ColumnSolver(side, rows).solvable()
-        for side, rows, _ in bweyl.table_block_rows(n, bweyl.operator_tables(pv), bweyl.operator_tables(qv), "X")
+        for side, rows, _ in bweyl.table_block_rows(n, bweyl.operator_tables(pv), bweyl.operator_tables(qv))
     )
 
 
@@ -658,19 +658,19 @@ def entailment_witness(p: Expr, q: Expr, ctx: VarContext) -> Gf2Matrix | None:
     """A matrix r with q-hat * r = p-hat, or None when p is not entailed.
 
     r, zero outside the pivot columns of q-hat, is block diagonal like
-    both, so each distinct block of it is solved once, on the M rows of the
-    blocks that decide the entailment, and placed on every coset that
-    shares it.  (On the X rows the elimination would pick other pivots.)
+    both: each distinct block is eliminated as _entails eliminates it, so a
+    no stops at the refuting row, then solved from its echelon by
+    bweyl.block_witness and placed on every coset that shares it.
     """
     from . import bweyl, gf2lin
 
     solved = []
     pt, qt = bweyl.operator_tables(_value(p, ctx)), bweyl.operator_tables(_value(q, ctx))
     for side, rows, place in bweyl.table_block_rows(ctx.n, pt, qt):
-        block = gf2lin.ColumnSolver(side, rows).solve()
-        if block is None:
+        solver = gf2lin.ColumnSolver(side, rows)
+        if not solver.solvable():
             return None
-        solved.append((place, block.rows))
+        solved.append((place, bweyl.block_witness(side, solver._pivots)))
     r = [0] * (1 << ctx.n)
     for place, block in solved:  # placed once every coset has joined its block
         place(block, r)

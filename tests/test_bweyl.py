@@ -86,13 +86,14 @@ def per_term_matrix(f: OpCoeffs):
 
 
 def test_to_matrix_matches_per_term_route(monkeypatch):
-    # to_matrix writes its own rows: the entailment blocks' row builder is out of reach
+    # to_matrix writes its own rows: the entailment blocks' row builder and
+    # their witness solver are out of reach
     def refuse(*args, **kwargs):
         raise AssertionError("to_matrix reached the block row builder")
 
-    monkeypatch.setattr(bweyl, "_block_rows", refuse)
     monkeypatch.setattr(bweyl, "_x_block_rows", refuse)
     monkeypatch.setattr(bweyl, "table_block_rows", refuse)
+    monkeypatch.setattr(bweyl, "block_witness", refuse)
     rng = random.Random(37)
     for n in range(1, 6):
         for _ in range(12 if n < 5 else 4):
@@ -263,9 +264,9 @@ def reference_block_rows(blocks):
     ]
 
 
-def block_rows(p: OpCoeffs, q: OpCoeffs, coords: str = "M"):
+def block_rows(p: OpCoeffs, q: OpCoeffs):
     """table_block_rows of two operators, from their MY rows."""
-    return bweyl.table_block_rows(p.n, convert_op_basis(p, "MY").rows, convert_op_basis(q, "MY").rows, coords)
+    return bweyl.table_block_rows(p.n, convert_op_basis(p, "MY").rows, convert_op_basis(q, "MY").rows)
 
 
 def draw_block_pair(rng: random.Random, n: int, touched: int) -> tuple[OpCoeffs, OpCoeffs, int]:
@@ -289,35 +290,6 @@ def draw_block_pair(rng: random.Random, n: int, touched: int) -> tuple[OpCoeffs,
     return p, q, low
 
 
-def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
-    # the blocks and their placement against matrices built by diffops alone,
-    # on operators drawn in all six bases
-    rng = random.Random(23)
-    seen = Counter()
-    for trial in range(300):
-        n = 1 + trial % 7
-        touched = rng.getrandbits(n) & rng.getrandbits(n)
-        if trial % 5 == 0:
-            touched = rng.getrandbits(n)
-        p, q, low = draw_block_pair(rng, n, touched)
-        full = (rep_matrix_sum(p), rep_matrix_sum(q))
-        blocks = reference_blocks(full, low)
-        streamed = list(block_rows(p, q))
-        got = [(side, list(rows)) for side, rows, _ in streamed]
-        assert got == reference_block_rows(blocks), (p, q)
-        # placed on every coset that shares it, each p block rebuilds p-hat:
-        # the skipped zero blocks are its zero rows
-        placed = [0] * (1 << n)
-        for (side, _, place), (_, rows) in zip(streamed, got):
-            place([row & ((1 << side) - 1) for row in rows], placed)
-        assert placed == list(full[0].rows), (p, q)
-        seen[len(blocks) > 1] += 1
-        seen["duplicates"] += len(blocks) < 1 << (n - low.bit_count())
-        seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
-    assert min(seen[True], seen[False], seen["duplicates"]) >= 30, seen
-    assert seen["fewer than 8 rows"] >= 50, seen
-
-
 def subset_sums(rows: list[int]) -> list[int]:
     """Z rows, Z[t, t'] = [t' subset of t]: row t the sum of the rows r inside t."""
     out = []
@@ -338,6 +310,43 @@ def superset_sums(v: int) -> int:
     return out
 
 
+def on_x_monomials(side: int, rows: list[int]) -> list[int]:
+    """Augmented rows (q_r << side) | p_r taken to Z [q | p] diag(Z, Z): subset
+    sums over the rows, then superset sums over each half's columns."""
+    half = (1 << side) - 1
+    return [superset_sums(r >> side) << side | superset_sums(r & half) for r in subset_sums(rows)]
+
+
+def test_diagonal_blocks_are_the_distinct_blocks_of_the_matrices():
+    # the blocks and their placement against matrices built by diffops alone,
+    # on operators drawn in all six bases: Z is its own inverse, so the X rows
+    # taken to x-monomials once more are the M rows
+    rng = random.Random(23)
+    seen = Counter()
+    for trial in range(300):
+        n = 1 + trial % 7
+        touched = rng.getrandbits(n) & rng.getrandbits(n)
+        if trial % 5 == 0:
+            touched = rng.getrandbits(n)
+        p, q, low = draw_block_pair(rng, n, touched)
+        full = (rep_matrix_sum(p), rep_matrix_sum(q))
+        blocks = reference_blocks(full, low)
+        streamed = list(block_rows(p, q))
+        got = [(side, on_x_monomials(side, list(rows))) for side, rows, _ in streamed]
+        assert got == reference_block_rows(blocks), (p, q)
+        # placed on every coset that shares it, each p block rebuilds p-hat:
+        # the skipped zero blocks are its zero rows
+        placed = [0] * (1 << n)
+        for (side, _, place), (_, rows) in zip(streamed, got):
+            place([row & ((1 << side) - 1) for row in rows], placed)
+        assert placed == list(full[0].rows), (p, q)
+        seen[len(blocks) > 1] += 1
+        seen["duplicates"] += len(blocks) < 1 << (n - low.bit_count())
+        seen["fewer than 8 rows"] += any(side < 8 for side, _ in got)
+    assert min(seen[True], seen[False], seen["duplicates"]) >= 30, seen
+    assert seen["fewer than 8 rows"] >= 50, seen
+
+
 def test_x_block_rows_are_the_blocks_on_x_monomials():
     # the X rows of each distinct block are Z [q-hat | p-hat] diag(Z, Z) on
     # the blocks cut from matrices built by diffops alone: subset sums over
@@ -348,11 +357,8 @@ def test_x_block_rows_are_the_blocks_on_x_monomials():
         n = 1 + trial % 7
         p, q, low = draw_block_pair(rng, n, (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n))
         blocks = reference_blocks((rep_matrix_sum(p), rep_matrix_sum(q)), low)
-        want = []
-        for side, rows in reference_block_rows(blocks):
-            half = (1 << side) - 1
-            want.append((side, [superset_sums(r >> side) << side | superset_sums(r & half) for r in subset_sums(rows)]))
-        got = [(side, list(rows)) for side, rows, _ in block_rows(p, q, "X")]
+        want = [(side, on_x_monomials(side, rows)) for side, rows in reference_block_rows(blocks)]
+        got = [(side, list(rows)) for side, rows, _ in block_rows(p, q)]
         assert got == want, (p, q)
         seen["n <= 2"] += p.n <= 2 and bool(got)
         seen["several blocks"] += len(got) > 1
@@ -363,21 +369,50 @@ def test_x_block_rows_are_the_blocks_on_x_monomials():
 def test_to_matrix_is_the_one_block_of_all_coordinates():
     p = OpCoeffs(4, "XS", [(0b0011, 0b0101), (0b1000, 0b1010)])
     q = OpCoeffs(4, "MS", [(0b0110, 0b1111)])
+    # (on x-monomials, Z [q-hat | p-hat] diag(Z, Z))
     rows = [(to_matrix(q).rows[r] << 16) | to_matrix(p).rows[r] for r in range(16)]
-    assert [(side, list(got)) for side, got, _ in block_rows(p, q)] == [(16, rows)]
+    assert [(side, list(got)) for side, got, _ in block_rows(p, q)] == [(16, on_x_monomials(16, rows))]
     # at n <= 2 the one block has fewer than 8 rows
     for n in (1, 2):
         d = OpCoeffs(n, "XY", [(0, 1)])
         one = op_identity(n)
         side = 1 << n
         rows = [(to_matrix(one).rows[r] << side) | to_matrix(d).rows[r] for r in range(side)]
-        assert [(s, list(got)) for s, got, _ in block_rows(d, one)] == [(side, rows)]
+        assert [(s, list(got)) for s, got, _ in block_rows(d, one)] == [(side, on_x_monomials(side, rows))]
     # one right index, widened to three coordinates: two equal blocks of side 8
     g = OpCoeffs(4, "XY", [(0, 0b0100)])
     one = op_identity(4)
     block = to_matrix(OpCoeffs(3, "XY", [(0, 0b100)]))
     rows = [(1 << (r + 8)) | block.rows[r] for r in range(8)]
-    assert [(side, list(got)) for side, got, _ in block_rows(g, one)] == [(8, rows)]
+    assert [(side, list(got)) for side, got, _ in block_rows(g, one)] == [(8, on_x_monomials(8, rows))]
+
+
+def test_block_witness_is_the_witness_of_the_m_blocks():
+    # an echelon of each block's X rows, each half times Z, has the leading
+    # bits of an echelon of the block's M rows, cut from matrices built by
+    # diffops alone, and their row space; from it block_witness solves the
+    # block as solve_right does on the M blocks, zero outside those pivots
+    rng = random.Random(43)
+    seen = Counter()
+    for trial in range(400):
+        n = 1 + trial % 7
+        p, q, low = draw_block_pair(rng, n, (1 << n) - 1 if trial % 3 == 0 else rng.getrandbits(n))
+        blocks = [(pb, qb) for pb, qb in reference_blocks((rep_matrix_sum(p), rep_matrix_sum(q)), low) if any(pb.rows)]
+        for (side, x_rows, _), (pb, qb) in zip(block_rows(p, q), blocks, strict=True):
+            m_rows = [(qb.rows[r] << side) | pb.rows[r] for r in range(side)]
+            echelon = gf2lin._echelon(x_rows)
+            half = (1 << side) - 1
+            back = [superset_sums(row >> side) << side | superset_sums(row & half) for row in echelon.values()]
+            assert sorted(row.bit_length() - 1 for row in back) == sorted(gf2lin._echelon(m_rows)), (p, q)
+            assert gf2lin.gf2_rank(back + m_rows) == len(back), (p, q)
+            want = gf2lin.solve_right(qb, pb)
+            if want is not None:
+                assert bweyl.block_witness(side, echelon) == list(want.rows), (p, q)
+            seen["solved"] += want is not None
+            seen["side < 8"] += side < 8
+            seen["rank < side"] += len(echelon) < side
+            seen["a pivot in the p half"] += min(echelon, default=2 * side) < side
+    assert min(seen.values()) >= 25 and len(seen) == 4, seen
 
 
 # --- structural coefficient -----------------------------------------------------

@@ -154,11 +154,14 @@ KERNEL_MUTANTS = {
     ),
     "_superset_sum_rows": (lambda orig: _superset_sum_rows_without_step_1, {"basis-roundtrips"}),
     # the X rows with each term spread over the submasks of a, not of a & ~b:
-    # the decision then disagrees with _matrix_witness, which shares no row
-    # code with it.  (Dropping the reach condition t & b subset of a instead
-    # goes unseen at n = 2 on seed 0, whose 25 pairs decide alike; seeds 1
-    # and 2 see it, and so does test_x_block_rows_are_the_blocks_on_x_monomials.)
+    # the decision and the witness, which both read them, then disagree with
+    # _matrix_witness, which shares no row code with them.  (Dropping the
+    # reach condition t & b subset of a instead fails the check here too:
+    # the 25 pairs still decide alike, but their witnesses differ.  So does
+    # test_x_block_rows_are_the_blocks_on_x_monomials.)
     "_x_block_rows": (_edited(("_below((k << 3 | low) & ~b)", "_below(k << 3 | low)")), {"entailment"}),
+    # the witness solver with its running subset-sum butterfly left out
+    "block_witness": (_edited(("part[t + j] ^= part[t]", "pass")), {"entailment"}),
     "gf2lin._table_sums": (
         _right_sum_without_step_1,
         {

@@ -55,7 +55,7 @@ from boolweyl.lang import (
     tokenize,
     valuation,
 )
-from boolweyl.ring import RingElem, convert_ring_basis, iter_bits, mask_from_indices, ring_eval
+from boolweyl.ring import RingElem, convert_ring_basis, iter_bits, mask_from_indices, ring_eval, submasks
 
 
 # --- lexer ----------------------------------------------------------------------
@@ -1312,18 +1312,16 @@ def test_battery_entailment_sees_split_matrices(n, monkeypatch):
     # draws there, most block eliminations see matrices with several
     # distinct diagonal blocks, cut here from the full matrices, and many
     # eliminate several blocks of side smaller than the whole.  Only the
-    # decisions count, on the X rows they read: the witnesses go through the
-    # same blocks on M rows
+    # decisions count: the witnesses read the same blocks
     from boolweyl import bweyl, lang
     from boolweyl.bweyl import table_block_rows
 
     assert checks.run_battery(n, 1, 0)[-1].detail == f"1 samples, n={n}"
     calls = []  # (distinct block pairs, blocks eliminated, their side) per call
 
-    def counting_blocks(dim, pt, qt, coords="M"):
-        blocks = list(table_block_rows(dim, pt, qt, coords))
+    def counting_blocks(dim, pt, qt):
+        blocks = list(table_block_rows(dim, pt, qt))
         if sys._getframe(1).f_code is lang._entails.__code__:
-            assert coords == "X"
             p, q = OpCoeffs(dim, "MY", pt), OpCoeffs(dim, "MY", qt)
             distinct = distinct_block_pairs(p, q, block_coordinates(p, q))
             calls.append((distinct, len(blocks), blocks[0][0] if blocks else 0))
@@ -1342,16 +1340,16 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
     # a "yes" reads every X row of every distinct block; a "no" reads the
     # blocks before the failing one whole, and of that one only the rows up
     # to the first that reduces into the p-hat half.  Z is unitriangular, so
-    # that row is also the first on the M rows
+    # that row is also the first on the M rows.  The witness reads the rows
+    # as the decision does
     from boolweyl import bweyl
-    from boolweyl.bweyl import table_block_rows
+    from boolweyl.bweyl import _below, table_block_rows
     from boolweyl.gf2lin import _echelon
 
     reads = []  # [side, rows read] per block handed to the elimination
 
-    def counting_rows(dim, pt, qt, coords="M"):
-        assert coords == "X"
-        for side, rows, place in table_block_rows(dim, pt, qt, coords):
+    def counting_rows(dim, pt, qt):
+        for side, rows, place in table_block_rows(dim, pt, qt):
             read = [side, 0]
             reads.append(read)
 
@@ -1379,19 +1377,37 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         p = op_mul(q, draw(rng.randint(1, 3))) if trial % 2 else draw(rng.randint(0, 4))
         reads.clear()
         got = entails_operators(p, q)
-        blocks = [(side, list(rows)) for side, rows, _ in table_block_rows(n, my_rows(p), my_rows(q), "X")]
+        decided = [read.copy() for read in reads]
+        pe, qe = parse_text(op_text(p)), parse_text(op_text(q))
+        reads.clear()
+        assert (entailment_witness(pe, qe, infer_context([pe, qe], n)) is not None) == got, (p, q)
+        assert reads == decided, (p, q)
+        blocks = [(side, list(rows)) for side, rows, _ in table_block_rows(n, my_rows(p), my_rows(q))]
         if got:
             assert reads == [[side, side] for side, _ in blocks], (p, q)
+            counts["yes"] += 1
             continue
         *passed, (side, last) = reads
         assert passed == [[side, side] for side, _ in blocks[: len(passed)]], (p, q)
-        m_rows = list(list(table_block_rows(n, my_rows(p), my_rows(q)))[len(passed)][1])
-        for rows in (blocks[len(passed)][1], m_rows):
+        x_rows = blocks[len(passed)][1]
+        # the M rows: Z is its own inverse, so row t is the sum of the X rows
+        # inside t, and column c of each half the sum of its columns that contain c
+        m_rows = []
+        for t in range(side):
+            row = 0
+            for u in submasks(t):
+                row ^= x_rows[u]
+            halves = [0, 0]
+            for c in iter_bits(row):
+                halves[c >= side] ^= _below(c % side)
+            m_rows.append(halves[1] << side | halves[0])
+        for rows in (x_rows, m_rows):
             assert _echelon(rows[: last - 1], side) is not None, (p, q)
             assert _echelon(rows[:last], side) is None, (p, q)
         counts["no"] += 1
         counts["fewer than the side"] += last < side
-    assert counts["no"] >= 100 and counts["fewer than the side"] >= 0.8 * counts["no"], counts
+    assert min(counts["yes"], counts["no"]) >= 100, counts
+    assert counts["fewer than the side"] >= 0.8 * counts["no"], counts
     # d{1..n} has the constants as its column space, x{1..n} d{1..n} the
     # multiples of x{1..n}: the first row already refutes containment
     for n in (3, 8, 16):
@@ -1400,6 +1416,10 @@ def test_block_elimination_reads_rows_only_up_to_the_refuting_one(monkeypatch):
         q = OpCoeffs(n, "XY", [(full, full)])
         reads.clear()
         assert not entails_operators(p, q)
+        assert reads == [[1 << n, 1]]
+        pe, qe = parse_text(op_text(p)), parse_text(op_text(q))
+        reads.clear()
+        assert entailment_witness(pe, qe, infer_context([pe, qe], n)) is None
         assert reads == [[1 << n, 1]]
 
 
